@@ -33,6 +33,7 @@ from .noise import (
     diag_by_zero_count,
     estimate_response,
     load_response,
+    sample_columns,
     sample_measured,
     save_response,
 )
@@ -43,10 +44,12 @@ from .unfold import (
     condition_report,
     ibu_unfold,
     matrix_inverse_unfold,
+    unfold_columns,
 )
 from .rebalance import (
     MeasurementPlan,
     choose_flip_mask,
+    run_batch,
     run_nominal,
     run_plan,
     run_rebalanced,

@@ -8,11 +8,10 @@ which is the whole motivation for rebalancing toward the ground state.
 """
 
 import numpy as np
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import ValidationError, rng_stream
-from .rebalance import run_plan
+from .core import CountsHistogram, ValidationError, rng_stream
+from .rebalance import run_batch
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 
@@ -222,41 +221,38 @@ def ensemble_run(
     """Repeat a measurement plan and summarize an observable across runs.
 
     Every repetition r draws its own stream from (plan.rng_seed, r), so
-    results are reproducible and repetitions can run in any order.  An
-    explicit ``seeds`` sequence (one per repetition, all distinct) can
-    replace the derived ones.
+    results are reproducible and do not depend on the order or grouping of
+    repetitions.  An explicit ``seeds`` sequence (one per repetition, all
+    distinct) can replace the derived ones.  The whole ensemble is sampled
+    repetition by repetition and then corrected as one batch (see
+    :func:`~readout_rebalance.rebalance.run_batch`).
 
-    ``observable`` maps a corrected CountsHistogram to a float.
+    ``observable`` maps a corrected CountsHistogram to a float; it is
+    called once per repetition.
     """
     repetitions = int(repetitions)
     if repetitions < 2:
         raise ValidationError("need at least 2 repetitions for a standard deviation")
-    if seeds is not None:
+    if seeds is None:
+        streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
+    else:
         seeds = [int(s) for s in seeds]
         if len(seeds) != repetitions:
             raise ValidationError("seeds must provide one entry per repetition")
         if len(set(seeds)) != len(seeds):
             raise ValidationError("repetition seeds must be independent (no duplicates)")
+        streams = [rng_stream(s) for s in seeds]
 
-    values = np.empty(repetitions)
-    masks = []
-    negative_runs = 0
-    for r in range(repetitions):
-        gen = rng_stream(seeds[r]) if seeds is not None else rng_stream(plan.rng_seed, r)
-        hist, mask = run_plan(true_dist, response, plan, gen)
-        values[r] = observable(hist)
-        if mask is not None:
-            masks.append(mask.mask)
-        if np.any(hist.counts < -1e-9):
-            negative_runs += 1
+    corrected, masks = run_batch(true_dist, response, plan, streams)
+    values = np.array(
+        [observable(CountsHistogram(true_dist.n_qubits, column)) for column in corrected.T]
+    )
+    negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
 
     mean = float(values.mean())
     std = float(values.std(ddof=1))
-    mask_mode = None
-    if masks:
-        counts = Counter(masks)
-        top = max(counts.values())
-        mask_mode = min(m for m, c in counts.items() if c == top)
+    # the most frequent mask; argmax takes the smallest one on a tie
+    mask_mode = None if masks is None else int(np.argmax(np.bincount(masks)))
     label = observable_label or getattr(observable, "__name__", "observable")
     return EnsembleResult(
         repetitions=repetitions,

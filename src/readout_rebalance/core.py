@@ -123,8 +123,9 @@ class ProbDist:
             raise ValidationError("n_qubits must be >= 1")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         probs = _as_readonly_float_array(self.probs, self.n_qubits, "probs")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValidationError("probabilities must lie in [0, 1]")
+        # written so that NaN fails the test as well
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValidationError("probabilities must be finite and lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_SUM_ATOL:
             raise ValidationError(
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {PROB_SUM_ATOL}"

@@ -59,6 +59,23 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
+def _parse_list(text, kind, flag):
+    """Comma-separated values of one type given to a command-line flag."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(
+            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
+        ) from exc
+
+
+def _check_number(name, value, kind):
+    try:
+        kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}") from exc
+
+
 def default_sweep_mus():
     """21 evenly spaced means from -1 to 1 plus the two pinned values."""
     mus = {round(float(x), 10) for x in np.linspace(-1.0, 1.0, 21)}
@@ -89,9 +106,30 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"
             )
+        # config files can hold values of any JSON type
+        if not isinstance(self.strategies, (list, tuple)):
+            raise ValidationError(f"strategies must be a list, got {self.strategies!r}")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValidationError(f"unknown strategy {s!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValidationError(f"output_dir must be a path, got {self.output_dir!r}")
+        if not isinstance(self.calibration_file, (str, type(None))):
+            raise ValidationError(
+                f"calibration_file must be a path, got {self.calibration_file!r}"
+            )
+        for name in ("shots", "repetitions", "ibu_iterations", "rng_seed", "grover_iterations"):
+            _check_number(name, getattr(self, name), int)
+        for name in ("pilot_fraction", "sigma"):
+            _check_number(name, getattr(self, name), float)
+        for name in ("eps10", "eps01", "mus"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+            for value in values:
+                _check_number(name, value, float)
         if int(self.shots) < 2:
             raise ValidationError("shots must be >= 2")
         if int(self.repetitions) < 2:
@@ -335,8 +373,8 @@ def cmd_calibrate(args):
     elif args.eps10 is not None or args.eps01 is not None:
         if args.eps10 is None or args.eps01 is None:
             raise ValidationError("--eps10 and --eps01 must be given together")
-        e10 = [float(x) for x in args.eps10.split(",")]
-        e01 = [float(x) for x in args.eps01.split(",")]
+        e10 = _parse_list(args.eps10, float, "--eps10")
+        e01 = _parse_list(args.eps01, float, "--eps01")
         if len(e10) != len(e01):
             raise ValidationError("--eps10 and --eps01 must list the same number of qubits")
         true_response = build_tensor_response(
@@ -379,8 +417,8 @@ def cmd_run(args):
         for k, v in {
             "experiment": args.experiment,
             "calibration_file": args.calibration_file,
-            "eps10": [float(x) for x in args.eps10.split(",")] if args.eps10 else None,
-            "eps01": [float(x) for x in args.eps01.split(",")] if args.eps01 else None,
+            "eps10": _parse_list(args.eps10, float, "--eps10") if args.eps10 else None,
+            "eps01": _parse_list(args.eps01, float, "--eps01") if args.eps01 else None,
             "shots": args.shots,
             "repetitions": args.repetitions,
             "strategies": tuple(args.strategies.split(",")) if args.strategies else None,
@@ -389,7 +427,7 @@ def cmd_run(args):
             "pilot_fraction": args.pilot_fraction,
             "rng_seed": args.rng_seed,
             "output_dir": args.output_dir,
-            "mus": [float(x) for x in args.mus.split(",")] if args.mus else None,
+            "mus": _parse_list(args.mus, float, "--mus") if args.mus else None,
             "sigma": args.sigma,
             "grover_iterations": args.grover_iterations,
         }.items()
@@ -401,6 +439,7 @@ def cmd_run(args):
     config = ExperimentConfig(**base)
     if args.fast and not repetitions_explicit:
         config.repetitions = 100
+    config.validate()
 
     if config.experiment == "appendix_a":
         return _run_appendix_a(
@@ -408,7 +447,6 @@ def cmd_run(args):
             rng_seed=config.rng_seed, output_dir=config.output_dir,
         )
 
-    config.validate()
     results, manifest = run_experiment(config)
     written = write_run_outputs(config, results, manifest)
     for path in written:
@@ -429,16 +467,16 @@ def _run_appendix_a(q0, q1, total, trials, rng_seed, output_dir):
 
 def cmd_appendix_a(args):
     if args.counts:
+        parsed = [_parse_list(spec, int, "--counts") for spec in args.counts]
         splits = []
-        for i, spec_str in enumerate(args.counts):
-            parts = [int(x) for x in spec_str.split(",")]
+        for i, parts in enumerate(parsed):
             if len(parts) != 4:
                 raise ValidationError("--counts needs four comma-separated integers")
             total = sum(parts)
             if total < 1:
                 raise ValidationError("--counts must sum to a positive total")
             splits.append((f"split_{i}", tuple(p / total for p in parts)))
-        total = sum(int(x) for x in args.counts[0].split(","))
+        total = sum(parsed[0])
     else:
         splits = APPENDIX_A_DEFAULT_SPLITS
         total = args.total

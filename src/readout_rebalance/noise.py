@@ -6,7 +6,7 @@ true = t).  A measured distribution is R @ t for a true distribution t.
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from importlib import resources
 
 import numpy as np
@@ -56,10 +56,12 @@ class ResponseMatrix:
             raise DimensionError(
                 f"entries must be {dim}x{dim} for {self.n_qubits} qubits, got {entries.shape}"
             )
-        if np.any(entries < 0.0) or np.any(entries > 1.0):
-            bad = np.argwhere((entries < 0.0) | (entries > 1.0))[0]
+        # written so that NaN fails the test as well
+        outside = ~((entries >= 0.0) & (entries <= 1.0))
+        if np.any(outside):
+            m, t = np.argwhere(outside)[0]
             raise ValidationError(
-                f"entry at row {bad[0]}, column {bad[1]} outside [0, 1]"
+                f"entry at row {m}, column {t} is {entries[m, t]!r}, outside [0, 1]"
             )
         sums = entries.sum(axis=0)
         off = np.abs(sums - 1.0)
@@ -71,6 +73,15 @@ class ResponseMatrix:
         entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @cached_property
+    def condition_number(self):
+        """2-norm condition number (ratio of extreme singular values).
+
+        Computed by an SVD on first use and kept: the entries never change,
+        and construction should not pay for an SVD nobody asks for.
+        """
+        return float(np.linalg.cond(self.entries))
 
     @property
     def dim(self):
@@ -143,6 +154,19 @@ def estimate_response(true_response, shots_per_state, rng):
     return ResponseMatrix(true_response.n_qubits, est)
 
 
+def sample_columns(measured, shots, streams):
+    """Independent draws of ``shots`` from one measured distribution.
+
+    Column j of the returned ``(dim, len(streams))`` float array is one
+    multinomial draw made with ``streams[j]``; zero shots draw nothing.
+    """
+    counts = np.zeros((measured.probs.size, len(streams)))
+    if shots > 0:
+        for j, stream in enumerate(streams):
+            counts[:, j] = stream.multinomial(shots, measured.probs)
+    return counts
+
+
 def sample_measured(true_dist, response, shots, rng):
     """Sample a noisy measured histogram: one multinomial draw from R @ t.
 
@@ -153,13 +177,8 @@ def sample_measured(true_dist, response, shots, rng):
         raise DimensionError("distribution width does not match response matrix")
     if int(shots) < 0:
         raise ValidationError("shots must be >= 0")
-    shots = int(shots)
-    if shots == 0:
-        return CountsHistogram(true_dist.n_qubits, np.zeros(response.dim))
-    gen = _as_generator(rng)
-    measured = response.apply(true_dist)
-    counts = gen.multinomial(shots, measured.probs)
-    return CountsHistogram(true_dist.n_qubits, counts.astype(np.float64))
+    counts = sample_columns(response.apply(true_dist), int(shots), [_as_generator(rng)])
+    return CountsHistogram(true_dist.n_qubits, counts[:, 0])
 
 
 def diag_by_zero_count(response):
@@ -189,8 +208,10 @@ def save_response(response, path):
 def load_response(path):
     """Load a response matrix written by :func:`save_response`.
 
-    Column sums are checked at the looser tolerance ``LOAD_COLUMN_SUM_ATOL``
-    and violations are reported with their location.
+    Column sums are checked at the looser tolerance ``LOAD_COLUMN_SUM_ATOL``.
+    Every content fault, including entries that are not numbers, NaN or out
+    of range, is reported as a :class:`CalibrationFileError` naming the file
+    and, where there is one, the offending location.
     """
     with open(path) as fh:
         try:
@@ -203,26 +224,20 @@ def load_response(path):
     if not isinstance(n, int) or n < 1:
         raise CalibrationFileError(f"{path}: n_qubits must be a positive integer")
     dim = 2 ** n
-    entries = payload["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
+    try:
+        arr = np.asarray(payload["entries"])
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.shape != (dim, dim):
         raise CalibrationFileError(
             f"{path}: entries must be a {dim}x{dim} array for n_qubits = {n}"
         )
-    arr = np.asarray(entries, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        m, t = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
-        raise CalibrationFileError(
-            f"{path}: entry at row {m}, column {t} is {arr[m, t]!r}, outside [0, 1]"
-        )
-    sums = arr.sum(axis=0)
-    off = np.abs(sums - 1.0)
-    if np.any(off > LOAD_COLUMN_SUM_ATOL):
-        col = int(np.argmax(off))
-        raise CalibrationFileError(
-            f"{path}: column {col} sums to {sums[col]!r}, "
-            f"expected 1 within {LOAD_COLUMN_SUM_ATOL}"
-        )
-    return ResponseMatrix(n, arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
+    if arr.dtype.kind not in "iuf":
+        raise CalibrationFileError(f"{path}: entries must all be numbers")
+    try:
+        return ResponseMatrix(n, arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
+    except ValidationError as exc:
+        raise CalibrationFileError(f"{path}: {exc}") from exc
 
 
 def default_qubit_params():

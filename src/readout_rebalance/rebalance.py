@@ -7,18 +7,20 @@ finally undoes the flips classically.  Fewer physical qubits then sit in the
 error-prone excited state while every observable keeps its value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .core import (
+    CountsHistogram,
     DimensionError,
     FlipMask,
     ValidationError,
-    qubit_marginals,
     rng_stream,
     xor_permute,
 )
-from .noise import sample_measured
-from .unfold import UnfoldConfig, apply_unfold
+from .noise import sample_columns
+from .unfold import UnfoldConfig, unfold_columns
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
 
@@ -61,33 +63,114 @@ class MeasurementPlan:
         return int(round(float(self.pilot_fraction) * self.total_shots))
 
 
+def _pilot_masks(pilots, n_qubits):
+    """Flip masks from pilot counts, one per column of a ``(dim, k)`` array.
+
+    One ``bits @ pilots`` gives every qubit's count of 1s in every column.
+    Integer counts sum exactly, so the strict threshold is exact too.
+    """
+    totals = pilots.sum(axis=0)
+    if np.any(totals <= 0):
+        raise ValidationError("cannot choose a flip mask from an empty pilot")
+    qubits = np.arange(n_qubits)
+    bits = (np.arange(pilots.shape[0]) >> qubits[:, None]) & 1
+    marginals = (bits @ pilots) / totals
+    return (1 << qubits) @ (marginals > 0.5)
+
+
 def choose_flip_mask(pilot):
     """Flip rule: set bit i when the pilot marginal of qubit i exceeds 0.5.
 
     The inequality is strict, so a marginal of exactly 0.5 leaves the qubit
     untouched.
     """
-    if pilot.total <= 0:
-        raise ValidationError("cannot choose a flip mask from an empty pilot")
-    marginals = qubit_marginals(pilot)
-    mask = 0
-    for i, value in enumerate(marginals):
-        if value > 0.5:
-            mask |= 1 << i
-    return FlipMask(pilot.n_qubits, mask)
+    masks = _pilot_masks(pilot.counts[:, None], pilot.n_qubits)
+    return FlipMask(pilot.n_qubits, int(masks[0]))
 
 
 def _plan_rng(plan, rng):
     return rng if rng is not None else rng_stream(plan.rng_seed)
 
 
-def run_nominal(true_dist, response, plan, rng=None):
-    """Measure all shots as-is, then unfold.  Returns the corrected histogram."""
+def _draw(true_dist, response, masks, shots, streams):
+    """One readout segment of every repetition as columns of a ``(dim, reps)``
+    array: column j holds ``shots`` draws from ``streams[j]`` of the truth
+    flipped by ``masks[j]``.
+
+    The folded distribution R @ p[s ^ mask] is computed once per distinct
+    mask, then each repetition takes one multinomial draw from its stream.
+    """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
-    gen = _plan_rng(plan, rng)
-    measured = sample_measured(true_dist, response, plan.total_shots, gen)
-    return apply_unfold(measured, response, plan.unfold)
+    counts = np.empty((response.dim, len(streams)))
+    for mask in sorted(set(masks.tolist())):
+        measured = response.apply(xor_permute(true_dist, FlipMask(true_dist.n_qubits, mask)))
+        columns = np.flatnonzero(masks == mask)
+        counts[:, columns] = sample_columns(measured, shots, [streams[j] for j in columns])
+    return counts
+
+
+def _correct(true_dist, response, unfold, segments):
+    """Corrected histograms of every repetition, as columns of a ``(dim, reps)`` array.
+
+    ``segments`` lists the readout segments each repetition is made of, each
+    as ``(masks, shots, streams)`` with one flip mask and one stream per
+    repetition.  All segments are sampled, stacked as the columns of one
+    counts array and unfolded in one batch in the physical basis.  Each
+    column is then un-flipped by its own mask, and the segments of each
+    repetition are summed.
+    """
+    masks = np.concatenate([m for m, _, _ in segments])
+    counts = np.hstack([_draw(true_dist, response, *segment) for segment in segments])
+    corrected = unfold_columns(counts, response, unfold)
+    dim = response.dim
+    unflipped = corrected[np.arange(dim)[:, None] ^ masks, np.arange(masks.size)]
+    return unflipped.reshape(dim, len(segments), -1).sum(axis=1)
+
+
+def run_batch(true_dist, response, plan, streams):
+    """Run a plan once per stream and correct all the runs in one batch.
+
+    This is the engine behind every strategy, from a single run to a whole
+    ensemble.  Each run is a list of (flip mask, shots) segments:
+
+    - nominal: ``[(0, N)]``;
+    - symmetrized: ``[(0, N // 2), (full, N - N // 2)]``, the halves drawn
+      from the two children of the run's stream;
+    - rebalanced: a pilot of ``plan.pilot_shots`` from the first child
+      chooses the mask, then ``[(mask, N - pilot)]`` from the second.
+
+    Returns ``(corrected, masks)``: the corrected histograms as the columns
+    of a ``(dim, len(streams))`` array, and the flip mask of each run as an
+    integer array (``None`` for nominal).
+    """
+    reps = len(streams)
+    shots = plan.total_shots
+    identity = np.zeros(reps, dtype=np.int64)
+    if plan.strategy == "nominal":
+        return _correct(true_dist, response, plan.unfold, [(identity, shots, streams)]), None
+    first, second = zip(*(stream.spawn(2) for stream in streams))
+    if plan.strategy == "symmetrized":
+        full = np.full(reps, response.dim - 1)
+        half = shots // 2
+        segments = [(identity, half, first), (full, shots - half, second)]
+        return _correct(true_dist, response, plan.unfold, segments), full
+    pilots = _draw(true_dist, response, identity, plan.pilot_shots, first)
+    masks = _pilot_masks(pilots, true_dist.n_qubits)
+    segments = [(masks, shots - plan.pilot_shots, second)]
+    return _correct(true_dist, response, plan.unfold, segments), masks
+
+
+def run_plan(true_dist, response, plan, rng=None):
+    """One run of ``plan.strategy``.  Returns ``(histogram, mask or None)``."""
+    corrected, masks = run_batch(true_dist, response, plan, [_plan_rng(plan, rng)])
+    hist = CountsHistogram(true_dist.n_qubits, corrected[:, 0])
+    return hist, None if masks is None else FlipMask(true_dist.n_qubits, int(masks[0]))
+
+
+def run_nominal(true_dist, response, plan, rng=None):
+    """Measure all shots as-is, then unfold.  Returns the corrected histogram."""
+    return run_plan(true_dist, response, replace(plan, strategy="nominal"), rng)[0]
 
 
 def run_rebalanced(true_dist, response, plan, rng=None, force_mask=None):
@@ -99,77 +182,24 @@ def run_rebalanced(true_dist, response, plan, rng=None, force_mask=None):
     permuted back to the original labels.  Returns ``(histogram, mask)``.
 
     With ``force_mask`` the pilot is skipped, the given mask is used and the
-    whole budget goes to the main run (this is also what the symmetrized
-    strategy uses for its flipped half).
+    whole budget goes to the main run, drawn from ``rng`` itself.
     """
-    if true_dist.n_qubits != response.n_qubits:
-        raise DimensionError("distribution width does not match response matrix")
-    gen = _plan_rng(plan, rng)
     if force_mask is None:
-        pilot_rng, main_rng = gen.spawn(2)
-        pilot = sample_measured(true_dist, response, plan.pilot_shots, pilot_rng)
-        mask = choose_flip_mask(pilot)
-        main_shots = plan.total_shots - plan.pilot_shots
-    else:
-        main_rng = gen
-        mask = force_mask
-        if mask.n_qubits != true_dist.n_qubits:
-            raise DimensionError("forced mask width does not match distribution")
-        main_shots = plan.total_shots
-
-    flipped_truth = xor_permute(true_dist, mask)
-    measured = sample_measured(flipped_truth, response, main_shots, main_rng)
-    corrected = apply_unfold(measured, response, plan.unfold)
-    return xor_permute(corrected, mask), mask
+        return run_plan(true_dist, response, replace(plan, strategy="rebalanced"), rng)
+    if force_mask.n_qubits != true_dist.n_qubits:
+        raise DimensionError("forced mask width does not match distribution")
+    segment = (np.array([force_mask.mask]), plan.total_shots, [_plan_rng(plan, rng)])
+    corrected = _correct(true_dist, response, plan.unfold, [segment])
+    return CountsHistogram(true_dist.n_qubits, corrected[:, 0]), force_mask
 
 
 def run_symmetrized(true_dist, response, plan, rng=None):
     """Average of a nominal half and an all-qubits-flipped half.
 
     Half the budget runs nominally, half with every qubit flipped (mask
-    independent of the state).  Each half is corrected separately, the
-    flipped half is restored to the original basis, and the two corrected
-    histograms are summed entrywise; since each carries half the shots the
-    sum is the single-run-equivalent histogram.
+    independent of the state).  Both halves are corrected, the flipped half
+    is restored to the original basis, and the two corrected histograms are
+    summed entrywise; since each carries half the shots the sum is the
+    single-run-equivalent histogram.
     """
-    if true_dist.n_qubits != response.n_qubits:
-        raise DimensionError("distribution width does not match response matrix")
-    gen = _plan_rng(plan, rng)
-    nominal_rng, flipped_rng = gen.spawn(2)
-    first_half = plan.total_shots // 2
-    second_half = plan.total_shots - first_half
-
-    nominal_plan = MeasurementPlan(
-        total_shots=first_half,
-        strategy="nominal",
-        pilot_fraction=plan.pilot_fraction,
-        unfold=plan.unfold,
-        rng_seed=plan.rng_seed,
-    )
-    nominal_half = run_nominal(true_dist, response, nominal_plan, nominal_rng)
-
-    flipped_plan = MeasurementPlan(
-        total_shots=second_half,
-        strategy="nominal",
-        pilot_fraction=plan.pilot_fraction,
-        unfold=plan.unfold,
-        rng_seed=plan.rng_seed,
-    )
-    flipped_half, _ = run_rebalanced(
-        true_dist,
-        response,
-        flipped_plan,
-        flipped_rng,
-        force_mask=FlipMask.full(true_dist.n_qubits),
-    )
-    return nominal_half + flipped_half
-
-
-def run_plan(true_dist, response, plan, rng=None):
-    """Dispatch on ``plan.strategy``.  Returns ``(histogram, mask or None)``."""
-    if plan.strategy == "nominal":
-        return run_nominal(true_dist, response, plan, rng), None
-    if plan.strategy == "rebalanced":
-        return run_rebalanced(true_dist, response, plan, rng)
-    hist = run_symmetrized(true_dist, response, plan, rng)
-    return hist, FlipMask.full(true_dist.n_qubits)
+    return run_plan(true_dist, response, replace(plan, strategy="symmetrized"), rng)[0]

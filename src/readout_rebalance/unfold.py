@@ -55,8 +55,64 @@ def _check_dims(measured, response):
 
 def condition_report(response):
     """2-norm condition number of the response matrix (ratio of extreme
-    singular values)."""
-    return float(np.linalg.cond(response.entries))
+    singular values), computed once per matrix."""
+    return response.condition_number
+
+
+def _invert_columns(counts, response, max_condition):
+    cond = condition_report(response)
+    if not np.isfinite(cond) or cond > max_condition:
+        raise NumericalError(
+            f"response matrix condition number {cond:.3e} exceeds {max_condition:.3e}"
+        )
+    try:
+        return np.linalg.solve(response.entries, counts)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"response matrix is singular: {exc}") from exc
+
+
+def _ibu_columns(counts, response, iterations, prior_probs=None):
+    if np.any(counts < 0):
+        raise ValidationError("IBU requires a nonnegative measured histogram")
+    totals = counts.sum(axis=0)
+    if np.any(totals <= 0):
+        raise ValidationError("IBU requires a histogram with positive total")
+    if prior_probs is None:
+        t = np.ones_like(counts) * (totals / response.dim)
+    else:
+        t = np.outer(prior_probs, totals)
+
+    R = response.entries
+    occupied = counts > 0
+    for _ in range(int(iterations)):
+        folded = R @ t
+        empty = folded <= 0.0
+        stuck = empty & occupied
+        if np.any(stuck):
+            j = int(np.argwhere(stuck)[0][0])
+            raise NumericalError(
+                f"measured bin {j} has counts but zero folded support; "
+                "degenerate response/prior combination"
+            )
+        ratio = np.divide(counts, folded, out=np.zeros_like(t), where=~empty)
+        t = t * (R.T @ ratio)
+    return t
+
+
+def unfold_columns(counts, response, config):
+    """Unfold every column of a ``(dim, k)`` measured-counts array at once.
+
+    The batched kernel behind every unfolder in the package: one
+    ``solve(R, counts)`` for matrix inversion, or one IBU loop of ``R @ T``
+    and ``R.T @ ratio`` over the whole matrix.  The single-histogram
+    unfolders run this kernel on one column; a column's result does not
+    depend on the other columns beyond floating-point rounding.  Their
+    checks (condition bound, nonnegative input, positive total, folded
+    support) apply to every column, and one failing column fails the batch.
+    """
+    if config.method == "matrix_inversion":
+        return _invert_columns(counts, response, DEFAULT_MAX_CONDITION)
+    return _ibu_columns(counts, response, config.ibu_iterations)
 
 
 def matrix_inverse_unfold(measured, response, max_condition=DEFAULT_MAX_CONDITION):
@@ -73,16 +129,8 @@ def matrix_inverse_unfold(measured, response, max_condition=DEFAULT_MAX_CONDITIO
         If R is singular or its condition number exceeds ``max_condition``.
     """
     _check_dims(measured, response)
-    cond = condition_report(response)
-    if not np.isfinite(cond) or cond > max_condition:
-        raise NumericalError(
-            f"response matrix condition number {cond:.3e} exceeds {max_condition:.3e}"
-        )
-    try:
-        solution = np.linalg.solve(response.entries, measured.counts)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"response matrix is singular: {exc}") from exc
-    return CountsHistogram(measured.n_qubits, solution)
+    solution = _invert_columns(measured.counts[:, None], response, max_condition)
+    return CountsHistogram(measured.n_qubits, solution[:, 0])
 
 
 def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS, prior=None):
@@ -113,37 +161,17 @@ def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS, prior=None
     _check_dims(measured, response)
     if int(iterations) < 1:
         raise ValidationError("iterations must be >= 1")
-    m = measured.counts
-    if np.any(m < 0):
-        raise ValidationError("IBU requires a nonnegative measured histogram")
-    total = measured.total
-    if total <= 0:
-        raise ValidationError("IBU requires a histogram with positive total")
-
-    if prior is None:
-        t = np.full(response.dim, total / response.dim)
-    else:
+    prior_probs = None
+    if prior is not None:
         if prior.n_qubits != measured.n_qubits:
             raise DimensionError("prior width does not match histogram")
-        t = prior.probs * total
-
-    R = response.entries
-    for _ in range(int(iterations)):
-        folded = R @ t
-        empty = folded <= 0.0
-        if np.any(empty & (m > 0)):
-            j = int(np.argmax(empty & (m > 0)))
-            raise NumericalError(
-                f"measured bin {j} has counts but zero folded support; "
-                "degenerate response/prior combination"
-            )
-        ratio = np.divide(m, folded, out=np.zeros_like(t), where=~empty)
-        t = t * (R.T @ ratio)
-    return CountsHistogram(measured.n_qubits, t)
+        prior_probs = prior.probs
+    t = _ibu_columns(measured.counts[:, None], response, iterations, prior_probs)
+    return CountsHistogram(measured.n_qubits, t[:, 0])
 
 
 def apply_unfold(measured, response, config):
     """Run the unfolder selected by an :class:`UnfoldConfig`."""
-    if config.method == "matrix_inversion":
-        return matrix_inverse_unfold(measured, response)
-    return ibu_unfold(measured, response, iterations=config.ibu_iterations)
+    _check_dims(measured, response)
+    corrected = unfold_columns(measured.counts[:, None], response, config)
+    return CountsHistogram(measured.n_qubits, corrected[:, 0])

@@ -70,6 +70,13 @@ def test_probdist_validation():
         ProbDist(1, [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probdist_rejects_non_finite(bad):
+    # NaN compares False both ways, so a plain range test lets it through
+    with pytest.raises(ValidationError, match="finite"):
+        ProbDist(2, [bad, 0.5, 0.25, 0.25])
+
+
 def test_flipmask_basics():
     f = FlipMask(5, 0b10001)
     assert f.flipped_qubits == (0, 4)

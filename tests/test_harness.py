@@ -343,3 +343,48 @@ def test_csv_files_newline_terminated(tmp_path):
     ])
     for name in ("ensemble.csv", "summary.csv", "manifest.json"):
         assert (tmp_path / name).read_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "0.1,zz"],
+                     EXIT_VALIDATION, id="mus"),
+        pytest.param(["run", "--eps10", "0.07,zz", "--eps01", "0.01,0.01"],
+                     EXIT_VALIDATION, id="eps10"),
+        pytest.param(["run", "--eps10", "0.07,0.07", "--eps01", "zz,0.01"],
+                     EXIT_VALIDATION, id="eps01"),
+        pytest.param(["calibrate", "--eps10", "0.07", "--eps01", "x"],
+                     EXIT_VALIDATION, id="calibrate-eps01"),
+        pytest.param(["appendix-a", "--counts", "a,b,c,d"], EXIT_VALIDATION, id="counts"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "nan"],
+                     EXIT_VALIDATION, id="sigma-nan"),
+        pytest.param(["run", "--config", {"shots": "abc"}], EXIT_VALIDATION, id="config-shots"),
+        pytest.param(["run", "--config", {"mus": "0.1"}], EXIT_VALIDATION, id="config-mus"),
+        pytest.param(["run", "--config", {"strategies": 5}], EXIT_VALIDATION,
+                     id="config-strategies"),
+        pytest.param(["run", "--config", {"calibration_file": 5}], EXIT_VALIDATION,
+                     id="config-calibration-file"),
+        pytest.param(["run", "--calibration-file", {"n_qubits": 1, "entries": [1, 2]}],
+                     EXIT_IO, id="calibration-flat"),
+        pytest.param(["run", "--calibration-file",
+                      {"n_qubits": 1, "entries": [["x", 0], [0, 1]]}],
+                     EXIT_IO, id="calibration-string"),
+        pytest.param(["run", "--calibration-file",
+                      {"n_qubits": 1, "entries": [[float("nan"), 0], [1, 1]]}],
+                     EXIT_IO, id="calibration-nan"),
+    ],
+)
+def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
+    # a dict argument is written to a JSON file and its path passed instead
+    path = tmp_path / "input.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out_dir)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())

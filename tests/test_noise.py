@@ -56,6 +56,11 @@ def test_column_stochastic_validation():
         ResponseMatrix(1, [[1.2, 0.0], [-0.2, 1.0]])
 
 
+def test_response_matrix_rejects_nan():
+    with pytest.raises(ValidationError, match="row 0, column 0"):
+        ResponseMatrix(1, [[np.nan, 0.0], [np.nan, 1.0]])
+
+
 def test_eps01_zero_keeps_ground_state_exact():
     R = make_response([0.0] * 3, [0.05, 0.1, 0.2])
     assert R.entries[0, 0] == 1.0
@@ -240,3 +245,27 @@ def test_committed_default_is_strongly_asymmetric(committed_response):
     diag = diag_by_zero_count(committed_response)
     values = [diag[k] for k in range(6)]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_load_rejects_nan_entry(tmp_path):
+    path = tmp_path / "nan.json"
+    payload = {"n_qubits": 1, "entries": [[float("nan"), 0.0], [1.0, 1.0]]}
+    path.write_text(json.dumps(payload))  # written as a bare NaN token
+    with pytest.raises(CalibrationFileError, match="row 0, column 0"):
+        load_response(path)
+
+
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        ([1, 2], "2x2"),
+        ([[1.0, 0.0], [0.0]], "2x2"),
+        ([["x", 0], [0, 1]], "numbers"),
+        ([[True, False], [False, True]], "numbers"),
+    ],
+)
+def test_load_rejects_malformed_entries(tmp_path, entries, match):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"n_qubits": 1, "entries": entries}))
+    with pytest.raises(CalibrationFileError, match=match):
+        load_response(path)

@@ -197,3 +197,24 @@ def test_apply_unfold_dispatch(committed_response):
     ibu = apply_unfold(m, committed_response, UnfoldConfig(method="ibu", ibu_iterations=100))
     assert tv_distance(inv, t) < 1e-9
     assert tv_distance(ibu, t) < 1e-5  # no zero bins, so IBU converges fast
+
+
+def test_condition_number_computed_once_per_matrix(monkeypatch):
+    R = make_response([0.01, 0.02], [0.05, 0.07])
+    calls = []
+    svd_cond = np.linalg.cond
+
+    def counting_cond(a):
+        calls.append(1)
+        return svd_cond(a)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    first = condition_report(R)
+    m = CountsHistogram(2, [40.0, 30.0, 20.0, 10.0])
+    matrix_inverse_unfold(m, R)
+    second = condition_report(R)
+    assert second == first == pytest.approx(svd_cond(R.entries), rel=1e-15)
+    assert len(calls) == 1
+    # a fresh matrix computes its own value
+    condition_report(make_response([0.01, 0.02], [0.05, 0.07]))
+    assert len(calls) == 2
