@@ -50,10 +50,7 @@ from .rebalance import (
     MeasurementPlan,
     choose_flip_mask,
     run_batch,
-    run_nominal,
     run_plan,
-    run_rebalanced,
-    run_symmetrized,
 )
 from .analytics import (
     EnsembleResult,

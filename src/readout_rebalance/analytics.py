@@ -10,7 +10,7 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import CountsHistogram, ValidationError, rng_stream
+from .core import CountsHistogram, ValidationError, as_generator, rng_stream
 from .rebalance import run_batch
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
@@ -178,7 +178,7 @@ def monte_carlo_variance_oracle(model, trials, rng):
     if int(trials) < 100:
         raise ValidationError("need at least 100 trials for a meaningful variance")
     trials = int(trials)
-    gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)
+    gen = as_generator(rng)
     probs = measured_state_probs(model)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
@@ -216,15 +216,13 @@ def ensemble_run(
     observable,
     repetitions,
     observable_label=None,
-    seeds=None,
 ):
     """Repeat a measurement plan and summarize an observable across runs.
 
     Every repetition r draws its own stream from (plan.rng_seed, r), so
     results are reproducible and do not depend on the order or grouping of
-    repetitions.  An explicit ``seeds`` sequence (one per repetition, all
-    distinct) can replace the derived ones.  The whole ensemble is sampled
-    repetition by repetition and then corrected as one batch (see
+    repetitions.  The whole ensemble is sampled repetition by repetition
+    and then corrected as one batch (see
     :func:`~readout_rebalance.rebalance.run_batch`).
 
     ``observable`` maps a corrected CountsHistogram to a float; it is
@@ -233,16 +231,7 @@ def ensemble_run(
     repetitions = int(repetitions)
     if repetitions < 2:
         raise ValidationError("need at least 2 repetitions for a standard deviation")
-    if seeds is None:
-        streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
-    else:
-        seeds = [int(s) for s in seeds]
-        if len(seeds) != repetitions:
-            raise ValidationError("seeds must provide one entry per repetition")
-        if len(set(seeds)) != len(seeds):
-            raise ValidationError("repetition seeds must be independent (no duplicates)")
-        streams = [rng_stream(s) for s in seeds]
-
+    streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
     corrected, masks = run_batch(true_dist, response, plan, streams)
     values = np.array(
         [observable(CountsHistogram(true_dist.n_qubits, column)) for column in corrected.T]

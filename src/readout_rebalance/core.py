@@ -45,17 +45,16 @@ def rng_stream(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def state_bits(state, n_qubits):
-    """Bit values (s_0, ..., s_{n-1}) of a state index, qubit 0 first."""
-    state = int(state)
-    if not 0 <= state < 2 ** n_qubits:
-        raise DimensionError(f"state index {state} out of range for {n_qubits} qubits")
-    return np.array([(state >> i) & 1 for i in range(n_qubits)], dtype=np.int64)
+def as_generator(rng):
+    """``rng`` itself when it is a Generator, else ``rng_stream(rng)``."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return rng_stream(rng)
 
 
-def bits_to_state(bits):
-    """Inverse of :func:`state_bits`."""
-    return int(sum(int(b) << i for i, b in enumerate(bits)))
+def bit_table(n_qubits):
+    """``(n_qubits, 2**n_qubits)`` array whose entry ``[i, s]`` is bit i of state s."""
+    return (np.arange(2 ** n_qubits) >> np.arange(n_qubits)[:, None]) & 1
 
 
 def _as_readonly_float_array(values, n_qubits, what):
@@ -94,21 +93,6 @@ class CountsHistogram:
     def total(self):
         # always recomputed, never cached
         return float(self.counts.sum())
-
-    @property
-    def is_raw(self):
-        """True when every entry is a nonnegative integer value."""
-        return bool(np.all(self.counts >= 0) and np.all(self.counts == np.round(self.counts)))
-
-    def scaled(self, factor):
-        return CountsHistogram(self.n_qubits, self.counts * factor)
-
-    def __add__(self, other):
-        if not isinstance(other, CountsHistogram):
-            return NotImplemented
-        if other.n_qubits != self.n_qubits:
-            raise DimensionError("cannot add histograms of different register widths")
-        return CountsHistogram(self.n_qubits, self.counts + other.counts)
 
 
 @dataclass(frozen=True)
@@ -166,13 +150,6 @@ class FlipMask:
     def full(cls, n_qubits):
         return cls(n_qubits, 2 ** n_qubits - 1)
 
-    @property
-    def flipped_qubits(self):
-        return tuple(i for i in range(self.n_qubits) if (self.mask >> i) & 1)
-
-    def apply_to_index(self, state):
-        return int(state) ^ self.mask
-
     def bitstring(self):
         """Mask as a bitstring with qubit n-1 leftmost, matching ket notation."""
         return format(self.mask, f"0{self.n_qubits}b")
@@ -229,15 +206,9 @@ def _weights(h):
 def qubit_marginals(h):
     """Per-qubit probability of reading 1, i.e. the mean value of each qubit."""
     values, total = _weights(h)
-    if isinstance(h, CountsHistogram):
-        if total <= 0:
-            raise ValidationError("qubit marginals undefined for an empty histogram")
-    states = np.arange(2 ** h.n_qubits)
-    marg = np.empty(h.n_qubits)
-    for i in range(h.n_qubits):
-        excited = ((states >> i) & 1) == 1
-        marg[i] = values[excited].sum() / (total if total else 1.0)
-    return marg
+    if total <= 0:
+        raise ValidationError("qubit marginals undefined for an empty histogram")
+    return bit_table(h.n_qubits) @ values / total
 
 
 def observable_base10(h):

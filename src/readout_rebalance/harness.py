@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, asdict
@@ -51,7 +52,7 @@ from .analytics import (
     shots_equivalent_fraction,
 )
 
-EXPERIMENTS = ("inverted_w", "grover", "gaussian_sweep", "appendix_a")
+EXPERIMENTS = ("inverted_w", "grover", "gaussian_sweep")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -69,11 +70,17 @@ def _parse_list(text, kind, flag):
         ) from exc
 
 
-def _check_number(name, value, kind):
+def _check_float(name, value):
     try:
-        kind(value)
+        float(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}") from exc
+        raise ValidationError(f"{name} must be a float, got {value!r}") from exc
+
+
+def _check_integer(name, value):
+    # bool is an int subclass, and int() would truncate 300.9 to 300
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def default_sweep_mus():
@@ -119,9 +126,9 @@ class ExperimentConfig:
                 f"calibration_file must be a path, got {self.calibration_file!r}"
             )
         for name in ("shots", "repetitions", "ibu_iterations", "rng_seed", "grover_iterations"):
-            _check_number(name, getattr(self, name), int)
+            _check_integer(name, getattr(self, name))
         for name in ("pilot_fraction", "sigma"):
-            _check_number(name, getattr(self, name), float)
+            _check_float(name, getattr(self, name))
         for name in ("eps10", "eps01", "mus"):
             values = getattr(self, name)
             if values is None:
@@ -129,7 +136,7 @@ class ExperimentConfig:
             if not isinstance(values, (list, tuple)):
                 raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
             for value in values:
-                _check_number(name, value, float)
+                _check_float(name, value)
         if int(self.shots) < 2:
             raise ValidationError("shots must be >= 2")
         if int(self.repetitions) < 2:
@@ -441,27 +448,10 @@ def cmd_run(args):
         config.repetitions = 100
     config.validate()
 
-    if config.experiment == "appendix_a":
-        return _run_appendix_a(
-            q0=0.05, q1=0.03, total=100000, trials=10000,
-            rng_seed=config.rng_seed, output_dir=config.output_dir,
-        )
-
     results, manifest = run_experiment(config)
     written = write_run_outputs(config, results, manifest)
     for path in written:
         print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _run_appendix_a(q0, q1, total, trials, rng_seed, output_dir):
-    header, rows = appendix_a_table(
-        q0, q1, total, APPENDIX_A_DEFAULT_SPLITS, trials, rng_seed
-    )
-    os.makedirs(output_dir, exist_ok=True)
-    path = os.path.join(output_dir, "appendix_a_comparison.csv")
-    _write_csv(path, header, rows)
-    print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from .core import (
     ProbDist,
     QubitNoiseParams,
     ValidationError,
-    rng_stream,
+    as_generator,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -127,12 +127,6 @@ def build_tensor_response(params):
     return ResponseMatrix(len(params), entries)
 
 
-def _as_generator(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng_stream(rng)
-
-
 def estimate_response(true_response, shots_per_state, rng):
     """Finite-shot calibration estimate of a response matrix.
 
@@ -144,7 +138,7 @@ def estimate_response(true_response, shots_per_state, rng):
     if int(shots_per_state) < 1:
         raise ValidationError("shots_per_state must be >= 1")
     shots = int(shots_per_state)
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     dim = true_response.dim
     est = np.empty((dim, dim))
     for t in range(dim):
@@ -177,7 +171,7 @@ def sample_measured(true_dist, response, shots, rng):
         raise DimensionError("distribution width does not match response matrix")
     if int(shots) < 0:
         raise ValidationError("shots must be >= 0")
-    counts = sample_columns(response.apply(true_dist), int(shots), [_as_generator(rng)])
+    counts = sample_columns(response.apply(true_dist), int(shots), [as_generator(rng)])
     return CountsHistogram(true_dist.n_qubits, counts[:, 0])
 
 
@@ -221,7 +215,7 @@ def load_response(path):
     if not isinstance(payload, dict) or "n_qubits" not in payload or "entries" not in payload:
         raise CalibrationFileError(f"{path}: expected keys 'n_qubits' and 'entries'")
     n = payload["n_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CalibrationFileError(f"{path}: n_qubits must be a positive integer")
     dim = 2 ** n
     try:

@@ -7,7 +7,7 @@ finally undoes the flips classically.  Fewer physical qubits then sit in the
 error-prone excited state while every observable keeps its value.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .core import (
     DimensionError,
     FlipMask,
     ValidationError,
+    bit_table,
     rng_stream,
     xor_permute,
 )
@@ -72,10 +73,8 @@ def _pilot_masks(pilots, n_qubits):
     totals = pilots.sum(axis=0)
     if np.any(totals <= 0):
         raise ValidationError("cannot choose a flip mask from an empty pilot")
-    qubits = np.arange(n_qubits)
-    bits = (np.arange(pilots.shape[0]) >> qubits[:, None]) & 1
-    marginals = (bits @ pilots) / totals
-    return (1 << qubits) @ (marginals > 0.5)
+    marginals = (bit_table(n_qubits) @ pilots) / totals
+    return (1 << np.arange(n_qubits)) @ (marginals > 0.5)
 
 
 def choose_flip_mask(pilot):
@@ -86,10 +85,6 @@ def choose_flip_mask(pilot):
     """
     masks = _pilot_masks(pilot.counts[:, None], pilot.n_qubits)
     return FlipMask(pilot.n_qubits, int(masks[0]))
-
-
-def _plan_rng(plan, rng):
-    return rng if rng is not None else rng_stream(plan.rng_seed)
 
 
 def _draw(true_dist, response, masks, shots, streams):
@@ -162,44 +157,12 @@ def run_batch(true_dist, response, plan, streams):
 
 
 def run_plan(true_dist, response, plan, rng=None):
-    """One run of ``plan.strategy``.  Returns ``(histogram, mask or None)``."""
-    corrected, masks = run_batch(true_dist, response, plan, [_plan_rng(plan, rng)])
+    """One run of ``plan.strategy``.  Returns ``(histogram, mask or None)``.
+
+    The run draws from ``rng``, or from ``rng_stream(plan.rng_seed)`` when
+    no generator is given.
+    """
+    stream = rng if rng is not None else rng_stream(plan.rng_seed)
+    corrected, masks = run_batch(true_dist, response, plan, [stream])
     hist = CountsHistogram(true_dist.n_qubits, corrected[:, 0])
     return hist, None if masks is None else FlipMask(true_dist.n_qubits, int(masks[0]))
-
-
-def run_nominal(true_dist, response, plan, rng=None):
-    """Measure all shots as-is, then unfold.  Returns the corrected histogram."""
-    return run_plan(true_dist, response, replace(plan, strategy="nominal"), rng)[0]
-
-
-def run_rebalanced(true_dist, response, plan, rng=None, force_mask=None):
-    """Pilot run, targeted X flips, main run, unfold, classical un-flip.
-
-    The X gates act before the physical readout noise, so the main run
-    samples the flipped distribution through the same response matrix;
-    unfolding happens in the physical basis and the corrected histogram is
-    permuted back to the original labels.  Returns ``(histogram, mask)``.
-
-    With ``force_mask`` the pilot is skipped, the given mask is used and the
-    whole budget goes to the main run, drawn from ``rng`` itself.
-    """
-    if force_mask is None:
-        return run_plan(true_dist, response, replace(plan, strategy="rebalanced"), rng)
-    if force_mask.n_qubits != true_dist.n_qubits:
-        raise DimensionError("forced mask width does not match distribution")
-    segment = (np.array([force_mask.mask]), plan.total_shots, [_plan_rng(plan, rng)])
-    corrected = _correct(true_dist, response, plan.unfold, [segment])
-    return CountsHistogram(true_dist.n_qubits, corrected[:, 0]), force_mask
-
-
-def run_symmetrized(true_dist, response, plan, rng=None):
-    """Average of a nominal half and an all-qubits-flipped half.
-
-    Half the budget runs nominally, half with every qubit flipped (mask
-    independent of the state).  Both halves are corrected, the flipped half
-    is restored to the original basis, and the two corrected histograms are
-    summed entrywise; since each carries half the shots the sum is the
-    single-run-equivalent histogram.
-    """
-    return run_plan(true_dist, response, replace(plan, strategy="symmetrized"), rng)[0]

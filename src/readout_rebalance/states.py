@@ -62,8 +62,11 @@ def gaussian_dist(mu, sigma, n_bits):
     The density is evaluated at the grid points and renormalized, so the
     tails are truncated rather than reflected.
     """
-    if float(sigma) <= 0:
-        raise ValidationError("sigma must be positive")
+    if not np.isfinite(float(mu)):
+        raise ValidationError(f"mu must be finite, got {mu!r}")
+    # written so that NaN fails the test as well
+    if not 0.0 < float(sigma) < np.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
     x = gaussian_grid(n_bits)
     weights = np.exp(-((x - float(mu)) ** 2) / (2.0 * float(sigma) ** 2))
     return ProbDist(int(n_bits), weights / weights.sum())

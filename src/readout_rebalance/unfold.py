@@ -26,15 +26,10 @@ _METHODS = ("matrix_inversion", "ibu")
 
 @dataclass(frozen=True)
 class UnfoldConfig:
-    """Which unfolder to run and with what settings.
-
-    ``ibu_prior`` only supports "uniform" for now; the field exists so a
-    config file can name the prior explicitly.
-    """
+    """Which unfolder to run and with what settings."""
 
     method: str = "ibu"
     ibu_iterations: int = DEFAULT_IBU_ITERATIONS
-    ibu_prior: str = "uniform"
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -44,8 +39,6 @@ class UnfoldConfig:
         if int(self.ibu_iterations) < 1:
             raise ValidationError("ibu_iterations must be >= 1")
         object.__setattr__(self, "ibu_iterations", int(self.ibu_iterations))
-        if self.ibu_prior != "uniform":
-            raise ValidationError("only the uniform IBU prior is implemented")
 
 
 def _check_dims(measured, response):
@@ -59,11 +52,11 @@ def condition_report(response):
     return response.condition_number
 
 
-def _invert_columns(counts, response, max_condition):
+def _invert_columns(counts, response):
     cond = condition_report(response)
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > DEFAULT_MAX_CONDITION:
         raise NumericalError(
-            f"response matrix condition number {cond:.3e} exceeds {max_condition:.3e}"
+            f"response matrix condition number {cond:.3e} exceeds {DEFAULT_MAX_CONDITION:.3e}"
         )
     try:
         return np.linalg.solve(response.entries, counts)
@@ -71,16 +64,13 @@ def _invert_columns(counts, response, max_condition):
         raise NumericalError(f"response matrix is singular: {exc}") from exc
 
 
-def _ibu_columns(counts, response, iterations, prior_probs=None):
+def _ibu_columns(counts, response, iterations):
     if np.any(counts < 0):
         raise ValidationError("IBU requires a nonnegative measured histogram")
     totals = counts.sum(axis=0)
     if np.any(totals <= 0):
         raise ValidationError("IBU requires a histogram with positive total")
-    if prior_probs is None:
-        t = np.ones_like(counts) * (totals / response.dim)
-    else:
-        t = np.outer(prior_probs, totals)
+    t = np.ones_like(counts) * (totals / response.dim)
 
     R = response.entries
     occupied = counts > 0
@@ -111,11 +101,11 @@ def unfold_columns(counts, response, config):
     support) apply to every column, and one failing column fails the batch.
     """
     if config.method == "matrix_inversion":
-        return _invert_columns(counts, response, DEFAULT_MAX_CONDITION)
+        return _invert_columns(counts, response)
     return _ibu_columns(counts, response, config.ibu_iterations)
 
 
-def matrix_inverse_unfold(measured, response, max_condition=DEFAULT_MAX_CONDITION):
+def matrix_inverse_unfold(measured, response):
     """Unfold by solving R t = m.
 
     Solves the linear system rather than materializing R^-1.  Because the
@@ -126,19 +116,18 @@ def matrix_inverse_unfold(measured, response, max_condition=DEFAULT_MAX_CONDITIO
     Raises
     ------
     NumericalError
-        If R is singular or its condition number exceeds ``max_condition``.
+        If R is singular or its condition number exceeds ``DEFAULT_MAX_CONDITION``.
     """
     _check_dims(measured, response)
-    solution = _invert_columns(measured.counts[:, None], response, max_condition)
+    solution = _invert_columns(measured.counts[:, None], response)
     return CountsHistogram(measured.n_qubits, solution[:, 0])
 
 
-def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS, prior=None):
+def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS):
     """Iterative Bayesian unfolding (Richardson-Lucy / D'Agostini iteration).
 
-    Starting from the prior scaled to the measured total (uniform when no
-    prior is given), each step redistributes the measured counts with Bayes'
-    rule:
+    Starting from the uniform distribution scaled to the measured total,
+    each step redistributes the measured counts with Bayes' rule:
 
         t[i] <- t[i] * sum_j R[j, i] * m[j] / (R t)[j]
 
@@ -161,12 +150,7 @@ def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS, prior=None
     _check_dims(measured, response)
     if int(iterations) < 1:
         raise ValidationError("iterations must be >= 1")
-    prior_probs = None
-    if prior is not None:
-        if prior.n_qubits != measured.n_qubits:
-            raise DimensionError("prior width does not match histogram")
-        prior_probs = prior.probs
-    t = _ibu_columns(measured.counts[:, None], response, iterations, prior_probs)
+    t = _ibu_columns(measured.counts[:, None], response, iterations)
     return CountsHistogram(measured.n_qubits, t[:, 0])
 
 

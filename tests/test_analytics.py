@@ -228,7 +228,7 @@ def test_ensemble_reproducible(committed_response):
     assert a.std == b.std
 
 
-def test_ensemble_rejects_bad_repetitions_and_seeds(committed_response):
+def test_ensemble_rejects_bad_repetitions(committed_response):
     from readout_rebalance.states import inverted_w_dist
     from readout_rebalance.core import observable_base10
 
@@ -236,11 +236,6 @@ def test_ensemble_rejects_bad_repetitions_and_seeds(committed_response):
     plan = MeasurementPlan(total_shots=500)
     with pytest.raises(ValidationError):
         ensemble_run(t, committed_response, plan, observable_base10, 1)
-    with pytest.raises(ValidationError):
-        # identical seeds are not independent repetitions
-        ensemble_run(t, committed_response, plan, observable_base10, 2, seeds=[7, 7])
-    with pytest.raises(ValidationError):
-        ensemble_run(t, committed_response, plan, observable_base10, 3, seeds=[1, 2])
 
 
 def test_ensemble_counts_negative_runs(committed_response):

@@ -10,11 +10,9 @@ from readout_rebalance.core import (
     ProbDist,
     QubitNoiseParams,
     ValidationError,
-    bits_to_state,
     counts_in_state,
     observable_base10,
     qubit_marginals,
-    state_bits,
     xor_permute,
 )
 
@@ -34,24 +32,9 @@ def grover_target_probability(n, iterations):
     return a * a
 
 
-def test_state_bits_round_trip():
-    for state in range(32):
-        bits = state_bits(state, 5)
-        assert bits_to_state(bits) == state
-    assert list(state_bits(0b10110, 5)) == [0, 1, 1, 0, 1]
-
-
-def test_state_bits_out_of_range():
-    with pytest.raises(DimensionError):
-        state_bits(4, 2)
-
-
 def test_histogram_invariants():
     h = CountsHistogram(2, [1, 2, 3, 4])
     assert h.total == 10
-    assert h.is_raw
-    assert not CountsHistogram(1, [0.5, 0.5]).is_raw
-    assert not CountsHistogram(1, [-1.0, 2.0]).is_raw
     with pytest.raises(DimensionError):
         CountsHistogram(2, [1, 2, 3])
 
@@ -79,9 +62,7 @@ def test_probdist_rejects_non_finite(bad):
 
 def test_flipmask_basics():
     f = FlipMask(5, 0b10001)
-    assert f.flipped_qubits == (0, 4)
     assert f.bitstring() == "10001"
-    assert f.apply_to_index(f.apply_to_index(13)) == 13
     with pytest.raises(DimensionError):
         FlipMask(2, 0b100)
 

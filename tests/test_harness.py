@@ -11,6 +11,7 @@ from readout_rebalance.harness import (
     ExperimentConfig,
     default_sweep_mus,
     main,
+    run_experiment,
 )
 from readout_rebalance.noise import save_response
 
@@ -311,15 +312,9 @@ def test_experiment_config_validation():
         ExperimentConfig(eps10=[0.1, 0.2], eps01=[0.01]).validate()
     with pytest.raises(ValidationError):
         ExperimentConfig(repetitions=1).validate()
-
-
-def test_run_appendix_a_experiment_delegates(tmp_path):
-    code = main([
-        "run", "--experiment", "appendix_a",
-        "--output-dir", str(tmp_path),
-    ])
-    assert code == EXIT_OK
-    assert (tmp_path / "appendix_a_comparison.csv").exists()
+    # appendix-a is its own subcommand, not a run experiment
+    with pytest.raises(ValidationError):
+        run_experiment(ExperimentConfig(experiment="appendix_a"))
 
 
 def test_module_entry_point(tmp_path):
@@ -359,7 +354,19 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["appendix-a", "--counts", "a,b,c,d"], EXIT_VALIDATION, id="counts"),
         pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "nan"],
                      EXIT_VALIDATION, id="sigma-nan"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "inf"],
+                     EXIT_VALIDATION, id="sigma-inf"),
+        pytest.param(["run", "--experiment", "appendix_a"], EXIT_VALIDATION,
+                     id="experiment-appendix-a"),
+        pytest.param(["run", "--config", {"experiment": "appendix_a"}], EXIT_VALIDATION,
+                     id="config-experiment-appendix-a"),
         pytest.param(["run", "--config", {"shots": "abc"}], EXIT_VALIDATION, id="config-shots"),
+        pytest.param(["run", "--config", {"shots": 300.9}], EXIT_VALIDATION,
+                     id="config-shots-fraction"),
+        pytest.param(["run", "--config", {"repetitions": 2.7}], EXIT_VALIDATION,
+                     id="config-repetitions-fraction"),
+        pytest.param(["run", "--config", {"rng_seed": True}], EXIT_VALIDATION,
+                     id="config-rng-seed-bool"),
         pytest.param(["run", "--config", {"mus": "0.1"}], EXIT_VALIDATION, id="config-mus"),
         pytest.param(["run", "--config", {"strategies": 5}], EXIT_VALIDATION,
                      id="config-strategies"),
@@ -373,6 +380,9 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--calibration-file",
                       {"n_qubits": 1, "entries": [[float("nan"), 0], [1, 1]]}],
                      EXIT_IO, id="calibration-nan"),
+        pytest.param(["run", "--calibration-file",
+                      {"n_qubits": True, "entries": [[1, 0], [0, 1]]}],
+                     EXIT_IO, id="calibration-n-qubits-bool"),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):

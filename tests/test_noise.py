@@ -117,7 +117,7 @@ def test_sample_measured_identity_point_mass():
     h = sample_measured(t, R, 500, 0)
     assert h.counts[2] == 500
     assert h.total == 500
-    assert h.is_raw
+    assert np.all(h.counts >= 0) and np.array_equal(h.counts, np.round(h.counts))
 
 
 def test_sample_measured_zero_shots():

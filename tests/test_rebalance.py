@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,7 @@ from readout_rebalance.noise import ResponseMatrix, sample_measured
 from readout_rebalance.rebalance import (
     MeasurementPlan,
     choose_flip_mask,
-    run_nominal,
     run_plan,
-    run_rebalanced,
-    run_symmetrized,
 )
 from readout_rebalance.states import inverted_w_dist
 from readout_rebalance.unfold import UnfoldConfig, ibu_unfold, matrix_inverse_unfold
@@ -81,7 +80,7 @@ def test_nominal_identity_noise_returns_raw_sample():
     R = make_response([0, 0], [0, 0])
     t = ProbDist(2, [0.5, 0.25, 0.125, 0.125])
     plan = MeasurementPlan(total_shots=4000, unfold=INVERSION, rng_seed=5)
-    out = run_nominal(t, R, plan)
+    out, _ = run_plan(t, R, plan)
     assert out.total == pytest.approx(4000, abs=1e-9)
     assert np.allclose(out.counts, np.round(out.counts), atol=1e-9)
 
@@ -89,7 +88,7 @@ def test_nominal_identity_noise_returns_raw_sample():
 def test_nominal_large_shots_approaches_truth(committed_response):
     t = inverted_w_dist(5)
     plan = MeasurementPlan(total_shots=10 ** 6, unfold=INVERSION, rng_seed=9)
-    out = run_nominal(t, committed_response, plan)
+    out, _ = run_plan(t, committed_response, plan)
     tv = 0.5 * np.abs(out.counts / out.total - t.probs).sum()
     assert tv < 5e-3
 
@@ -97,7 +96,7 @@ def test_nominal_large_shots_approaches_truth(committed_response):
 def test_rebalanced_budget_split(committed_response):
     t = inverted_w_dist(5)
     plan = MeasurementPlan(total_shots=10000, strategy="rebalanced", unfold=INVERSION, rng_seed=1)
-    hist, mask = run_rebalanced(t, committed_response, plan)
+    hist, mask = run_plan(t, committed_response, plan)
     # pilot shots are spent and excluded
     assert hist.total == pytest.approx(9000, rel=1e-9)
     assert mask.mask == 0b11111
@@ -110,9 +109,8 @@ def test_rebalanced_point_mass_zero_variance():
     probs = np.zeros(32)
     probs[31] = 1.0
     t = ProbDist(5, probs)
-    plan = MeasurementPlan(total_shots=2000, strategy="rebalanced", unfold=INVERSION, rng_seed=0)
     for seed in range(5):
-        hist, mask = run_rebalanced(
+        hist, mask = run_plan(
             t, R, MeasurementPlan(total_shots=2000, strategy="rebalanced",
                                   unfold=INVERSION, rng_seed=seed)
         )
@@ -121,17 +119,19 @@ def test_rebalanced_point_mass_zero_variance():
 
 
 def test_rebalanced_forced_mask_involution(committed_response):
-    # forcing mask f on the pre-permuted problem is exactly the nominal
-    # problem followed by a relabeling
-    t = inverted_w_dist(5)
-    f = FlipMask(5, 0b10101)
-    plan = MeasurementPlan(total_shots=5000, unfold=INVERSION, rng_seed=21)
-    permuted, _ = run_rebalanced(
-        xor_permute(t, f), committed_response, plan,
-        rng=rng_stream(42), force_mask=f,
-    )
-    nominal = run_nominal(t, committed_response, plan, rng=rng_stream(42))
-    assert np.array_equal(xor_permute(permuted, f).counts, nominal.counts)
+    # the main run under the chosen mask f is exactly the nominal run of the
+    # pre-permuted problem on the same stream, followed by a relabeling
+    t = xor_permute(inverted_w_dist(5), FlipMask(5, 0b01010))
+    for unfold in (INVERSION, UnfoldConfig()):
+        plan = MeasurementPlan(total_shots=5000, strategy="rebalanced",
+                               unfold=unfold, rng_seed=21)
+        rebalanced, f = run_plan(t, committed_response, plan, rng_stream(42))
+        assert f.mask == 0b10101
+        nominal_plan = replace(plan, strategy="nominal",
+                               total_shots=plan.total_shots - plan.pilot_shots)
+        main = rng_stream(42).spawn(2)[1]
+        nominal, _ = run_plan(xor_permute(t, f), committed_response, nominal_plan, main)
+        assert np.array_equal(xor_permute(nominal, f).counts, rebalanced.counts)
 
 
 def test_rebalanced_marginal_flip(committed_response, rng):
@@ -152,7 +152,7 @@ def test_symmetrized_identity_noise_matches_nominal_scale():
     R = make_response([0, 0], [0, 0])
     t = ProbDist(2, [0.25, 0.25, 0.25, 0.25])
     plan = MeasurementPlan(total_shots=5000, strategy="symmetrized", unfold=INVERSION, rng_seed=3)
-    out = run_symmetrized(t, R, plan)
+    out, _ = run_plan(t, R, plan)
     assert out.total == pytest.approx(5000, rel=1e-9)
 
 

@@ -109,6 +109,13 @@ def test_gaussian_rejects_bad_sigma():
         gaussian_dist(0.0, 0.0, 5)
     with pytest.raises(ValidationError):
         gaussian_dist(0.0, -0.2, 5)
+    # an infinite width would otherwise give the uniform distribution
+    for sigma in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="sigma"):
+            gaussian_dist(0.0, sigma, 5)
+    for mu in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValidationError, match="mu"):
+            gaussian_dist(mu, 0.1, 5)
 
 
 def test_distributions_normalized():
