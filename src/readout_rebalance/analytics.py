@@ -10,7 +10,7 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import CountsHistogram, ValidationError, as_generator, rng_stream
+from .core import DimensionError, ValidationError, as_generator, rng_stream
 from .rebalance import run_batch
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
@@ -217,7 +217,7 @@ def ensemble_run(
     repetitions,
     observable_label=None,
 ):
-    """Repeat a measurement plan and summarize an observable across runs.
+    """Repeat a measurement plan and summarize a linear observable across runs.
 
     Every repetition r draws its own stream from (plan.rng_seed, r), so
     results are reproducible and do not depend on the order or grouping of
@@ -225,31 +225,37 @@ def ensemble_run(
     and then corrected as one batch (see
     :func:`~readout_rebalance.rebalance.run_batch`).
 
-    ``observable`` maps a corrected CountsHistogram to a float; it is
-    called once per repetition.
+    ``observable`` holds one weight per basis state, ``o``: the value of a
+    run with corrected histogram ``h`` is ``o . h / h.total``.  The weights
+    are checked once, and every repetition is evaluated in one product.
     """
     repetitions = int(repetitions)
     if repetitions < 2:
         raise ValidationError("need at least 2 repetitions for a standard deviation")
+    weights = np.asarray(observable, dtype=np.float64)
+    if weights.shape != true_dist.probs.shape:
+        raise DimensionError(
+            f"observable needs one weight per state, shape {true_dist.probs.shape}, "
+            f"got {weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("observable weights must be finite")
     streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
     corrected, masks = run_batch(true_dist, response, plan, streams)
-    values = np.array(
-        [observable(CountsHistogram(true_dist.n_qubits, column)) for column in corrected.T]
-    )
+    values = weights @ corrected / corrected.sum(axis=0)
     negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
 
     mean = float(values.mean())
     std = float(values.std(ddof=1))
     # the most frequent mask; argmax takes the smallest one on a tie
     mask_mode = None if masks is None else int(np.argmax(np.bincount(masks)))
-    label = observable_label or getattr(observable, "__name__", "observable")
     return EnsembleResult(
         repetitions=repetitions,
         mean=mean,
         std=std,
         std_err_of_std=std_err_of_std(std, repetitions),
         strategy=plan.strategy,
-        observable=label,
+        observable=observable_label or "observable",
         flip_mask_mode=mask_mode,
         negative_runs=negative_runs,
     )

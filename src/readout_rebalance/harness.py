@@ -25,13 +25,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import (
-    CalibrationFileError,
-    NumericalError,
-    ValidationError,
-    counts_in_state,
-    observable_base10,
-)
+from .core import CalibrationFileError, NumericalError, ValidationError
 from .noise import (
     QubitNoiseParams,
     build_tensor_response,
@@ -71,10 +65,9 @@ def _parse_list(text, kind, flag):
 
 
 def _check_float(name, value):
-    try:
-        float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a float, got {value!r}") from exc
+    # bool is an int subclass, so True would pass as 1.0; "0.1" is not a number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a float, got {value!r}")
 
 
 def _check_integer(name, value):
@@ -88,6 +81,26 @@ def default_sweep_mus():
     mus = {round(float(x), 10) for x in np.linspace(-1.0, 1.0, 21)}
     mus |= {-0.11, 0.78}
     return sorted(mus)
+
+
+def _check_noise_source(calibration_file, eps10, eps01):
+    if (eps10 is None) != (eps01 is None):
+        raise ValidationError("eps10 and eps01 must be given together")
+    if eps10 is not None and len(eps10) != len(eps01):
+        raise ValidationError("eps10 and eps01 must list the same number of qubits")
+    if calibration_file is not None and eps10 is not None:
+        raise ValidationError("give either a calibration file or tensor params, not both")
+
+
+def _noise_response(calibration_file, eps10, eps01):
+    """Response matrix of one noise source: a calibration file, per-qubit
+    eps10/eps01 lists, or (when neither is given) the committed default."""
+    _check_noise_source(calibration_file, eps10, eps01)
+    if calibration_file is not None:
+        return load_response(calibration_file)
+    if eps10 is not None:
+        return build_tensor_response([QubitNoiseParams(a, b) for a, b in zip(eps01, eps10)])
+    return default_response()
 
 
 @dataclass
@@ -141,12 +154,7 @@ class ExperimentConfig:
             raise ValidationError("shots must be >= 2")
         if int(self.repetitions) < 2:
             raise ValidationError("repetitions must be >= 2")
-        if (self.eps10 is None) != (self.eps01 is None):
-            raise ValidationError("eps10 and eps01 must be given together")
-        if self.eps10 is not None and len(self.eps10) != len(self.eps01):
-            raise ValidationError("eps10 and eps01 must list the same number of qubits")
-        if self.calibration_file is not None and self.eps10 is not None:
-            raise ValidationError("give either a calibration file or tensor params, not both")
+        _check_noise_source(self.calibration_file, self.eps10, self.eps01)
 
     def semantic_dict(self):
         d = asdict(self)
@@ -158,12 +166,7 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def response_matrix(self):
-        if self.calibration_file is not None:
-            return load_response(self.calibration_file)
-        if self.eps10 is not None:
-            params = [QubitNoiseParams(a, b) for a, b in zip(self.eps01, self.eps10)]
-            return build_tensor_response(params)
-        return default_response()
+        return _noise_response(self.calibration_file, self.eps10, self.eps01)
 
     def unfold_config(self):
         return UnfoldConfig(method=self.unfold_method, ibu_iterations=self.ibu_iterations)
@@ -207,31 +210,32 @@ def _write_json(path, payload):
 
 def _row_seed(base_seed, *path):
     """Distinct deterministic integer seed for one ensemble row."""
-    ss = np.random.SeedSequence([int(base_seed)] + [int(p) for p in path])
+    entropy = [int(base_seed)] + [int(p) for p in path]
+    if any(e < 0 for e in entropy):
+        raise ValidationError(f"rng seed must be non-negative, got {base_seed}")
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _experiment_rows(config, response):
-    """(label, mu, distribution, observable, observable_label) per benchmark row."""
+    """(label, mu, distribution, observable weights, observable_label) per
+    benchmark row."""
     n = response.n_qubits
+    states = np.arange(2 ** n)
     if config.experiment == "inverted_w":
-        return [("inverted_w", None, inverted_w_dist(n), observable_base10, "base10_mean")]
+        return [("inverted_w", None, inverted_w_dist(n), states, "base10_mean")]
     if config.experiment == "grover":
         target = 2 ** n - 1
         dist = grover_dist(n, target, config.grover_iterations)
-        shots = int(config.shots)
-
-        def target_counts(hist):
-            # scale to the full budget so strategies with different kept
-            # totals estimate the same quantity
-            return counts_in_state(hist, target) / hist.total * shots
-
-        return [("grover", None, dist, target_counts, "target_counts_per_budget")]
+        # target counts scaled to the full budget, so strategies with
+        # different kept totals estimate the same quantity
+        weights = int(config.shots) * (states == target)
+        return [("grover", None, dist, weights, "target_counts_per_budget")]
     mus = config.mus if config.mus is not None else default_sweep_mus()
     rows = []
     for mu in mus:
         dist = gaussian_dist(mu, config.sigma, n)
-        rows.append(("gaussian", float(mu), dist, observable_base10, "base10_mean"))
+        rows.append(("gaussian", float(mu), dist, states, "base10_mean"))
     return rows
 
 
@@ -375,20 +379,9 @@ def appendix_a_table(q0, q1, total, splits, trials, rng_seed):
 
 
 def cmd_calibrate(args):
-    if args.input is not None:
-        true_response = load_response(args.input)
-    elif args.eps10 is not None or args.eps01 is not None:
-        if args.eps10 is None or args.eps01 is None:
-            raise ValidationError("--eps10 and --eps01 must be given together")
-        e10 = _parse_list(args.eps10, float, "--eps10")
-        e01 = _parse_list(args.eps01, float, "--eps01")
-        if len(e10) != len(e01):
-            raise ValidationError("--eps10 and --eps01 must list the same number of qubits")
-        true_response = build_tensor_response(
-            [QubitNoiseParams(a, b) for a, b in zip(e01, e10)]
-        )
-    else:
-        true_response = default_response()
+    eps10 = None if args.eps10 is None else _parse_list(args.eps10, float, "--eps10")
+    eps01 = None if args.eps01 is None else _parse_list(args.eps01, float, "--eps01")
+    true_response = _noise_response(args.input, eps10, eps01)
 
     if args.shots_per_state:
         response = estimate_response(true_response, args.shots_per_state, args.rng_seed)
@@ -441,13 +434,8 @@ def cmd_run(args):
         if v is not None
     }
     base = load_config_file(args.config) if args.config else {}
-    repetitions_explicit = args.repetitions is not None or "repetitions" in base
     base.update(overrides)
     config = ExperimentConfig(**base)
-    if args.fast and not repetitions_explicit:
-        config.repetitions = 100
-    config.validate()
-
     results, manifest = run_experiment(config)
     written = write_run_outputs(config, results, manifest)
     for path in written:
@@ -522,8 +510,6 @@ def build_parser():
     run.add_argument("--mus", help="comma-separated gaussian sweep means")
     run.add_argument("--sigma", type=float)
     run.add_argument("--grover-iterations", type=int)
-    run.add_argument("--fast", action="store_true",
-                     help="CI mode: 100 repetitions unless set explicitly")
     run.set_defaults(func=cmd_run)
 
     app = sub.add_parser("appendix-a", help="two-qubit analytic vs Monte Carlo variances")

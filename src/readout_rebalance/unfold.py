@@ -41,11 +41,6 @@ class UnfoldConfig:
         object.__setattr__(self, "ibu_iterations", int(self.ibu_iterations))
 
 
-def _check_dims(measured, response):
-    if measured.n_qubits != response.n_qubits:
-        raise DimensionError("histogram width does not match response matrix")
-
-
 def condition_report(response):
     """2-norm condition number of the response matrix (ratio of extreme
     singular values), computed once per matrix."""
@@ -118,9 +113,7 @@ def matrix_inverse_unfold(measured, response):
     NumericalError
         If R is singular or its condition number exceeds ``DEFAULT_MAX_CONDITION``.
     """
-    _check_dims(measured, response)
-    solution = _invert_columns(measured.counts[:, None], response)
-    return CountsHistogram(measured.n_qubits, solution[:, 0])
+    return apply_unfold(measured, response, UnfoldConfig("matrix_inversion"))
 
 
 def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS):
@@ -142,20 +135,17 @@ def ibu_unfold(measured, response, iterations=DEFAULT_IBU_ITERATIONS):
     Raises
     ------
     ValidationError
-        For negative or zero-total input histograms.
+        For negative or zero-total input histograms, or ``iterations < 1``.
     NumericalError
         If some measured bin has counts but zero folded support, so no
         redistribution can explain it.
     """
-    _check_dims(measured, response)
-    if int(iterations) < 1:
-        raise ValidationError("iterations must be >= 1")
-    t = _ibu_columns(measured.counts[:, None], response, iterations)
-    return CountsHistogram(measured.n_qubits, t[:, 0])
+    return apply_unfold(measured, response, UnfoldConfig("ibu", iterations))
 
 
 def apply_unfold(measured, response, config):
-    """Run the unfolder selected by an :class:`UnfoldConfig`."""
-    _check_dims(measured, response)
+    """Run the unfolder selected by an :class:`UnfoldConfig` on one histogram."""
+    if measured.n_qubits != response.n_qubits:
+        raise DimensionError("histogram width does not match response matrix")
     corrected = unfold_columns(measured.counts[:, None], response, config)
     return CountsHistogram(measured.n_qubits, corrected[:, 0])

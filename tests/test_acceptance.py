@@ -30,11 +30,7 @@ from readout_rebalance.analytics import (
     shots_equivalent_fraction,
     std_err_of_std,
 )
-from readout_rebalance.core import (
-    CountsHistogram,
-    counts_in_state,
-    observable_base10,
-)
+from readout_rebalance.core import CountsHistogram
 from readout_rebalance.noise import default_response, diag_by_zero_count
 from readout_rebalance.rebalance import MeasurementPlan
 from readout_rebalance.states import gaussian_dist, grover_dist, inverted_w_dist
@@ -70,9 +66,20 @@ GROVER_TARGET = 31
 GROVER_EXACT = SHOTS * grover_target_probability(5, 1)
 
 
-def grover_counts_per_budget(hist):
-    # rescale to the full budget so every strategy estimates the same thing
-    return counts_in_state(hist, GROVER_TARGET) / hist.total * SHOTS
+STATES = np.arange(RESPONSE.dim)
+# the base-10 observable as per-state weights o: a run's value is o . h / h.total
+BASE10 = STATES.astype(float)
+
+# (true distribution, per-shot observable weights o) of each criterion-4 row;
+# the ensemble fixtures and the exact-variance oracle both read this table
+CRITERION4_TRUTHS = {
+    "inverted_w": (inverted_w_dist(5), BASE10),
+    # target counts rescaled to the full budget, so every strategy
+    # estimates the same thing
+    "grover": (grover_dist(5, GROVER_TARGET, 1),
+               SHOTS * (STATES == GROVER_TARGET).astype(float)),
+    "gaussian mu=+0.78": (gaussian_dist(0.78, 0.1, 5), BASE10),
+}
 
 
 def tv_distance(h, dist):
@@ -88,18 +95,16 @@ def sweep_mus():
 @pytest.fixture(scope="module")
 def bench_ensembles():
     """W and Grover ensembles per strategy at the full benchmark scale."""
-    benches = {
-        "inverted_w": (inverted_w_dist(5), observable_base10, 124 / 5),
-        "grover": (grover_dist(5, GROVER_TARGET, 1), grover_counts_per_budget, GROVER_EXACT),
-    }
+    exact_means = {"inverted_w": 124 / 5, "grover": GROVER_EXACT}
     out = {}
-    for b_idx, (name, (dist, observable, exact)) in enumerate(benches.items()):
+    for b_idx, (name, exact) in enumerate(exact_means.items()):
+        dist, weights = CRITERION4_TRUTHS[name]
         for s_idx, strategy in enumerate(STRATEGIES):
             plan = MeasurementPlan(
                 total_shots=SHOTS, strategy=strategy, unfold=INVERSION,
                 rng_seed=cell_seed(1000, b_idx, s_idx),
             )
-            res = ensemble_run(dist, RESPONSE, plan, observable, REPETITIONS)
+            res = ensemble_run(dist, RESPONSE, plan, weights, REPETITIONS)
             out[(name, strategy)] = (res, exact)
     return out
 
@@ -116,7 +121,7 @@ def sweep_ensembles():
                 total_shots=SHOTS, strategy=strategy, unfold=INVERSION,
                 rng_seed=cell_seed(100_000, m_idx, s_idx),
             )
-            res = ensemble_run(dist, RESPONSE, plan, observable_base10, REPETITIONS)
+            res = ensemble_run(dist, RESPONSE, plan, BASE10, REPETITIONS)
             out[(mu, strategy)] = (res, exact)
     return out
 
@@ -306,19 +311,11 @@ def _criterion4_rows(bench_ensembles, sweep_ensembles):
 # cell probabilities q = R p_mask and weights w = R^-T o_mask (p and o
 # relabelled by the flip mask), giving N Var = w^2 . q - (w . q)^2.  Plain
 # numpy on the response entries: no sampling or unfolding code is involved.
+# Its distributions and weights come from CRITERION4_TRUTHS above.
 
-STATES = np.arange(RESPONSE.dim)
 # MeasurementPlan's default pilot_fraction of 0.1; pilot shots are excluded
 # from the rebalanced estimate
 PILOT_SHOTS = SHOTS // 10
-
-CRITERION4_TRUTHS = {
-    # (true probabilities, per-shot observable weights o)
-    "inverted_w": (inverted_w_dist(5).probs, STATES.astype(float)),
-    "grover": (grover_dist(5, GROVER_TARGET, 1).probs,
-               SHOTS * (STATES == GROVER_TARGET).astype(float)),
-    "gaussian mu=+0.78": (gaussian_dist(0.78, 0.1, 5).probs, STATES.astype(float)),
-}
 
 
 def exact_shot_variance(probs, weights, mask):
@@ -366,7 +363,8 @@ def exact_strategy_stds(probs, weights):
 
 def exact_row_stds(bench):
     """Exact stds of one criterion-4 row; the chain reb < sym < nom must hold."""
-    exact = exact_strategy_stds(*CRITERION4_TRUTHS[bench])
+    dist, weights = CRITERION4_TRUTHS[bench]
+    exact = exact_strategy_stds(dist.probs, weights)
     assert exact["rebalanced"] < exact["symmetrized"] < exact["nominal"], (
         f"{bench}: exact ordering violated: {exact}"
     )

@@ -14,11 +14,14 @@ from readout_rebalance.analytics import (
     shots_equivalent_fraction,
     std_err_of_std,
 )
-from readout_rebalance.core import ProbDist, ValidationError, counts_in_state
+from readout_rebalance.core import DimensionError, ProbDist, ValidationError
 from readout_rebalance.rebalance import MeasurementPlan
 from readout_rebalance.unfold import UnfoldConfig
 
 from conftest import make_response
+
+# the base-10 observable of a 5-qubit register as per-state weights
+BASE10 = np.arange(32.0)
 
 
 def test_two_qubit_model_validation():
@@ -196,7 +199,7 @@ def test_ensemble_point_mass_zero_std():
     probs[2] = 1.0
     t = ProbDist(2, probs)
     plan = MeasurementPlan(total_shots=100, unfold=UnfoldConfig(method="matrix_inversion"))
-    res = ensemble_run(t, R, plan, lambda h: counts_in_state(h, 2), 50)
+    res = ensemble_run(t, R, plan, 100 * np.eye(4)[2], 50)
     assert res.std == 0.0
     assert res.mean == 100.0
     assert res.negative_runs == 0
@@ -204,51 +207,65 @@ def test_ensemble_point_mass_zero_std():
 
 def test_ensemble_result_fields(committed_response):
     from readout_rebalance.states import inverted_w_dist
-    from readout_rebalance.core import observable_base10
 
     t = inverted_w_dist(5)
     plan = MeasurementPlan(total_shots=2000, strategy="rebalanced", rng_seed=4)
-    res = ensemble_run(t, committed_response, plan, observable_base10, 30)
+    res = ensemble_run(t, committed_response, plan, BASE10, 30, observable_label="base10_mean")
     assert res.repetitions == 30
     assert res.strategy == "rebalanced"
-    assert res.observable == "observable_base10"
+    assert res.observable == "base10_mean"
     assert res.std_err_of_std == pytest.approx(res.std / np.sqrt(2 * 29))
     assert res.flip_mask_mode == 0b11111
+    # a weight vector has no name, so an unlabelled observable gets the default
+    assert ensemble_run(t, committed_response, plan, BASE10, 2).observable == "observable"
+
+
+@pytest.mark.parametrize("weights, error", [
+    (np.arange(31.0), DimensionError),
+    (np.arange(64.0), DimensionError),
+    (np.arange(32.0).reshape(2, 16), DimensionError),
+    (np.where(np.arange(32) == 3, np.nan, 1.0), ValidationError),
+    (np.where(np.arange(32) == 3, np.inf, 1.0), ValidationError),
+    (np.where(np.arange(32) == 3, -np.inf, 1.0), ValidationError),
+], ids=["short", "long", "matrix", "nan", "inf", "neg-inf"])
+def test_ensemble_rejects_bad_weights(committed_response, weights, error):
+    from readout_rebalance.states import inverted_w_dist
+
+    plan = MeasurementPlan(total_shots=500, rng_seed=1)
+    with pytest.raises(error):
+        ensemble_run(inverted_w_dist(5), committed_response, plan, weights, 5)
 
 
 def test_ensemble_reproducible(committed_response):
     from readout_rebalance.states import grover_dist
-    from readout_rebalance.core import observable_base10
 
     t = grover_dist(5, 31, 1)
     plan = MeasurementPlan(total_shots=1000, strategy="symmetrized", rng_seed=8)
-    a = ensemble_run(t, committed_response, plan, observable_base10, 25)
-    b = ensemble_run(t, committed_response, plan, observable_base10, 25)
+    a = ensemble_run(t, committed_response, plan, BASE10, 25)
+    b = ensemble_run(t, committed_response, plan, BASE10, 25)
     assert a.mean == b.mean
     assert a.std == b.std
 
 
 def test_ensemble_rejects_bad_repetitions(committed_response):
     from readout_rebalance.states import inverted_w_dist
-    from readout_rebalance.core import observable_base10
 
     t = inverted_w_dist(5)
     plan = MeasurementPlan(total_shots=500)
     with pytest.raises(ValidationError):
-        ensemble_run(t, committed_response, plan, observable_base10, 1)
+        ensemble_run(t, committed_response, plan, BASE10, 1)
 
 
 def test_ensemble_counts_negative_runs(committed_response):
     # matrix inversion on the sparse W state regularly produces small
     # negative entries at low shot counts
     from readout_rebalance.states import inverted_w_dist
-    from readout_rebalance.core import observable_base10
 
     t = inverted_w_dist(5)
     plan = MeasurementPlan(
         total_shots=500, unfold=UnfoldConfig(method="matrix_inversion"), rng_seed=6
     )
-    res = ensemble_run(t, committed_response, plan, observable_base10, 40)
+    res = ensemble_run(t, committed_response, plan, BASE10, 40)
     assert res.negative_runs > 0
 
 

@@ -18,6 +18,8 @@ from readout_rebalance.states import gaussian_dist, inverted_w_dist
 from readout_rebalance.unfold import UnfoldConfig
 
 SHOTS, REPS, SEED = 2000, 20, 2024
+# the base-10 observable as per-state weights
+BASE10 = np.arange(32.0)
 
 # (state, unfold method, strategy, None) -> (mean, std, flip_mask_mode, negative_runs)
 # Repetition r of every cell draws from rng_stream(SEED, r); the trailing None
@@ -54,14 +56,15 @@ def test_fixed_seed_contract(committed_response, cell, expected):
     t = _state(state)
     plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
                            unfold=UnfoldConfig(method=method), rng_seed=SEED)
-    res = ensemble_run(t, committed_response, plan, observable_base10, REPS)
+    res = ensemble_run(t, committed_response, plan, BASE10, REPS)
     mean, std, mode, negative = expected
     assert res.mean == pytest.approx(mean, rel=1e-12, abs=0)
     assert res.std == pytest.approx(std, rel=1e-12, abs=0)
     assert res.flip_mask_mode == mode
     assert res.negative_runs == negative
 
-    # the batch equals a plain loop of one-run calls on the same streams
+    # the batch, evaluated in one product, equals a plain loop of one-run
+    # calls on the same streams, each evaluated as a histogram
     values = []
     for r in range(REPS):
         hist, _ = run_plan(t, committed_response, plan, rng_stream(SEED, r))

@@ -195,18 +195,6 @@ def test_run_rejects_unknown_config_keys(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
-def test_fast_flag_lowers_repetitions(tmp_path):
-    code = main([
-        "run", "--experiment", "inverted_w", "--fast",
-        "--shots", "500", "--rng-seed", "1",
-        "--strategies", "nominal",
-        "--output-dir", str(tmp_path),
-    ])
-    assert code == EXIT_OK
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["repetitions"] == 100
-
-
 def test_exit_code_missing_calibration_file(tmp_path):
     code = main([
         "run", "--experiment", "grover",
@@ -351,6 +339,13 @@ def test_csv_files_newline_terminated(tmp_path):
                      EXIT_VALIDATION, id="eps01"),
         pytest.param(["calibrate", "--eps10", "0.07", "--eps01", "x"],
                      EXIT_VALIDATION, id="calibrate-eps01"),
+        pytest.param(["calibrate", "--input", {"n_qubits": 1, "entries": [[1, 0], [0, 1]]},
+                      "--eps10", "0.1", "--eps01", "0.01"],
+                     EXIT_VALIDATION, id="calibrate-file-and-eps"),
+        pytest.param(["run", "--experiment", "inverted_w", "--rng-seed", "-1"],
+                     EXIT_VALIDATION, id="run-negative-seed"),
+        pytest.param(["appendix-a", "--rng-seed", "-1"], EXIT_VALIDATION,
+                     id="appendix-a-negative-seed"),
         pytest.param(["appendix-a", "--counts", "a,b,c,d"], EXIT_VALIDATION, id="counts"),
         pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "nan"],
                      EXIT_VALIDATION, id="sigma-nan"),
@@ -368,6 +363,12 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--config", {"rng_seed": True}], EXIT_VALIDATION,
                      id="config-rng-seed-bool"),
         pytest.param(["run", "--config", {"mus": "0.1"}], EXIT_VALIDATION, id="config-mus"),
+        pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "sigma": True}],
+                     EXIT_VALIDATION, id="config-sigma-bool"),
+        pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "mus": [True, False]}],
+                     EXIT_VALIDATION, id="config-mus-bool"),
+        pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "sigma": "0.1"}],
+                     EXIT_VALIDATION, id="config-sigma-string"),
         pytest.param(["run", "--config", {"strategies": 5}], EXIT_VALIDATION,
                      id="config-strategies"),
         pytest.param(["run", "--config", {"calibration_file": 5}], EXIT_VALIDATION,
