@@ -177,6 +177,8 @@ def monte_carlo_variance_oracle(model, trials, rng):
     """
     if int(trials) < 100:
         raise ValidationError("need at least 100 trials for a meaningful variance")
+    if model.total < 1:
+        raise ValidationError("the oracle needs a model with at least one true count")
     trials = int(trials)
     gen = as_generator(rng)
     probs = measured_state_probs(model)

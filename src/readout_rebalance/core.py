@@ -31,6 +31,14 @@ class CalibrationFileError(ValueError):
     """Malformed or inconsistent calibration file content."""
 
 
+def _seed_sequence(seed, *path):
+    """``SeedSequence`` of a non-negative seed and index path."""
+    entropy = [int(seed)] + [int(p) for p in path]
+    if any(e < 0 for e in entropy):
+        raise ValidationError(f"rng seed and path entries must be non-negative, got {entropy}")
+    return np.random.SeedSequence(entropy)
+
+
 def rng_stream(seed, *path):
     """Deterministic ``numpy.random.Generator`` from a seed and an index path.
 
@@ -39,10 +47,7 @@ def rng_stream(seed, *path):
     run-order dependence: ``rng_stream(seed, rep)`` is the stream for
     repetition ``rep`` regardless of scheduling.
     """
-    entropy = [int(seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entropy):
-        raise ValidationError("rng_stream seed and path entries must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_seed_sequence(seed, *path))
 
 
 def as_generator(rng):

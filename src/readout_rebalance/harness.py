@@ -11,6 +11,11 @@ run         execute a benchmark experiment across strategies and write
 appendix-a  compare the analytic two-qubit variance formulas against the
             Monte Carlo oracle and write the comparison table
 
+A ``run`` flag sets the ``ExperimentConfig`` field of the same name, and a
+comma-list flag is parsed whenever it is given, empty text included.  On
+failure no subcommand leaves an output file behind, not even a partly
+written one.
+
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 numerical failure.
 """
@@ -25,7 +30,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import CalibrationFileError, NumericalError, ValidationError
+from .core import CalibrationFileError, NumericalError, ValidationError, _seed_sequence
 from .noise import (
     QubitNoiseParams,
     build_tensor_response,
@@ -54,6 +59,10 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
+# comma-list flags and the type of their entries, shared by every subcommand
+_LIST_FLAGS = {"eps10": float, "eps01": float, "mus": float, "strategies": str}
+
+
 def _parse_list(text, kind, flag):
     """Comma-separated values of one type given to a command-line flag."""
     try:
@@ -62,6 +71,15 @@ def _parse_list(text, kind, flag):
         raise ValidationError(
             f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
         ) from exc
+
+
+def _flag(args, dest):
+    """Value of the flag with argparse dest ``dest``: None when it is not
+    given, a list when it is a comma-list flag, else argparse's value."""
+    value = getattr(args, dest)
+    if value is None or dest not in _LIST_FLAGS:
+        return value
+    return _parse_list(value, _LIST_FLAGS[dest], "--" + dest)
 
 
 def _check_float(name, value):
@@ -208,12 +226,39 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+class _Outputs:
+    """The output files of one command, written inside a ``with`` block.
+
+    ``path(name)`` records a file's path before the caller opens it.  If the
+    block fails, every recorded path is removed, a partly written file
+    included, and the error propagates.
+    """
+
+    def __init__(self, directory):
+        os.makedirs(directory, exist_ok=True)
+        self.directory = directory
+        self.paths = []
+
+    def path(self, name):
+        path = os.path.join(self.directory, name)
+        self.paths.append(path)
+        return path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for path in self.paths:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+
+
 def _row_seed(base_seed, *path):
     """Distinct deterministic integer seed for one ensemble row."""
-    entropy = [int(base_seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entropy):
-        raise ValidationError(f"rng seed must be non-negative, got {base_seed}")
-    ss = np.random.SeedSequence(entropy)
+    ss = _seed_sequence(base_seed, *path)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -275,15 +320,9 @@ def run_experiment(config):
 
 
 def write_run_outputs(config, results, manifest):
-    """Write ensemble/summary/sweep CSVs plus the manifest.
-
-    Nothing is left behind on failure: any file already written gets
-    removed before the error propagates.
-    """
-    os.makedirs(config.output_dir, exist_ok=True)
-    written = []
-    try:
-        ensemble_path = os.path.join(config.output_dir, "ensemble.csv")
+    """Write ensemble/summary/sweep CSVs plus the manifest; returns their
+    paths.  Nothing is left behind on failure."""
+    with _Outputs(config.output_dir) as out:
         header = [
             "experiment", "strategy", "mu", "mean", "std", "std_err",
             "shots", "repetitions", "flip_mask_mode",
@@ -295,8 +334,7 @@ def write_run_outputs(config, results, manifest):
                 label, res.strategy, mu, res.mean, res.std, res.std_err_of_std,
                 config.shots, res.repetitions, mask,
             ])
-        _write_csv(ensemble_path, header, rows)
-        written.append(ensemble_path)
+        _write_csv(out.path("ensemble.csv"), header, rows)
 
         # nominal std per benchmark row keys the shots-equivalent fractions
         nominal_std = {
@@ -304,39 +342,28 @@ def write_run_outputs(config, results, manifest):
             for label, mu, res in results
             if res.strategy == "nominal"
         }
-        summary_path = os.path.join(config.output_dir, "summary.csv")
         srows = []
         for label, mu, res in results:
             sn = nominal_std.get((label, mu))
             frac = "" if sn is None else shots_equivalent_fraction(res.std, sn)
             srows.append([label, mu, res.strategy, res.std, sn, frac])
         _write_csv(
-            summary_path,
+            out.path("summary.csv"),
             ["experiment", "mu", "strategy", "std", "std_nominal", "shots_equivalent_fraction"],
             srows,
         )
-        written.append(summary_path)
 
         if config.experiment == "gaussian_sweep":
-            sweep_path = os.path.join(config.output_dir, "sweep_curves.csv")
             curows = [
                 [mu, res.strategy, res.mean, res.std, res.std_err_of_std]
                 for label, mu, res in results
             ]
-            _write_csv(sweep_path, ["mu", "strategy", "mean", "std", "std_err"], curows)
-            written.append(sweep_path)
+            _write_csv(
+                out.path("sweep_curves.csv"), ["mu", "strategy", "mean", "std", "std_err"], curows
+            )
 
-        manifest_path = os.path.join(config.output_dir, "manifest.json")
-        _write_json(manifest_path, manifest)
-        written.append(manifest_path)
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
-    return written
+        _write_json(out.path("manifest.json"), manifest)
+    return out.paths
 
 
 APPENDIX_A_DEFAULT_SPLITS = (
@@ -346,8 +373,10 @@ APPENDIX_A_DEFAULT_SPLITS = (
 )
 
 
-def appendix_a_table(q0, q1, total, splits, trials, rng_seed):
-    """Analytic-vs-empirical variance comparison rows for the CLI and tests.
+def appendix_a_table(q0, q1, splits, trials, rng_seed):
+    """Analytic-vs-empirical variance comparison rows for ``appendix-a``.
+
+    ``splits`` holds ``(name, (n00, n01, n10, n11))`` pairs of true counts.
 
     Tolerance per row: max(3 * bootstrap error, (q0+q1)^2 * N), the second
     term covering the linear-order truncation of the analytic formulas.
@@ -358,8 +387,7 @@ def appendix_a_table(q0, q1, total, splits, trials, rng_seed):
         "bootstrap_err", "tolerance", "passes",
     ]
     states = ("00", "01", "10", "11")
-    for split_idx, (split_name, fractions) in enumerate(splits):
-        counts = [int(round(f * total)) for f in fractions]
+    for split_idx, (split_name, counts) in enumerate(splits):
         model = TwoQubitModel(q0, q1, *counts)
         oracle = monte_carlo_variance_oracle(
             model, trials, _row_seed(rng_seed, split_idx)
@@ -379,93 +407,48 @@ def appendix_a_table(q0, q1, total, splits, trials, rng_seed):
 
 
 def cmd_calibrate(args):
-    eps10 = None if args.eps10 is None else _parse_list(args.eps10, float, "--eps10")
-    eps01 = None if args.eps01 is None else _parse_list(args.eps01, float, "--eps01")
-    true_response = _noise_response(args.input, eps10, eps01)
-
+    response = _noise_response(args.input, _flag(args, "eps10"), _flag(args, "eps01"))
     if args.shots_per_state:
-        response = estimate_response(true_response, args.shots_per_state, args.rng_seed)
-    else:
-        response = true_response
-
-    os.makedirs(args.output_dir, exist_ok=True)
-    matrix_path = os.path.join(args.output_dir, args.output_name)
-    diag_path = os.path.join(args.output_dir, "diagnostics_by_zero_count.csv")
-    save_response(response, matrix_path)
-    try:
-        diag = diag_by_zero_count(response)
+        response = estimate_response(response, args.shots_per_state, args.rng_seed)
+    diag = diag_by_zero_count(response)
+    with _Outputs(args.output_dir) as out:
+        save_response(response, out.path(args.output_name))
         _write_csv(
-            diag_path,
+            out.path("diagnostics_by_zero_count.csv"),
             ["zeros_in_bitstring", "mean_correct_probability"],
             [[k, v] for k, v in sorted(diag.items())],
         )
-    except BaseException:
-        for path in (matrix_path,):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
-    print(f"wrote {matrix_path}")
-    print(f"wrote {diag_path}")
-    return EXIT_OK
+    return out.paths
 
 
 def cmd_run(args):
-    overrides = {
-        k: v
-        for k, v in {
-            "experiment": args.experiment,
-            "calibration_file": args.calibration_file,
-            "eps10": _parse_list(args.eps10, float, "--eps10") if args.eps10 else None,
-            "eps01": _parse_list(args.eps01, float, "--eps01") if args.eps01 else None,
-            "shots": args.shots,
-            "repetitions": args.repetitions,
-            "strategies": tuple(args.strategies.split(",")) if args.strategies else None,
-            "unfold_method": args.unfold_method,
-            "ibu_iterations": args.ibu_iterations,
-            "pilot_fraction": args.pilot_fraction,
-            "rng_seed": args.rng_seed,
-            "output_dir": args.output_dir,
-            "mus": _parse_list(args.mus, float, "--mus") if args.mus else None,
-            "sigma": args.sigma,
-            "grover_iterations": args.grover_iterations,
-        }.items()
-        if v is not None
-    }
-    base = load_config_file(args.config) if args.config else {}
-    base.update(overrides)
-    config = ExperimentConfig(**base)
+    fields = load_config_file(args.config) if args.config else {}
+    for name in ExperimentConfig.__dataclass_fields__:
+        value = _flag(args, name)
+        if value is not None:
+            fields[name] = value
+    config = ExperimentConfig(**fields)
     results, manifest = run_experiment(config)
-    written = write_run_outputs(config, results, manifest)
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return write_run_outputs(config, results, manifest)
 
 
 def cmd_appendix_a(args):
     if args.counts:
-        parsed = [_parse_list(spec, int, "--counts") for spec in args.counts]
         splits = []
-        for i, parts in enumerate(parsed):
-            if len(parts) != 4:
+        for i, spec in enumerate(args.counts):
+            counts = _parse_list(spec, int, "--counts")
+            if len(counts) != 4:
                 raise ValidationError("--counts needs four comma-separated integers")
-            total = sum(parts)
-            if total < 1:
-                raise ValidationError("--counts must sum to a positive total")
-            splits.append((f"split_{i}", tuple(p / total for p in parts)))
-        total = sum(parsed[0])
+            splits.append((f"split_{i}", counts))
     else:
-        splits = APPENDIX_A_DEFAULT_SPLITS
-        total = args.total
-    header, rows = appendix_a_table(
-        args.q0, args.q1, total, splits, args.trials, args.rng_seed
-    )
-    os.makedirs(args.output_dir, exist_ok=True)
-    path = os.path.join(args.output_dir, "appendix_a_comparison.csv")
-    _write_csv(path, header, rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+        splits = [
+            (name, [round(f * args.total) for f in fractions])
+            for name, fractions in APPENDIX_A_DEFAULT_SPLITS
+        ]
+    header, rows = appendix_a_table(args.q0, args.q1, splits, args.trials, args.rng_seed)
+    with _Outputs(args.output_dir) as out:
+        _write_csv(out.path("appendix_a_comparison.csv"), header, rows)
+    return out.paths
 
 
 class _Parser(argparse.ArgumentParser):
@@ -529,7 +512,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        for path in args.func(args):
+            print(f"wrote {path}")
+        return EXIT_OK
     except (CalibrationFileError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

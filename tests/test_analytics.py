@@ -131,6 +131,13 @@ def test_oracle_requires_enough_trials():
         monte_carlo_variance_oracle(model, 99, 0)
 
 
+def test_oracle_rejects_a_model_without_counts():
+    # zero true counts give the multinomial NaN probabilities
+    model = TwoQubitModel(0.05, 0.03, 0, 0, 0, 0)
+    with pytest.raises(ValidationError, match="at least one true count"):
+        monte_carlo_variance_oracle(model, 1000, 0)
+
+
 def test_oracle_agrees_with_mirror_formulas_at_small_q():
     # |analytic - empirical| <= max(3 * bootstrap error, C * q^2 * N) with
     # C = 1 and q = q0 + q1 (the linear-order truncation scale)

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from readout_rebalance.analytics import TwoQubitModel, appendix_a_variances
 from readout_rebalance.harness import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     ExperimentConfig,
+    build_parser,
     default_sweep_mus,
     main,
     run_experiment,
@@ -289,6 +291,64 @@ def test_appendix_a_cli_custom_counts(tmp_path):
     assert all(r["split"] == "split_0" for r in rows)
 
 
+def test_appendix_a_cli_splits_keep_their_own_counts(tmp_path):
+    # two splits of different totals: neither is rescaled to the other's total
+    splits = {"split_0": (100, 0, 0, 0), "split_1": (1000, 1000, 1000, 1000)}
+    code = main([
+        "appendix-a", "--q0", "0.05", "--q1", "0.03",
+        "--counts", "100,0,0,0", "--counts", "1000,1000,1000,1000",
+        "--trials", "1000", "--output-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    rows = read_csv(tmp_path / "appendix_a_comparison.csv")
+    for name, counts in splits.items():
+        model = TwoQubitModel(0.05, 0.03, *counts)
+        for variant in ("as_printed", "mirror_symmetric"):
+            analytic = [
+                float(r["analytic_variance"])
+                for r in rows if r["split"] == name and r["variant"] == variant
+            ]
+            assert analytic == list(appendix_a_variances(model, variant))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["run", "--experiment", "inverted_w", "--shots", "300",
+                      "--repetitions", "5"], "summary.csv", id="run"),
+        pytest.param(["calibrate"], "diagnostics_by_zero_count.csv", id="calibrate"),
+        pytest.param(["appendix-a", "--trials", "200"], "appendix_a_comparison.csv",
+                     id="appendix-a"),
+    ],
+)
+def test_failure_partway_through_a_file_leaves_nothing(tmp_path, monkeypatch, argv, name):
+    # the CSV named ``name`` fails after its header and first row are written
+    import readout_rebalance.harness as harness
+
+    original = harness._write_csv
+
+    def first_row_then_fail(rows):
+        yield next(iter(rows))
+        raise OSError("disk full")
+
+    def partial(path, header, rows):
+        if path.endswith(name):
+            rows = first_row_then_fail(rows)
+        original(path, header, rows)
+
+    monkeypatch.setattr(harness, "_write_csv", partial)
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == EXIT_IO
+    assert not list(out.iterdir())
+
+
+def test_run_flags_are_the_config_fields():
+    # every ExperimentConfig field is read from the run flag of the same name
+    args = build_parser().parse_args(["run"])
+    dests = set(vars(args)) - {"command", "func"}
+    assert dests == set(ExperimentConfig.__dataclass_fields__) | {"config"}
+
+
 def test_experiment_config_validation():
     from readout_rebalance.core import ValidationError
 
@@ -384,6 +444,18 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--calibration-file",
                       {"n_qubits": True, "entries": [[1, 0], [0, 1]]}],
                      EXIT_IO, id="calibration-n-qubits-bool"),
+        # a list flag given empty text is an error, not a request for the default
+        pytest.param(["run", "--eps10", "", "--eps01", "", "--shots", "200",
+                      "--repetitions", "5"], EXIT_VALIDATION, id="run-eps-empty"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "", "--shots", "200",
+                      "--repetitions", "5"], EXIT_VALIDATION, id="run-mus-empty"),
+        pytest.param(["run", "--strategies", "", "--shots", "200", "--repetitions", "5"],
+                     EXIT_VALIDATION, id="run-strategies-empty"),
+        # splits that round to, or are given as, zero true counts
+        pytest.param(["appendix-a", "--total", "0"], EXIT_VALIDATION, id="appendix-a-total-0"),
+        pytest.param(["appendix-a", "--total", "1"], EXIT_VALIDATION, id="appendix-a-total-1"),
+        pytest.param(["appendix-a", "--counts", "0,0,0,0"], EXIT_VALIDATION,
+                     id="appendix-a-counts-zero"),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
