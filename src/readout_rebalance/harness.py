@@ -11,10 +11,10 @@ run         execute a benchmark experiment across strategies and write
 appendix-a  compare the analytic two-qubit variance formulas against the
             Monte Carlo oracle and write the comparison table
 
-A ``run`` flag sets the ``ExperimentConfig`` field of the same name, and a
-comma-list flag is parsed whenever it is given, empty text included.  On
-failure no subcommand leaves an output file behind, not even a partly
-written one.
+Each ``run`` flag is made from the ``ExperimentConfig`` field of the same
+name and parsed by its annotation; a list field's flag takes comma-separated
+text, parsed whenever given, empty text included.  On failure no subcommand
+leaves an output file or a new empty directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 numerical failure.
@@ -26,7 +26,10 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, asdict
+import types
+import typing
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,10 +62,6 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
-# comma-list flags and the type of their entries, shared by every subcommand
-_LIST_FLAGS = {"eps10": float, "eps01": float, "mus": float, "strategies": str}
-
-
 def _parse_list(text, kind, flag):
     """Comma-separated values of one type given to a command-line flag."""
     try:
@@ -73,25 +72,34 @@ def _parse_list(text, kind, flag):
         ) from exc
 
 
-def _flag(args, dest):
-    """Value of the flag with argparse dest ``dest``: None when it is not
-    given, a list when it is a comma-list flag, else argparse's value."""
-    value = getattr(args, dest)
-    if value is None or dest not in _LIST_FLAGS:
-        return value
-    return _parse_list(value, _LIST_FLAGS[dest], "--" + dest)
+# the instances a scalar kind accepts: bool (an int subclass) is refused
+# apart, int() would truncate 300.9 to 300, and "0.1" is not a number
+_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _check_float(name, value):
-    # bool is an int subclass, so True would pass as 1.0; "0.1" is not a number
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a float, got {value!r}")
+def _kind(annotation):
+    """``(kind, optional)``: a field annotation without ``| None``, and whether it had it."""
+    if isinstance(annotation, types.UnionType):
+        return typing.get_args(annotation)[0], True
+    return annotation, False
 
 
-def _check_integer(name, value):
-    # bool is an int subclass, and int() would truncate 300.9 to 300
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+def _holds(kind, value):
+    """Whether ``value`` is an int, float or str, or a non-empty list (or tuple) of one."""
+    entry = typing.get_args(kind)
+    if entry:
+        listed = isinstance(value, (list, tuple)) and len(value) > 0
+        return listed and all(_holds(entry[0], v) for v in value)
+    return isinstance(value, _SCALARS[kind]) and not isinstance(value, bool)
+
+
+def _option(name):
+    return "--" + name.replace("_", "-")
+
+
+def _help(default, text):
+    """A field default together with the help text of its ``run`` flag."""
+    return field(default=default, metadata={"help": text})
 
 
 def default_sweep_mus():
@@ -123,61 +131,60 @@ def _noise_response(calibration_file, eps10, eps01):
 
 @dataclass
 class ExperimentConfig:
+    """Settings of one ``run``.  Each field is also the ``run`` flag of the
+    same name, and its annotation is the one declaration of what it holds:
+    int, float, str, list[float] or list[str], each optionally ``| None``."""
+
     experiment: str = "inverted_w"
     calibration_file: str | None = None  # None -> committed default model
-    eps10: list | None = None  # tensor params as an alternative noise source
-    eps01: list | None = None
+    # tensor params as an alternative noise source
+    eps10: list[float] | None = _help(None, "comma-separated Pr(1->0) per qubit (tensor model)")
+    eps01: list[float] | None = _help(None, "comma-separated Pr(0->1) per qubit (tensor model)")
     shots: int = 100000
     repetitions: int = 1000
-    strategies: tuple = STRATEGIES
+    strategies: list[str] = _help(
+        STRATEGIES, "comma-separated subset of nominal,rebalanced,symmetrized"
+    )
     unfold_method: str = "ibu"
     ibu_iterations: int = 100
     pilot_fraction: float = 0.1
     rng_seed: int = 0
     output_dir: str = "results"
-    mus: list | None = None  # gaussian sweep means; None -> default sweep
+    # None -> default sweep
+    mus: list[float] | None = _help(None, "comma-separated gaussian sweep means")
     sigma: float = 0.1
     grover_iterations: int = 1
 
     def validate(self):
+        """Check every field against its annotation, then build the unfold
+        config and one plan per strategy, so their checks run here too.
+        Returns the plans, unseeded, in strategy order."""
+        # config files can hold values of any JSON type
+        for f in fields(self):
+            kind, optional = _kind(f.type)
+            value = getattr(self, f.name)
+            if not (optional and value is None or _holds(kind, value)):
+                expected = f"non-empty {kind}" if typing.get_args(kind) else kind.__name__
+                raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"
             )
-        # config files can hold values of any JSON type
-        if not isinstance(self.strategies, (list, tuple)):
-            raise ValidationError(f"strategies must be a list, got {self.strategies!r}")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ValidationError(f"unknown strategy {s!r}")
-        if not isinstance(self.output_dir, str):
-            raise ValidationError(f"output_dir must be a path, got {self.output_dir!r}")
-        if not isinstance(self.calibration_file, (str, type(None))):
-            raise ValidationError(
-                f"calibration_file must be a path, got {self.calibration_file!r}"
-            )
-        for name in ("shots", "repetitions", "ibu_iterations", "rng_seed", "grover_iterations"):
-            _check_integer(name, getattr(self, name))
-        for name in ("pilot_fraction", "sigma"):
-            _check_float(name, getattr(self, name))
-        for name in ("eps10", "eps01", "mus"):
-            values = getattr(self, name)
-            if values is None:
-                continue
-            if not isinstance(values, (list, tuple)):
-                raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
-            for value in values:
-                _check_float(name, value)
-        if int(self.shots) < 2:
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ValidationError(f"strategies must not repeat, got {list(self.strategies)}")
+        if self.shots < 2:
             raise ValidationError("shots must be >= 2")
-        if int(self.repetitions) < 2:
+        if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2")
         _check_noise_source(self.calibration_file, self.eps10, self.eps01)
+        unfold = self.unfold_config()
+        return [
+            MeasurementPlan(int(self.shots), strategy, self.pilot_fraction, unfold)
+            for strategy in self.strategies
+        ]
 
     def semantic_dict(self):
-        d = asdict(self)
-        d["strategies"] = list(self.strategies)
-        return d
+        return {**asdict(self), "strategies": list(self.strategies)}
 
     def config_hash(self):
         canon = json.dumps(self.semantic_dict(), sort_keys=True)
@@ -198,8 +205,7 @@ def load_config_file(path):
             raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise CalibrationFileError(f"{path}: config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -231,10 +237,17 @@ class _Outputs:
 
     ``path(name)`` records a file's path before the caller opens it.  If the
     block fails, every recorded path is removed, a partly written file
-    included, and the error propagates.
+    included, then every directory the command created while it is empty,
+    and the error propagates.
     """
 
     def __init__(self, directory):
+        # the directories makedirs is about to create, deepest first
+        self.created = []
+        head = os.path.abspath(directory)
+        while not os.path.exists(head):
+            self.created.append(head)
+            head = os.path.dirname(head)
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.paths = []
@@ -250,10 +263,11 @@ class _Outputs:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             for path in self.paths:
-                try:
+                with suppress(OSError):
                     os.unlink(path)
-                except OSError:
-                    pass
+            for directory in self.created:
+                with suppress(OSError):
+                    os.rmdir(directory)
 
 
 def _row_seed(base_seed, *path):
@@ -286,29 +300,22 @@ def _experiment_rows(config, response):
 
 def run_experiment(config):
     """Execute one experiment config; returns (ensemble rows, manifest dict)."""
-    config.validate()
+    plans = config.validate()
     response = config.response_matrix()
     rows = _experiment_rows(config, response)
-    unfold_cfg = config.unfold_config()
 
     results = []
     negative_flags = {}
     for row_idx, (label, mu, dist, observable, obs_label) in enumerate(rows):
-        for strat_idx, strategy in enumerate(config.strategies):
-            plan = MeasurementPlan(
-                total_shots=int(config.shots),
-                strategy=strategy,
-                pilot_fraction=config.pilot_fraction,
-                unfold=unfold_cfg,
-                rng_seed=_row_seed(config.rng_seed, row_idx, strat_idx),
-            )
+        for strat_idx, plan in enumerate(plans):
+            seeded = replace(plan, rng_seed=_row_seed(config.rng_seed, row_idx, strat_idx))
             res = ensemble_run(
-                dist, response, plan, observable, int(config.repetitions),
+                dist, response, seeded, observable, int(config.repetitions),
                 observable_label=obs_label,
             )
             results.append((label, mu, res))
             key = label if mu is None else f"{label}@mu={mu!r}"
-            negative_flags[f"{key}/{strategy}"] = res.negative_runs
+            negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
 
     manifest = {
         "rng_seed": int(config.rng_seed),
@@ -338,9 +345,7 @@ def write_run_outputs(config, results, manifest):
 
         # nominal std per benchmark row keys the shots-equivalent fractions
         nominal_std = {
-            (label, mu): res.std
-            for label, mu, res in results
-            if res.strategy == "nominal"
+            (label, mu): res.std for label, mu, res in results if res.strategy == "nominal"
         }
         srows = []
         for label, mu, res in results:
@@ -407,7 +412,9 @@ def appendix_a_table(q0, q1, splits, trials, rng_seed):
 
 
 def cmd_calibrate(args):
-    response = _noise_response(args.input, _flag(args, "eps10"), _flag(args, "eps01"))
+    texts = {"--eps10": args.eps10, "--eps01": args.eps01}
+    eps10, eps01 = (None if t is None else _parse_list(t, float, f) for f, t in texts.items())
+    response = _noise_response(args.input, eps10, eps01)
     if args.shots_per_state:
         response = estimate_response(response, args.shots_per_state, args.rng_seed)
     diag = diag_by_zero_count(response)
@@ -422,12 +429,15 @@ def cmd_calibrate(args):
 
 
 def cmd_run(args):
-    fields = load_config_file(args.config) if args.config else {}
-    for name in ExperimentConfig.__dataclass_fields__:
-        value = _flag(args, name)
-        if value is not None:
-            fields[name] = value
-    config = ExperimentConfig(**fields)
+    settings = load_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        text = getattr(args, f.name)
+        if text is None:
+            continue
+        # argparse parsed the scalar kinds; a list kind's text is parsed here
+        entry = typing.get_args(_kind(f.type)[0])
+        settings[f.name] = _parse_list(text, entry[0], _option(f.name)) if entry else text
+    config = ExperimentConfig(**settings)
     results, manifest = run_experiment(config)
     return write_run_outputs(config, results, manifest)
 
@@ -478,21 +488,10 @@ def build_parser():
 
     run = sub.add_parser("run", help="run a benchmark experiment")
     run.add_argument("--config", help="JSON config file; flags override its fields")
-    run.add_argument("--experiment", choices=EXPERIMENTS)
-    run.add_argument("--calibration-file")
-    run.add_argument("--eps10", help="comma-separated Pr(1->0) per qubit (tensor model)")
-    run.add_argument("--eps01", help="comma-separated Pr(0->1) per qubit (tensor model)")
-    run.add_argument("--shots", type=int)
-    run.add_argument("--repetitions", type=int)
-    run.add_argument("--strategies", help="comma-separated subset of nominal,rebalanced,symmetrized")
-    run.add_argument("--unfold-method", choices=("ibu", "matrix_inversion"))
-    run.add_argument("--ibu-iterations", type=int)
-    run.add_argument("--pilot-fraction", type=float)
-    run.add_argument("--rng-seed", type=int)
-    run.add_argument("--output-dir")
-    run.add_argument("--mus", help="comma-separated gaussian sweep means")
-    run.add_argument("--sigma", type=float)
-    run.add_argument("--grover-iterations", type=int)
+    for f in fields(ExperimentConfig):
+        kind = _kind(f.type)[0]
+        parse = str if typing.get_args(kind) else kind  # cmd_run parses a list's text
+        run.add_argument(_option(f.name), type=parse, help=f.metadata.get("help"))
     run.set_defaults(func=cmd_run)
 
     app = sub.add_parser("appendix-a", help="two-qubit analytic vs Monte Carlo variances")

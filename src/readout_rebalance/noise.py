@@ -139,13 +139,10 @@ def estimate_response(true_response, shots_per_state, rng):
         raise ValidationError("shots_per_state must be >= 1")
     shots = int(shots_per_state)
     gen = as_generator(rng)
-    dim = true_response.dim
-    est = np.empty((dim, dim))
-    for t in range(dim):
-        p = np.clip(true_response.column(t), 0.0, None)
-        draws = gen.multinomial(shots, p / p.sum())
-        est[:, t] = draws / shots
-    return ResponseMatrix(true_response.n_qubits, est)
+    # row t of p is column t of R: one multinomial draw per prepared state
+    p = np.clip(true_response.entries.T, 0.0, None)
+    draws = gen.multinomial(shots, p / p.sum(axis=1, keepdims=True))
+    return ResponseMatrix(true_response.n_qubits, draws.T / shots)
 
 
 def sample_columns(measured, shots, streams):

@@ -24,6 +24,8 @@ from .noise import sample_columns
 from .unfold import UnfoldConfig, unfold_columns
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
+# the largest shot count numpy draws a multinomial sample of (an int64)
+_MAX_SHOTS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,15 @@ class MeasurementPlan:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.total_shots < 1:
-            raise ValidationError("total_shots must be >= 1")
-        if not 0.0 < float(self.pilot_fraction) < 1.0:
+        if not 1 <= self.total_shots <= _MAX_SHOTS:
+            raise ValidationError(f"total_shots must lie between 1 and {_MAX_SHOTS}")
+        # compared without float(), which overflows on a huge integer
+        if not 0.0 < self.pilot_fraction < 1.0:
             raise ValidationError("pilot_fraction must lie strictly between 0 and 1")
-        if self.strategy == "rebalanced" and self.pilot_shots < 1:
+        if self.strategy == "rebalanced" and not 1 <= self.pilot_shots < self.total_shots:
             raise ValidationError(
-                "rebalanced strategy needs at least one pilot shot; "
-                "increase total_shots or pilot_fraction"
+                "rebalanced strategy needs at least one pilot shot and one main shot; "
+                "change total_shots or pilot_fraction"
             )
         if self.strategy == "symmetrized" and self.total_shots < 2:
             raise ValidationError("symmetrized strategy needs at least 2 shots")

@@ -42,7 +42,7 @@ def grover_dist(n, target, iterations):
         raise DimensionError(f"target state {target} out of range for {n} qubits")
     theta = np.arcsin(1.0 / np.sqrt(dim))
     p_target = np.sin((2 * int(iterations) + 1) * theta) ** 2
-    probs = np.full(dim, (1.0 - p_target) / (dim - 1)) if dim > 1 else np.array([1.0])
+    probs = np.full(dim, (1.0 - p_target) / (dim - 1))
     probs[target] = p_target
     return ProbDist(n, probs)
 
@@ -53,7 +53,7 @@ def gaussian_grid(n_bits):
     if n_bits < 1:
         raise ValidationError("need at least 1 bit")
     dim = 2 ** n_bits
-    return -1.0 + 2.0 * np.arange(dim) / (dim - 1) if dim > 1 else np.zeros(1)
+    return -1.0 + 2.0 * np.arange(dim) / (dim - 1)
 
 
 def gaussian_dist(mu, sigma, n_bits):

@@ -1,14 +1,20 @@
 import json
+import types
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from readout_rebalance.analytics import TwoQubitModel, appendix_a_variances
+from readout_rebalance.core import ValidationError
 from readout_rebalance.harness import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    EXPERIMENTS,
     ExperimentConfig,
     build_parser,
     default_sweep_mus,
@@ -16,6 +22,7 @@ from readout_rebalance.harness import (
     run_experiment,
 )
 from readout_rebalance.noise import save_response
+from readout_rebalance.rebalance import STRATEGIES
 
 
 def read_csv(path):
@@ -70,7 +77,7 @@ def test_calibrate_malformed_input_no_partial_output(tmp_path):
     out_dir = tmp_path / "out"
     code = main(["calibrate", "--input", str(bad), "--output-dir", str(out_dir)])
     assert code == EXIT_IO
-    assert not out_dir.exists() or not list(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 def test_run_identity_noise_fractions_near_one(tmp_path):
@@ -250,7 +257,23 @@ def test_run_failure_removes_partial_outputs(tmp_path, monkeypatch):
         "--rng-seed", "2", "--output-dir", str(out),
     ])
     assert code == EXIT_IO
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+def test_failure_removes_only_the_directories_it_created(tmp_path):
+    # makedirs creates new/deeper; the file then cannot be opened in sub/
+    code = main([
+        "calibrate", "--output-name", "sub/x.json",
+        "--output-dir", str(tmp_path / "new" / "deeper"),
+    ])
+    assert code == EXIT_IO
+    assert not (tmp_path / "new").exists()
+    # an empty directory that was there before the command stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    code = main(["calibrate", "--output-name", "sub/x.json", "--output-dir", str(kept)])
+    assert code == EXIT_IO
+    assert kept.is_dir() and not list(kept.iterdir())
 
 
 def test_appendix_a_cli_default_splits(tmp_path):
@@ -339,7 +362,7 @@ def test_failure_partway_through_a_file_leaves_nothing(tmp_path, monkeypatch, ar
     monkeypatch.setattr(harness, "_write_csv", partial)
     out = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out)]) == EXIT_IO
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_run_flags_are_the_config_fields():
@@ -363,6 +386,47 @@ def test_experiment_config_validation():
     # appendix-a is its own subcommand, not a run experiment
     with pytest.raises(ValidationError):
         run_experiment(ExperimentConfig(experiment="appendix_a"))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# values of each kind near its edges (small counts, int64 and float overflow,
+# the names the str fields accept), so that generated configs also get past
+# the kind checks to the plan checks behind them
+KIND_VALUES = {
+    int: st.integers(-2, 10) | st.sampled_from([2 ** 63, 10 ** 400]),
+    float: st.floats() | st.sampled_from([0.5, 0.9, 10 ** 400]),
+    str: st.sampled_from(EXPERIMENTS + STRATEGIES + ("ibu", "matrix_inversion")),
+}
+
+
+def of_kind(annotation):
+    """Values of an ``ExperimentConfig`` annotation's kind, or any JSON value."""
+    entry = typing.get_args(annotation)
+    if isinstance(annotation, types.UnionType):
+        return st.none() | of_kind(entry[0])
+    if entry:
+        return st.lists(of_kind(entry[0]), max_size=3) | JSON_VALUES
+    return KIND_VALUES[annotation] | JSON_VALUES
+
+
+CONFIGS = st.lists(st.sampled_from(fields(ExperimentConfig)), max_size=4, unique=True).flatmap(
+    lambda chosen: st.fixed_dictionaries({f.name: of_kind(f.type) for f in chosen})
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(CONFIGS)
+def test_any_json_config_validates_or_raises_validation_error(settings_):
+    # a config file can hold any JSON value in any field
+    try:
+        ExperimentConfig(**settings_).validate()
+    except ValidationError:
+        pass
 
 
 def test_module_entry_point(tmp_path):
@@ -456,6 +520,27 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["appendix-a", "--total", "1"], EXIT_VALIDATION, id="appendix-a-total-1"),
         pytest.param(["appendix-a", "--counts", "0,0,0,0"], EXIT_VALIDATION,
                      id="appendix-a-counts-zero"),
+        # empty lists and repeated strategies fail from a config file as from a flag
+        pytest.param(["run", "--config", {"strategies": [], "shots": 200, "repetitions": 5}],
+                     EXIT_VALIDATION, id="config-strategies-empty"),
+        pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "mus": [],
+                                          "shots": 200, "repetitions": 5}],
+                     EXIT_VALIDATION, id="config-mus-empty"),
+        pytest.param(["run", "--config", {"strategies": ["nominal", "nominal"],
+                                          "shots": 200, "repetitions": 5}],
+                     EXIT_VALIDATION, id="config-strategies-duplicate"),
+        pytest.param(["run", "--config", {"ibu_iterations": 0, "shots": 200, "repetitions": 5}],
+                     EXIT_VALIDATION, id="config-ibu-iterations-0"),
+        # the pilot takes both shots, leaving the main segment none
+        pytest.param(["run", "--shots", "2", "--pilot-fraction", "0.9",
+                      "--unfold-method", "matrix_inversion", "--strategies", "nominal,rebalanced",
+                      "--repetitions", "5"], EXIT_VALIDATION, id="run-pilot-empty-main"),
+        pytest.param(["run", "--shots", "100000000000000000000", "--repetitions", "5"],
+                     EXIT_VALIDATION, id="run-shots-beyond-int64"),
+        pytest.param(["run", "--config", {"pilot_fraction": 10 ** 400}], EXIT_VALIDATION,
+                     id="config-pilot-fraction-huge"),
+        pytest.param(["calibrate", "--output-name", "sub/x.json"], EXIT_IO,
+                     id="calibrate-output-name-in-missing-dir"),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
@@ -470,4 +555,4 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()

@@ -103,6 +103,20 @@ def test_estimate_error_scales_as_inverse_sqrt_shots():
     assert 2.5 < lo / hi < 6.0
 
 
+def test_estimate_matches_one_draw_per_column():
+    # reference: one multinomial draw per prepared state, in column order,
+    # from the same generator; the batched draw makes the same draws
+    R = build_tensor_response(default_qubit_params())
+    for seed in (0, 5, 123):
+        gen = np.random.default_rng(seed)
+        ref = np.empty((R.dim, R.dim))
+        for t in range(R.dim):
+            p = np.clip(R.column(t), 0.0, None)
+            ref[:, t] = gen.multinomial(1000, p / p.sum()) / 1000
+        est = estimate_response(R, 1000, np.random.default_rng(seed))
+        assert np.array_equal(est.entries, ref)
+
+
 def test_estimate_columns_sum_to_one():
     R = make_response([0.01, 0.0], [0.1, 0.2])
     est = estimate_response(R, 37, 3)

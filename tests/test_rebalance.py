@@ -43,6 +43,15 @@ def test_plan_validation():
         MeasurementPlan(total_shots=3, strategy="rebalanced")
     plan = MeasurementPlan(total_shots=100, strategy="rebalanced")
     assert plan.pilot_shots == 10
+    # a pilot of every shot leaves the main segment none
+    with pytest.raises(ValidationError):
+        MeasurementPlan(total_shots=2, strategy="rebalanced", pilot_fraction=0.9)
+    assert MeasurementPlan(total_shots=2, strategy="rebalanced", pilot_fraction=0.5).pilot_shots == 1
+    # numpy draws at most an int64 of shots
+    with pytest.raises(ValidationError):
+        MeasurementPlan(total_shots=2 ** 63)
+    with pytest.raises(ValidationError):
+        MeasurementPlan(total_shots=100, pilot_fraction=10 ** 400)
     with pytest.raises(ValidationError):
         MeasurementPlan(total_shots=1, strategy="symmetrized")
 
