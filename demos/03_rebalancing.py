@@ -25,7 +25,7 @@ SHOTS = 20_000
 REPS = 200
 UNFOLD = UnfoldConfig(method="matrix_inversion")  # linear, exactly unbiased
 
-# observables as per-state weights: a run's value is weights . h / h.total
+# observables as per-state weights: a run's value is weights . h / h.sum()
 BASE10 = np.arange(32)  # the base-10 mean of the state index
 GROVER_TARGET_COUNTS = SHOTS * (BASE10 == 31)  # |11111> counts per full budget
 

@@ -12,9 +12,7 @@ gain against nominal and symmetrized readout.
 
 from .core import (
     CalibrationFileError,
-    CountsHistogram,
     DimensionError,
-    FlipMask,
     NumericalError,
     ProbDist,
     QubitNoiseParams,
@@ -33,7 +31,6 @@ from .noise import (
     diag_by_zero_count,
     estimate_response,
     load_response,
-    sample_columns,
     sample_measured,
     save_response,
 )
@@ -44,12 +41,10 @@ from .unfold import (
     condition_report,
     ibu_unfold,
     matrix_inverse_unfold,
-    unfold_columns,
 )
 from .rebalance import (
     MeasurementPlan,
     choose_flip_mask,
-    run_batch,
     run_plan,
 )
 from .analytics import (

@@ -11,9 +11,16 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import DimensionError, ValidationError, as_generator, rng_stream
-from .rebalance import run_batch
+from .rebalance import run_plan
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
+# Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
+# engine keeps about ten arrays of that size alive at once (IBU's iterate and
+# temporaries, the corrected and un-flipped copies, twice over for the two
+# segments of symmetrized), and each repetition adds up to 3 kB of generator
+# state.  16 MiB is 64 times the paper's 5-qubit, 1000-repetition cell; the
+# largest cell it admits at 5 qubits (65536 repetitions) peaks near 0.4 GB.
+_MAX_CELL_BYTES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -225,15 +232,22 @@ def ensemble_run(
     results are reproducible and do not depend on the order or grouping of
     repetitions.  The whole ensemble is sampled repetition by repetition
     and then corrected as one batch (see
-    :func:`~readout_rebalance.rebalance.run_batch`).
+    :func:`~readout_rebalance.rebalance.run_plan`).
 
     ``observable`` holds one weight per basis state, ``o``: the value of a
-    run with corrected histogram ``h`` is ``o . h / h.total``.  The weights
+    run with corrected histogram ``h`` is ``o . h / h.sum()``.  The weights
     are checked once, and every repetition is evaluated in one product.
     """
     repetitions = int(repetitions)
     if repetitions < 2:
         raise ValidationError("need at least 2 repetitions for a standard deviation")
+    cell_bytes = 8 * true_dist.probs.size * repetitions
+    if cell_bytes > _MAX_CELL_BYTES:
+        raise ValidationError(
+            f"{repetitions} repetitions over {true_dist.probs.size} states need a "
+            f"counts array of {cell_bytes:,} bytes, above the limit of "
+            f"{_MAX_CELL_BYTES:,} bytes per ensemble cell"
+        )
     weights = np.asarray(observable, dtype=np.float64)
     if weights.shape != true_dist.probs.shape:
         raise DimensionError(
@@ -243,7 +257,7 @@ def ensemble_run(
     if not np.all(np.isfinite(weights)):
         raise ValidationError("observable weights must be finite")
     streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
-    corrected, masks = run_batch(true_dist, response, plan, streams)
+    corrected, masks = run_plan(true_dist, response, plan, streams)
     values = weights @ corrected / corrected.sum(axis=0)
     negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
 

@@ -1,10 +1,12 @@
-"""Shared data types and histogram arithmetic for multi-qubit readout studies.
+"""Shared data types and array arithmetic for multi-qubit readout studies.
 
 Index convention used everywhere in this package: a basis state of an
 n-qubit register is the integer whose bit i is the measured value of
-qubit i, with qubit 0 as the least significant bit.  The "base-10
-observable" below is then simply the counts-weighted mean of the state
-index.
+qubit i, with qubit 0 as the least significant bit.  Counts are float
+arrays of shape ``(2**n,)`` for one histogram or ``(2**n, k)`` for k
+histograms side by side, and a flip mask is the integer whose bit i marks
+qubit i.  The "base-10 observable" below is then simply the counts-weighted
+mean of the state index.
 """
 
 import numpy as np
@@ -62,44 +64,6 @@ def bit_table(n_qubits):
     return (np.arange(2 ** n_qubits) >> np.arange(n_qubits)[:, None]) & 1
 
 
-def _as_readonly_float_array(values, n_qubits, what):
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != 2 ** n_qubits:
-        raise DimensionError(
-            f"{what} must have length 2**{n_qubits} = {2 ** n_qubits}, got shape {arr.shape}"
-        )
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class CountsHistogram:
-    """Occupation counts over all 2^n basis states of an n-qubit register.
-
-    Raw (sampled) histograms hold nonnegative integers; corrected histograms
-    are real-valued and may contain negative entries (matrix inversion can
-    produce them).  The array is frozen after construction so instances can
-    be shared across threads.
-    """
-
-    n_qubits: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if int(self.n_qubits) < 1:
-            raise ValidationError("n_qubits must be >= 1")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(
-            self, "counts", _as_readonly_float_array(self.counts, self.n_qubits, "counts")
-        )
-
-    @property
-    def total(self):
-        # always recomputed, never cached
-        return float(self.counts.sum())
-
-
 @dataclass(frozen=True)
 class ProbDist:
     """Normalized probability mass function over 2^n basis states."""
@@ -111,7 +75,13 @@ class ProbDist:
         if int(self.n_qubits) < 1:
             raise ValidationError("n_qubits must be >= 1")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        probs = _as_readonly_float_array(self.probs, self.n_qubits, "probs")
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.shape != (2 ** self.n_qubits,):
+            raise DimensionError(
+                f"probs must have length 2**{self.n_qubits} = {2 ** self.n_qubits}, "
+                f"got shape {probs.shape}"
+            )
+        probs.flags.writeable = False
         # written so that NaN fails the test as well
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValidationError("probabilities must be finite and lie in [0, 1]")
@@ -120,44 +90,6 @@ class ProbDist:
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {PROB_SUM_ATOL}"
             )
         object.__setattr__(self, "probs", probs)
-
-    def to_histogram(self, total):
-        """Expected (non-sampled) histogram with the given total."""
-        return CountsHistogram(self.n_qubits, self.probs * float(total))
-
-
-@dataclass(frozen=True)
-class FlipMask:
-    """n-bit XOR pattern marking which qubits get a pre-measurement X gate.
-
-    Acts on state indices by XOR, hence applying the same mask twice is the
-    identity.
-    """
-
-    n_qubits: int
-    mask: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(self, "mask", int(self.mask))
-        if self.n_qubits < 1:
-            raise ValidationError("n_qubits must be >= 1")
-        if not 0 <= self.mask < 2 ** self.n_qubits:
-            raise DimensionError(
-                f"mask {self.mask:#b} does not fit in {self.n_qubits} qubits"
-            )
-
-    @classmethod
-    def identity(cls, n_qubits):
-        return cls(n_qubits, 0)
-
-    @classmethod
-    def full(cls, n_qubits):
-        return cls(n_qubits, 2 ** n_qubits - 1)
-
-    def bitstring(self):
-        """Mask as a bitstring with qubit n-1 leftmost, matching ket notation."""
-        return format(self.mask, f"0{self.n_qubits}b")
 
 
 @dataclass(frozen=True)
@@ -179,61 +111,72 @@ class QubitNoiseParams:
         object.__setattr__(self, "eps10", float(self.eps10))
 
 
-def _check_width(h, f):
-    if f.n_qubits != h.n_qubits:
+def _width(counts):
+    """``(counts, n)``: a ``(2**n,)`` or ``(2**n, k)`` float array and its qubit count."""
+    counts = np.asarray(counts, dtype=np.float64)
+    dim = counts.shape[0] if counts.ndim in (1, 2) else 0
+    if dim < 2 or dim & (dim - 1):
         raise DimensionError(
-            f"mask width {f.n_qubits} does not match histogram width {h.n_qubits}"
+            f"counts must have shape (2**n,) or (2**n, k) with n >= 1, got {counts.shape}"
         )
+    return counts, dim.bit_length() - 1
 
 
-def xor_permute(h, f):
-    """Relabel states by XOR with a flip mask: output[s] = input[s ^ f].
+def _totals(counts, what):
+    totals = counts.sum(axis=0)
+    if np.any(totals <= 0):
+        raise ValidationError(f"{what} undefined for an empty histogram")
+    return totals
 
-    This is the classical post-processing that undoes pre-measurement X
-    gates.  Works on histograms and probability distributions alike and is
-    an involution; totals are preserved exactly because entries are only
-    permuted.
+
+def xor_permute(values, masks):
+    """Relabel states by XOR with a flip mask: output[s] = values[s ^ mask].
+
+    ``masks`` is one integer mask for the whole array, or one mask per column
+    of a ``(2**n, k)`` array.  This is the classical post-processing that
+    undoes pre-measurement X gates.  It is an involution, and every column
+    keeps its total exactly because entries are only permuted.
     """
-    _check_width(h, f)
-    idx = np.arange(2 ** h.n_qubits) ^ f.mask
-    if isinstance(h, ProbDist):
-        return ProbDist(h.n_qubits, h.probs[idx])
-    return CountsHistogram(h.n_qubits, h.counts[idx])
+    values, n = _width(values)
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu" or masks.ndim > 1:
+        raise ValidationError(f"flip masks must be one integer or one per column, got {masks!r}")
+    if masks.ndim == 1 and values.shape[1:] != masks.shape:
+        raise DimensionError(f"{masks.size} flip masks for counts of shape {values.shape}")
+    outside = (masks < 0) | (masks >= 2 ** n)
+    if np.any(outside):
+        raise DimensionError(f"flip mask {masks[outside].flat[0]} does not fit in {n} qubits")
+    states = np.arange(2 ** n)
+    if masks.ndim == 0:
+        return values[states ^ masks]
+    return values[states[:, None] ^ masks, np.arange(masks.size)]
 
 
-def _weights(h):
-    if isinstance(h, ProbDist):
-        return h.probs, 1.0
-    total = h.total
-    return h.counts, total
+def qubit_marginals(counts):
+    """Per-qubit probability of reading 1, i.e. the mean value of each qubit.
+
+    Shape ``(n,)`` for one histogram, ``(n, k)`` for the k columns of a
+    ``(2**n, k)`` array.  One ``bits @ counts`` gives every qubit's count of
+    1s in every column.
+    """
+    counts, n = _width(counts)
+    return (bit_table(n) @ counts) / _totals(counts, "qubit marginals")
 
 
-def qubit_marginals(h):
-    """Per-qubit probability of reading 1, i.e. the mean value of each qubit."""
-    values, total = _weights(h)
-    if total <= 0:
-        raise ValidationError("qubit marginals undefined for an empty histogram")
-    return bit_table(h.n_qubits) @ values / total
-
-
-def observable_base10(h):
-    """Counts-weighted mean of the state index.
+def observable_base10(counts):
+    """Counts-weighted mean of the state index, per column.
 
     Equals sum_i 2^i <s_i>: the bitstring read as a base-2 integer,
     averaged over the histogram.
     """
-    values, total = _weights(h)
-    if isinstance(h, CountsHistogram) and total <= 0:
-        raise ValidationError("base-10 observable undefined for an empty histogram")
-    return float(values @ np.arange(2 ** h.n_qubits)) / (total if total else 1.0)
+    counts, n = _width(counts)
+    return np.arange(2 ** n) @ counts / _totals(counts, "base-10 observable")
 
 
-def counts_in_state(h, state):
-    """Counts (or probability) recorded for one basis state."""
-    values, _ = _weights(h)
+def counts_in_state(counts, state):
+    """Counts (or probability) recorded for one basis state, per column."""
+    counts, n = _width(counts)
     state = int(state)
-    if not 0 <= state < 2 ** h.n_qubits:
-        raise DimensionError(
-            f"state index {state} out of range for {h.n_qubits} qubits"
-        )
-    return float(values[state])
+    if not 0 <= state < 2 ** n:
+        raise DimensionError(f"state index {state} out of range for {n} qubits")
+    return counts[state]

@@ -43,7 +43,13 @@ from .noise import (
     load_response,
     save_response,
 )
-from .states import gaussian_dist, grover_dist, inverted_w_dist
+from .states import (
+    _check_gaussian,
+    _check_grover_iterations,
+    gaussian_dist,
+    grover_dist,
+    inverted_w_dist,
+)
 from .rebalance import STRATEGIES, MeasurementPlan
 from .unfold import UnfoldConfig
 from .analytics import (
@@ -176,6 +182,10 @@ class ExperimentConfig:
             raise ValidationError("shots must be >= 2")
         if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2")
+        # the state builders' own checks, before any file is read
+        _check_grover_iterations(self.grover_iterations)
+        for mu in self.mus or default_sweep_mus():
+            _check_gaussian(mu, self.sigma)
         _check_noise_source(self.calibration_file, self.eps10, self.eps01)
         unfold = self.unfold_config()
         return [

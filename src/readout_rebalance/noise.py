@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     CalibrationFileError,
-    CountsHistogram,
     DimensionError,
     ProbDist,
     QubitNoiseParams,
@@ -145,31 +144,26 @@ def estimate_response(true_response, shots_per_state, rng):
     return ResponseMatrix(true_response.n_qubits, draws.T / shots)
 
 
-def sample_columns(measured, shots, streams):
-    """Independent draws of ``shots`` from one measured distribution.
+def sample_measured(true_dist, response, shots, streams):
+    """Noisy measured histograms: one multinomial draw from R @ t per stream.
 
-    Column j of the returned ``(dim, len(streams))`` float array is one
-    multinomial draw made with ``streams[j]``; zero shots draw nothing.
-    """
-    counts = np.zeros((measured.probs.size, len(streams)))
-    if shots > 0:
-        for j, stream in enumerate(streams):
-            counts[:, j] = stream.multinomial(shots, measured.probs)
-    return counts
-
-
-def sample_measured(true_dist, response, shots, rng):
-    """Sample a noisy measured histogram: one multinomial draw from R @ t.
-
-    Works for arbitrary (non-tensor) response matrices.  Fixed integer seeds
-    give bit-reproducible histograms.
+    Column j of the returned ``(dim, len(streams))`` float array holds
+    ``shots`` draws made with ``streams[j]``; zero shots draw nothing.  The
+    folded distribution is computed once for all columns.  Works for
+    arbitrary (non-tensor) response matrices, and fixed seeds give
+    bit-reproducible histograms.
     """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
-    if int(shots) < 0:
+    shots = int(shots)
+    if shots < 0:
         raise ValidationError("shots must be >= 0")
-    counts = sample_columns(response.apply(true_dist), int(shots), [as_generator(rng)])
-    return CountsHistogram(true_dist.n_qubits, counts[:, 0])
+    measured = response.apply(true_dist).probs
+    counts = np.zeros((response.dim, len(streams)))
+    if shots > 0:
+        for j, stream in enumerate(streams):
+            counts[:, j] = stream.multinomial(shots, measured)
+    return counts
 
 
 def diag_by_zero_count(response):

@@ -11,17 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CountsHistogram,
-    DimensionError,
-    FlipMask,
-    ValidationError,
-    bit_table,
-    rng_stream,
-    xor_permute,
-)
-from .noise import sample_columns
-from .unfold import UnfoldConfig, unfold_columns
+from .core import ProbDist, ValidationError, qubit_marginals, xor_permute
+from .noise import sample_measured
+from .unfold import UnfoldConfig, apply_unfold
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
 # the largest shot count numpy draws a multinomial sample of (an int64)
@@ -67,44 +59,30 @@ class MeasurementPlan:
         return int(round(float(self.pilot_fraction) * self.total_shots))
 
 
-def _pilot_masks(pilots, n_qubits):
-    """Flip masks from pilot counts, one per column of a ``(dim, k)`` array.
-
-    One ``bits @ pilots`` gives every qubit's count of 1s in every column.
-    Integer counts sum exactly, so the strict threshold is exact too.
-    """
-    totals = pilots.sum(axis=0)
-    if np.any(totals <= 0):
-        raise ValidationError("cannot choose a flip mask from an empty pilot")
-    marginals = (bit_table(n_qubits) @ pilots) / totals
-    return (1 << np.arange(n_qubits)) @ (marginals > 0.5)
-
-
-def choose_flip_mask(pilot):
+def choose_flip_mask(pilots):
     """Flip rule: set bit i when the pilot marginal of qubit i exceeds 0.5.
 
-    The inequality is strict, so a marginal of exactly 0.5 leaves the qubit
-    untouched.
+    Takes one pilot histogram or one per column of a ``(dim, k)`` array and
+    returns the integer mask of each.  The inequality is strict, so a
+    marginal of exactly 0.5 leaves the qubit untouched; integer counts sum
+    exactly, so the threshold is exact too.
     """
-    masks = _pilot_masks(pilot.counts[:, None], pilot.n_qubits)
-    return FlipMask(pilot.n_qubits, int(masks[0]))
+    marginals = qubit_marginals(pilots)
+    return (1 << np.arange(marginals.shape[0])) @ (marginals > 0.5)
 
 
 def _draw(true_dist, response, masks, shots, streams):
     """One readout segment of every repetition as columns of a ``(dim, reps)``
     array: column j holds ``shots`` draws from ``streams[j]`` of the truth
-    flipped by ``masks[j]``.
-
-    The folded distribution R @ p[s ^ mask] is computed once per distinct
-    mask, then each repetition takes one multinomial draw from its stream.
+    flipped by ``masks[j]``, sampled once per distinct mask.
     """
-    if true_dist.n_qubits != response.n_qubits:
-        raise DimensionError("distribution width does not match response matrix")
     counts = np.empty((response.dim, len(streams)))
     for mask in sorted(set(masks.tolist())):
-        measured = response.apply(xor_permute(true_dist, FlipMask(true_dist.n_qubits, mask)))
+        flipped = ProbDist(true_dist.n_qubits, xor_permute(true_dist.probs, mask))
         columns = np.flatnonzero(masks == mask)
-        counts[:, columns] = sample_columns(measured, shots, [streams[j] for j in columns])
+        counts[:, columns] = sample_measured(
+            flipped, response, shots, [streams[j] for j in columns]
+        )
     return counts
 
 
@@ -120,13 +98,11 @@ def _correct(true_dist, response, unfold, segments):
     """
     masks = np.concatenate([m for m, _, _ in segments])
     counts = np.hstack([_draw(true_dist, response, *segment) for segment in segments])
-    corrected = unfold_columns(counts, response, unfold)
-    dim = response.dim
-    unflipped = corrected[np.arange(dim)[:, None] ^ masks, np.arange(masks.size)]
-    return unflipped.reshape(dim, len(segments), -1).sum(axis=1)
+    unflipped = xor_permute(apply_unfold(counts, response, unfold), masks)
+    return unflipped.reshape(response.dim, len(segments), -1).sum(axis=1)
 
 
-def run_batch(true_dist, response, plan, streams):
+def run_plan(true_dist, response, plan, streams):
     """Run a plan once per stream and correct all the runs in one batch.
 
     This is the engine behind every strategy, from a single run to a whole
@@ -153,19 +129,6 @@ def run_batch(true_dist, response, plan, streams):
         half = shots // 2
         segments = [(identity, half, first), (full, shots - half, second)]
         return _correct(true_dist, response, plan.unfold, segments), full
-    pilots = _draw(true_dist, response, identity, plan.pilot_shots, first)
-    masks = _pilot_masks(pilots, true_dist.n_qubits)
+    masks = choose_flip_mask(_draw(true_dist, response, identity, plan.pilot_shots, first))
     segments = [(masks, shots - plan.pilot_shots, second)]
     return _correct(true_dist, response, plan.unfold, segments), masks
-
-
-def run_plan(true_dist, response, plan, rng=None):
-    """One run of ``plan.strategy``.  Returns ``(histogram, mask or None)``.
-
-    The run draws from ``rng``, or from ``rng_stream(plan.rng_seed)`` when
-    no generator is given.
-    """
-    stream = rng if rng is not None else rng_stream(plan.rng_seed)
-    corrected, masks = run_batch(true_dist, response, plan, [stream])
-    hist = CountsHistogram(true_dist.n_qubits, corrected[:, 0])
-    return hist, None if masks is None else FlipMask(true_dist.n_qubits, int(masks[0]))

@@ -4,6 +4,8 @@ Outcome statistics are all that matter for readout studies, so the circuits
 are replaced by their exact output distributions: no gate-level simulation.
 """
 
+import sys
+
 import numpy as np
 
 from .core import DimensionError, ProbDist, ValidationError
@@ -24,6 +26,11 @@ def inverted_w_dist(n):
     return ProbDist(n, probs)
 
 
+def _check_grover_iterations(iterations):
+    if int(iterations) < 0:
+        raise ValidationError("iterations must be >= 0")
+
+
 def grover_dist(n, target, iterations):
     """Outcome distribution of Grover search after a number of iterations.
 
@@ -34,8 +41,7 @@ def grover_dist(n, target, iterations):
     n = int(n)
     if n < 1:
         raise ValidationError("need at least 1 qubit")
-    if int(iterations) < 0:
-        raise ValidationError("iterations must be >= 0")
+    _check_grover_iterations(iterations)
     target = int(target)
     dim = 2 ** n
     if not 0 <= target < dim:
@@ -56,17 +62,23 @@ def gaussian_grid(n_bits):
     return -1.0 + 2.0 * np.arange(dim) / (dim - 1)
 
 
+def _check_gaussian(mu, sigma):
+    # compared with a Python float, exact for an integer beyond the float
+    # range where float() overflows, and written so that NaN fails as well
+    largest = sys.float_info.max
+    if not -largest <= mu <= largest:
+        raise ValidationError(f"mu must be finite, got {mu!r}")
+    if not 0.0 < sigma <= largest:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+
+
 def gaussian_dist(mu, sigma, n_bits):
     """Gaussian digitized on the [-1, 1] grid, |00..0> -> -1 and |11..1> -> +1.
 
     The density is evaluated at the grid points and renormalized, so the
     tails are truncated rather than reflected.
     """
-    if not np.isfinite(float(mu)):
-        raise ValidationError(f"mu must be finite, got {mu!r}")
-    # written so that NaN fails the test as well
-    if not 0.0 < float(sigma) < np.inf:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+    _check_gaussian(mu, sigma)
     x = gaussian_grid(n_bits)
     weights = np.exp(-((x - float(mu)) ** 2) / (2.0 * float(sigma) ** 2))
     return ProbDist(int(n_bits), weights / weights.sum())

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from readout_rebalance.analytics import ensemble_run
-from readout_rebalance.core import FlipMask, observable_base10, rng_stream
-from readout_rebalance.rebalance import MeasurementPlan, run_batch, run_plan
+from readout_rebalance.core import observable_base10, rng_stream
+from readout_rebalance.rebalance import MeasurementPlan, run_plan
 from readout_rebalance.states import gaussian_dist, inverted_w_dist
 from readout_rebalance.unfold import UnfoldConfig
 
@@ -67,28 +67,29 @@ def test_fixed_seed_contract(committed_response, cell, expected):
     # calls on the same streams, each evaluated as a histogram
     values = []
     for r in range(REPS):
-        hist, _ = run_plan(t, committed_response, plan, rng_stream(SEED, r))
-        values.append(observable_base10(hist))
+        hist, _ = run_plan(t, committed_response, plan, [rng_stream(SEED, r)])
+        values.append(observable_base10(hist[:, 0]))
     assert res.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
     assert res.std == pytest.approx(np.std(values, ddof=1), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
 def test_run_batch_columns_match_single_runs(committed_response, strategy):
-    # every column of a batch is the run its stream gives alone: same mask,
-    # same corrected histogram up to rounding
+    # every column of a run_plan batch is the run its stream gives alone:
+    # same mask, same corrected histogram up to rounding, for both unfolders
     t = gaussian_dist(0.0, 0.1, 5)
-    plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
-                           unfold=UnfoldConfig(ibu_iterations=30), rng_seed=SEED)
-    corrected, masks = run_batch(t, committed_response, plan,
-                                 [rng_stream(SEED, r) for r in range(6)])
-    assert corrected.shape == (32, 6)
-    for r in range(6):
-        hist, mask = run_plan(t, committed_response, plan, rng_stream(SEED, r))
-        np.testing.assert_allclose(corrected[:, r], hist.counts, rtol=1e-12, atol=1e-9)
-        if strategy == "nominal":
-            assert masks is None and mask is None
-        else:
-            assert mask == FlipMask(5, int(masks[r]))
-    if strategy == "symmetrized":
-        assert np.all(masks == 31)
+    for unfold in (UnfoldConfig(ibu_iterations=30), UnfoldConfig("matrix_inversion")):
+        plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
+                               unfold=unfold, rng_seed=SEED)
+        corrected, masks = run_plan(t, committed_response, plan,
+                                    [rng_stream(SEED, r) for r in range(6)])
+        assert corrected.shape == (32, 6)
+        for r in range(6):
+            hist, mask = run_plan(t, committed_response, plan, [rng_stream(SEED, r)])
+            np.testing.assert_allclose(corrected[:, r], hist[:, 0], rtol=1e-12, atol=1e-9)
+            if strategy == "nominal":
+                assert masks is None and mask is None
+            else:
+                assert mask.tolist() == [masks[r]]
+        if strategy == "symmetrized":
+            assert np.all(masks == 31)

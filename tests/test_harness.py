@@ -541,6 +541,17 @@ def test_csv_files_newline_terminated(tmp_path):
                      id="config-pilot-fraction-huge"),
         pytest.param(["calibrate", "--output-name", "sub/x.json"], EXIT_IO,
                      id="calibrate-output-name-in-missing-dir"),
+        # refused before a stream is built: 2**5 x 10**9 float64 counts are 256 GB
+        pytest.param(["run", "--repetitions", "1000000000", "--shots", "2", "--strategies",
+                      "nominal", "--unfold-method", "matrix_inversion"], EXIT_VALIDATION,
+                     id="run-repetitions-beyond-cell-limit"),
+        # bad state settings are reported before the calibration file is read
+        pytest.param(["run", "--experiment", "grover", "--grover-iterations", "-1",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-grover-iterations-negative-before-file"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "-1",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-sigma-negative-before-file"),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):

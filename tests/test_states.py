@@ -30,7 +30,7 @@ def test_inverted_w_two_qubits():
 
 def test_inverted_w_marginals():
     # each qubit is excited in 4 of the 5 support states
-    assert np.allclose(qubit_marginals(inverted_w_dist(5)), 0.8, atol=1e-15)
+    assert np.allclose(qubit_marginals(inverted_w_dist(5).probs), 0.8, atol=1e-15)
 
 
 def test_inverted_w_needs_two_qubits():
@@ -94,7 +94,7 @@ def test_gaussian_excited_heavy_at_positive_mean():
         dist.probs[s] * bin(s).count("1") for s in range(32)
     )
     assert mean_bits > 2.5
-    assert np.allclose(qubit_marginals(dist).sum(), mean_bits, atol=1e-12)
+    assert np.allclose(qubit_marginals(dist.probs).sum(), mean_bits, atol=1e-12)
 
 
 def test_gaussian_mirror_property():

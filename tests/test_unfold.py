@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from readout_rebalance.core import (
-    CountsHistogram,
-    NumericalError,
-    ProbDist,
-    ValidationError,
-)
+from readout_rebalance.core import NumericalError, ProbDist, ValidationError
 from readout_rebalance.noise import ResponseMatrix
 from readout_rebalance.states import grover_dist, inverted_w_dist
 from readout_rebalance.unfold import (
@@ -22,7 +17,7 @@ from conftest import make_response
 
 
 def tv_distance(h, dist):
-    p = h.counts / h.total
+    p = h / h.sum()
     return 0.5 * np.abs(p - dist.probs).sum()
 
 
@@ -37,17 +32,17 @@ def test_unfold_config_validation():
 
 def test_inversion_identity():
     R = make_response([0, 0], [0, 0])
-    m = CountsHistogram(2, [5.0, 7.0, 1.0, 3.0])
+    m = np.array([5.0, 7.0, 1.0, 3.0])
     out = matrix_inverse_unfold(m, R)
-    assert np.allclose(out.counts, m.counts, atol=1e-12)
+    assert np.allclose(out, m, atol=1e-12)
 
 
 def test_inversion_algebraic_round_trip(committed_response):
     t = inverted_w_dist(5)
-    m = CountsHistogram(5, committed_response.entries @ (t.probs * 1e6))
+    m = committed_response.entries @ (t.probs * 1e6)
     out = matrix_inverse_unfold(m, committed_response)
     assert tv_distance(out, t) < 1e-10
-    assert out.total == pytest.approx(1e6, rel=1e-9)
+    assert out.sum() == pytest.approx(1e6, rel=1e-9)
 
 
 def test_inversion_linear_order_two_qubit():
@@ -56,11 +51,11 @@ def test_inversion_linear_order_two_qubit():
     q0, q1 = 0.05, 0.03
     R = make_response([0.0, 0.0], [q0, q1])
     M = 10000.0
-    m = CountsHistogram(2, [0.0, 0.0, 0.0, M])
+    m = np.array([0.0, 0.0, 0.0, M])
     out = matrix_inverse_unfold(m, R)
     linear = (1 + q0 + q1) * M
-    assert abs(out.counts[3] - linear) <= 2 * (q0 + q1) ** 2 * M
-    assert out.counts[3] == pytest.approx(M / ((1 - q0) * (1 - q1)), rel=1e-12)
+    assert abs(out[3] - linear) <= 2 * (q0 + q1) ** 2 * M
+    assert out[3] == pytest.approx(M / ((1 - q0) * (1 - q1)), rel=1e-12)
 
 
 def test_inversion_can_return_negative_entries():
@@ -68,15 +63,15 @@ def test_inversion_can_return_negative_entries():
     R = make_response([0.0], [q])
     # all counts in |1> is impossible for the exact channel, so the
     # reconstruction overshoots and |0> goes negative
-    m = CountsHistogram(1, [0.0, 1000.0])
+    m = np.array([0.0, 1000.0])
     out = matrix_inverse_unfold(m, R)
-    assert out.counts[0] < 0
-    assert out.total == pytest.approx(1000.0, rel=1e-12)
+    assert out[0] < 0
+    assert out.sum() == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_inversion_rejects_singular_matrix():
     R = ResponseMatrix(1, [[0.5, 0.5], [0.5, 0.5]])
-    m = CountsHistogram(1, [10.0, 20.0])
+    m = np.array([10.0, 20.0])
     with pytest.raises(NumericalError):
         matrix_inverse_unfold(m, R)
 
@@ -88,25 +83,25 @@ def test_inversion_condition_bound():
     cond = condition_report(R)
     assert np.isfinite(cond) and cond > DEFAULT_MAX_CONDITION
     np.linalg.solve(R.entries, [5.0, 5.0])
-    m = CountsHistogram(1, [5.0, 5.0])
+    m = np.array([5.0, 5.0])
     with pytest.raises(NumericalError, match="condition number"):
         matrix_inverse_unfold(m, R)
 
 
 def test_ibu_identity_fixed_point():
     R = make_response([0, 0], [0, 0])
-    m = CountsHistogram(2, [5.0, 7.0, 1.0, 3.0])
+    m = np.array([5.0, 7.0, 1.0, 3.0])
     for iterations in (1, 17, 100):
         out = ibu_unfold(m, R, iterations=iterations)
-        assert np.allclose(out.counts, m.counts, atol=1e-9)
+        assert np.allclose(out, m, atol=1e-9)
 
 
 def test_ibu_uniform_fixed_point_symmetric_channel():
     # symmetric single-qubit flip noise keeps the uniform distribution uniform
     R = make_response([0.1, 0.1], [0.1, 0.1])
-    m = CountsHistogram(2, [25.0, 25.0, 25.0, 25.0])
+    m = np.array([25.0, 25.0, 25.0, 25.0])
     out = ibu_unfold(m, R, iterations=1)
-    assert np.allclose(out.counts, 25.0, atol=1e-9)
+    assert np.allclose(out, 25.0, atol=1e-9)
 
 
 def test_ibu_recovers_interior_distribution(committed_response):
@@ -115,7 +110,7 @@ def test_ibu_recovers_interior_distribution(committed_response):
     for _ in range(5):
         probs = 0.5 * rng.dirichlet(np.ones(32)) + 0.5 / 32
         t = ProbDist(5, probs)
-        m = CountsHistogram(5, committed_response.entries @ (probs * 1e6))
+        m = committed_response.entries @ (probs * 1e6)
         out = ibu_unfold(m, committed_response, iterations=100)
         assert tv_distance(out, t) < 1e-6
 
@@ -123,45 +118,43 @@ def test_ibu_recovers_interior_distribution(committed_response):
 def test_ibu_agrees_with_inversion_on_interior_truth(committed_response):
     rng = np.random.default_rng(4)
     probs = 0.5 * rng.dirichlet(np.ones(32)) + 0.5 / 32
-    m = CountsHistogram(5, committed_response.entries @ (probs * 1e6))
+    m = committed_response.entries @ (probs * 1e6)
     via_ibu = ibu_unfold(m, committed_response, iterations=100)
     via_inv = matrix_inverse_unfold(m, committed_response)
-    assert 0.5 * np.abs(via_ibu.counts - via_inv.counts).sum() / 1e6 < 1e-6
+    assert 0.5 * np.abs(via_ibu - via_inv).sum() / 1e6 < 1e-6
 
 
 def test_ibu_total_preservation_and_nonnegativity(committed_response, rng):
     counts = rng.integers(0, 200, size=32).astype(float)
-    m = CountsHistogram(5, counts)
-    out = ibu_unfold(m, committed_response, iterations=100)
-    assert np.all(out.counts >= 0)
-    assert out.total == pytest.approx(m.total, rel=1e-9)
+    out = ibu_unfold(counts, committed_response, iterations=100)
+    assert np.all(out >= 0)
+    assert out.sum() == pytest.approx(counts.sum(), rel=1e-9)
 
 
 def test_ibu_scale_invariance(committed_response, rng):
     counts = rng.integers(1, 100, size=32).astype(float)
-    m = CountsHistogram(5, counts)
-    base = ibu_unfold(m, committed_response, iterations=40)
-    scaled = ibu_unfold(CountsHistogram(5, 7.5 * counts), committed_response, iterations=40)
-    assert np.allclose(scaled.counts, 7.5 * base.counts, rtol=1e-10)
+    base = ibu_unfold(counts, committed_response, iterations=40)
+    scaled = ibu_unfold(7.5 * counts, committed_response, iterations=40)
+    assert np.allclose(scaled, 7.5 * base, rtol=1e-10)
 
 
 def test_ibu_degenerate_support():
     # outcome 1 is unreachable from any true state but has counts
     R = ResponseMatrix(1, [[1.0, 1.0], [0.0, 0.0]])
-    m = CountsHistogram(1, [0.0, 5.0])
+    m = np.array([0.0, 5.0])
     with pytest.raises(NumericalError):
         ibu_unfold(m, R)
 
 
 def test_ibu_input_validation(committed_response):
     with pytest.raises(ValidationError):
-        ibu_unfold(CountsHistogram(5, np.zeros(32)), committed_response)
+        ibu_unfold(np.zeros(32), committed_response)
     bad = np.ones(32)
     bad[3] = -1.0
     with pytest.raises(ValidationError):
-        ibu_unfold(CountsHistogram(5, bad), committed_response)
+        ibu_unfold(bad, committed_response)
     with pytest.raises(ValidationError):
-        ibu_unfold(CountsHistogram(5, np.ones(32)), committed_response, iterations=0)
+        ibu_unfold(np.ones(32), committed_response, iterations=0)
 
 
 def test_condition_identity():
@@ -196,7 +189,7 @@ def test_condition_tensor_power():
 
 def test_apply_unfold_dispatch(committed_response):
     t = grover_dist(5, 31, 1)
-    m = CountsHistogram(5, committed_response.entries @ (t.probs * 1e5))
+    m = committed_response.entries @ (t.probs * 1e5)
     inv = apply_unfold(m, committed_response, UnfoldConfig(method="matrix_inversion"))
     ibu = apply_unfold(m, committed_response, UnfoldConfig(method="ibu", ibu_iterations=100))
     assert tv_distance(inv, t) < 1e-9
@@ -214,7 +207,7 @@ def test_condition_number_computed_once_per_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
     first = condition_report(R)
-    m = CountsHistogram(2, [40.0, 30.0, 20.0, 10.0])
+    m = np.array([40.0, 30.0, 20.0, 10.0])
     matrix_inverse_unfold(m, R)
     second = condition_report(R)
     assert second == first == pytest.approx(svd_cond(R.entries), rel=1e-15)
