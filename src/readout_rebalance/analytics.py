@@ -10,17 +10,21 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, ValidationError, as_generator, rng_stream
+from .core import DimensionError, ValidationError, as_generator
 from .rebalance import run_plan
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
 # engine keeps about ten arrays of that size alive at once (IBU's iterate and
-# temporaries, the corrected and un-flipped copies, twice over for the two
-# segments of symmetrized), and each repetition adds up to 3 kB of generator
-# state.  16 MiB is 64 times the paper's 5-qubit, 1000-repetition cell; the
-# largest cell it admits at 5 qubits (65536 repetitions) peaks near 0.4 GB.
+# temporaries, the corrected and un-flipped copies, twice over for symmetrized).
+# 16 MiB is 64 times the paper's 5-qubit, 1000-repetition cell; its largest
+# 5-qubit cell (65536 repetitions) peaks near 0.4 GB.
 _MAX_CELL_BYTES = 2 ** 24
+# Most repetitions of one cell at any width.  While a cell runs each holds one
+# Generator (nominal) or two, about 0.97 kB each by tracemalloc, which the byte
+# bound does not count (it admits 2**20 at one qubit); 2**16 caps them near
+# 128 MB.
+_MAX_CELL_REPETITIONS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -228,19 +232,22 @@ def ensemble_run(
 ):
     """Repeat a measurement plan and summarize a linear observable across runs.
 
-    Every repetition r draws its own stream from (plan.rng_seed, r), so
-    results are reproducible and do not depend on the order or grouping of
-    repetitions.  The whole ensemble is sampled repetition by repetition
-    and then corrected as one batch (see
-    :func:`~readout_rebalance.rebalance.run_plan`).
+    Repetition r is run r of :func:`~readout_rebalance.rebalance.run_plan`,
+    whose streams derive from (plan.rng_seed, r) alone, so results are
+    reproducible and do not depend on the order or grouping of repetitions.
+    The whole ensemble is sampled repetition by repetition and then
+    corrected as one batch.
 
     ``observable`` holds one weight per basis state, ``o``: the value of a
     run with corrected histogram ``h`` is ``o . h / h.sum()``.  The weights
     are checked once, and every repetition is evaluated in one product.
     """
     repetitions = int(repetitions)
-    if repetitions < 2:
-        raise ValidationError("need at least 2 repetitions for a standard deviation")
+    if not 2 <= repetitions <= _MAX_CELL_REPETITIONS:
+        raise ValidationError(
+            f"repetitions must lie between 2 (for a standard deviation) and "
+            f"{_MAX_CELL_REPETITIONS} (per ensemble cell), got {repetitions}"
+        )
     cell_bytes = 8 * true_dist.probs.size * repetitions
     if cell_bytes > _MAX_CELL_BYTES:
         raise ValidationError(
@@ -256,8 +263,7 @@ def ensemble_run(
         )
     if not np.all(np.isfinite(weights)):
         raise ValidationError("observable weights must be finite")
-    streams = [rng_stream(plan.rng_seed, r) for r in range(repetitions)]
-    corrected, masks = run_plan(true_dist, response, plan, streams)
+    corrected, masks = run_plan(true_dist, response, plan, range(repetitions))
     values = weights @ corrected / corrected.sum(axis=0)
     negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
 

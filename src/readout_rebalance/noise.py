@@ -7,7 +7,6 @@ true = t).  A measured distribution is R @ t for a true distribution t.
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from importlib import resources
 
 import numpy as np
 
@@ -33,8 +32,11 @@ LOAD_COLUMN_SUM_ATOL = 1e-6
 DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
-_DATA_PACKAGE = "readout_rebalance.data"
-DEFAULT_CALIBRATION_FILENAME = "default_calibration_5q.json"
+# Largest dense matrix build_tensor_response makes (32 MiB, 11 qubits), checked
+# before the first np.kron: building peaks at twice the matrix and each solve,
+# SVD and IBU product holds more copies, while 16 qubits would take 32 GiB per
+# copy.  wide_8q's 8 qubits take 0.5 MiB.
+_MAX_DENSE_BYTES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,12 @@ def build_tensor_response(params):
     params = list(params)
     if not params:
         raise ValidationError("need at least one qubit")
+    dense_bytes = 8 * 4 ** len(params)
+    if dense_bytes > _MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"a dense {len(params)}-qubit response matrix needs {dense_bytes:,} bytes, "
+            f"above the limit of {_MAX_DENSE_BYTES:,}"
+        )
     mats = [single_qubit_channel(p) for p in params]
     entries = reduce(np.kron, reversed(mats))
     return ResponseMatrix(len(params), entries)
@@ -226,12 +234,10 @@ def load_response(path):
 
 
 def default_qubit_params():
-    """The committed per-qubit error pairs behind the default calibration."""
+    """The committed per-qubit error pairs behind :func:`default_response`."""
     return [QubitNoiseParams(e01, e10) for e01, e10 in zip(DEFAULT_EPS01, DEFAULT_EPS10)]
 
 
 def default_response():
-    """The committed 5-qubit asymmetric response matrix shipped with the package."""
-    ref = resources.files(_DATA_PACKAGE).joinpath(DEFAULT_CALIBRATION_FILENAME)
-    with resources.as_file(ref) as path:
-        return load_response(path)
+    """The committed 5-qubit asymmetric response matrix, built from its parameters."""
+    return build_tensor_response(default_qubit_params())

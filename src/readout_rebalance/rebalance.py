@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProbDist, ValidationError, qubit_marginals, xor_permute
+from .core import (
+    ProbDist, ValidationError, _seed_sequence, qubit_marginals, rng_stream, xor_permute,
+)
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
@@ -102,28 +104,33 @@ def _correct(true_dist, response, unfold, segments):
     return unflipped.reshape(response.dim, len(segments), -1).sum(axis=1)
 
 
-def run_plan(true_dist, response, plan, streams):
-    """Run a plan once per stream and correct all the runs in one batch.
+def run_plan(true_dist, response, plan, repetitions):
+    """Run a plan once per repetition index and correct all the runs in one batch.
 
     This is the engine behind every strategy, from a single run to a whole
-    ensemble.  Each run is a list of (flip mask, shots) segments:
+    ensemble, and the one place that picks random streams.  Run r is a list
+    of (flip mask, shots) segments:
 
-    - nominal: ``[(0, N)]``;
+    - nominal: ``[(0, N)]`` from ``rng_stream(plan.rng_seed, r)``;
     - symmetrized: ``[(0, N // 2), (full, N - N // 2)]``, the halves drawn
-      from the two children of the run's stream;
+      from the two children of that stream's ``SeedSequence``;
     - rebalanced: a pilot of ``plan.pilot_shots`` from the first child
       chooses the mask, then ``[(mask, N - pilot)]`` from the second.
 
-    Returns ``(corrected, masks)``: the corrected histograms as the columns
-    of a ``(dim, len(streams))`` array, and the flip mask of each run as an
-    integer array (``None`` for nominal).
+    The children are the streams ``rng_stream(plan.rng_seed, r).spawn(2)``
+    returns, made without building the parent.  Returns ``(corrected,
+    masks)``: the corrected histograms as the columns of a ``(dim,
+    len(repetitions))`` array, and the flip mask of each run as an integer
+    array (``None`` for nominal).
     """
-    reps = len(streams)
+    reps = len(repetitions)
     shots = plan.total_shots
     identity = np.zeros(reps, dtype=np.int64)
     if plan.strategy == "nominal":
+        streams = [rng_stream(plan.rng_seed, r) for r in repetitions]
         return _correct(true_dist, response, plan.unfold, [(identity, shots, streams)]), None
-    first, second = zip(*(stream.spawn(2) for stream in streams))
+    spawned = (_seed_sequence(plan.rng_seed, r).spawn(2) for r in repetitions)
+    first, second = zip(*([np.random.default_rng(s) for s in pair] for pair in spawned))
     if plan.strategy == "symmetrized":
         full = np.full(reps, response.dim - 1)
         half = shots // 2

@@ -10,7 +10,7 @@ the usual choice for actual correction work.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, NumericalError, ValidationError
+from .core import DimensionError, NumericalError, ValidationError, _totals, _width
 
 DEFAULT_IBU_ITERATIONS = 100
 # refuse inversion beyond this condition number; far above anything a
@@ -44,8 +44,8 @@ def condition_report(response):
 
 
 def _check_counts(counts, response):
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim not in (1, 2) or counts.shape[0] != response.dim:
+    counts, n = _width(counts)
+    if n != response.n_qubits:
         raise DimensionError(
             f"counts of shape {counts.shape} do not match a {response.dim}-state response matrix"
         )
@@ -108,10 +108,7 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         raise ValidationError("ibu_iterations must be >= 1")
     if np.any(counts < 0):
         raise ValidationError("IBU requires a nonnegative measured histogram")
-    totals = counts.sum(axis=0)
-    if np.any(totals <= 0):
-        raise ValidationError("IBU requires a histogram with positive total")
-    t = np.ones_like(counts) * (totals / response.dim)
+    t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
     R = response.entries
     occupied = counts > 0

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from readout_rebalance.analytics import ensemble_run
-from readout_rebalance.core import observable_base10, rng_stream
-from readout_rebalance.rebalance import MeasurementPlan, run_plan
+from readout_rebalance import rebalance
+from readout_rebalance.core import ProbDist, observable_base10, rng_stream, xor_permute
+from readout_rebalance.harness import _row_seed
+from readout_rebalance.noise import sample_measured
+from readout_rebalance.rebalance import MeasurementPlan, choose_flip_mask, run_plan
 from readout_rebalance.states import gaussian_dist, inverted_w_dist
-from readout_rebalance.unfold import UnfoldConfig
+from readout_rebalance.unfold import UnfoldConfig, apply_unfold
 
 SHOTS, REPS, SEED = 2000, 20, 2024
 # the base-10 observable as per-state weights
@@ -64,10 +67,10 @@ def test_fixed_seed_contract(committed_response, cell, expected):
     assert res.negative_runs == negative
 
     # the batch, evaluated in one product, equals a plain loop of one-run
-    # calls on the same streams, each evaluated as a histogram
+    # calls on the same repetitions, each evaluated as a histogram
     values = []
     for r in range(REPS):
-        hist, _ = run_plan(t, committed_response, plan, [rng_stream(SEED, r)])
+        hist, _ = run_plan(t, committed_response, plan, [r])
         values.append(observable_base10(hist[:, 0]))
     assert res.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
     assert res.std == pytest.approx(np.std(values, ddof=1), rel=1e-12, abs=0)
@@ -75,17 +78,16 @@ def test_fixed_seed_contract(committed_response, cell, expected):
 
 @pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
 def test_run_batch_columns_match_single_runs(committed_response, strategy):
-    # every column of a run_plan batch is the run its stream gives alone:
+    # every column of a run_plan batch is the run its index gives alone:
     # same mask, same corrected histogram up to rounding, for both unfolders
     t = gaussian_dist(0.0, 0.1, 5)
     for unfold in (UnfoldConfig(ibu_iterations=30), UnfoldConfig("matrix_inversion")):
         plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
                                unfold=unfold, rng_seed=SEED)
-        corrected, masks = run_plan(t, committed_response, plan,
-                                    [rng_stream(SEED, r) for r in range(6)])
+        corrected, masks = run_plan(t, committed_response, plan, range(6))
         assert corrected.shape == (32, 6)
         for r in range(6):
-            hist, mask = run_plan(t, committed_response, plan, [rng_stream(SEED, r)])
+            hist, mask = run_plan(t, committed_response, plan, [r])
             np.testing.assert_allclose(corrected[:, r], hist[:, 0], rtol=1e-12, atol=1e-9)
             if strategy == "nominal":
                 assert masks is None and mask is None
@@ -93,3 +95,50 @@ def test_run_batch_columns_match_single_runs(committed_response, strategy):
                 assert mask.tolist() == [masks[r]]
         if strategy == "symmetrized":
             assert np.all(masks == 31)
+
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, _row_seed(7, 0, 1)])
+@pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
+def test_stream_tree_is_numpys_own(committed_response, monkeypatch, strategy, seed):
+    # run r of a plan is the run assembled by hand from numpy's own streams:
+    # rng_stream(seed, r) for nominal, its spawn(2) children for the others
+    R, r = committed_response, 3
+    t = gaussian_dist(0.0, 0.1, 5)
+    plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
+                           unfold=UnfoldConfig(ibu_iterations=30), rng_seed=seed)
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sample_measured(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(rebalance, "sample_measured", recording)
+    corrected, masks = run_plan(t, R, plan, [r])
+    monkeypatch.undo()
+
+    hand = []
+
+    def draw(mask, shots, stream):
+        hand.append(sample_measured(ProbDist(5, xor_permute(t.probs, mask)), R, shots, [stream]))
+        return hand[-1]
+
+    if strategy == "nominal":
+        segments = [(0, SHOTS, rng_stream(seed, r))]
+    else:
+        first, second = rng_stream(seed, r).spawn(2)
+        if strategy == "symmetrized":
+            segments = [(0, SHOTS // 2, first), (31, SHOTS - SHOTS // 2, second)]
+        else:
+            mask = int(choose_flip_mask(draw(0, plan.pilot_shots, first))[0])
+            segments = [(mask, SHOTS - plan.pilot_shots, second)]
+    expected = sum(xor_permute(apply_unfold(draw(*segment), R, plan.unfold), segment[0])
+                   for segment in segments)
+
+    assert len(drawn) == len(hand)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, hand))
+    if strategy == "nominal":
+        assert masks is None
+    else:
+        assert masks.tolist() == [segments[-1][0]]
+    np.testing.assert_allclose(corrected, expected, rtol=1e-12, atol=0)

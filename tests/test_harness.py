@@ -552,6 +552,19 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "-1",
                       "--calibration-file", "nope.json"], EXIT_VALIDATION,
                      id="run-sigma-negative-before-file"),
+        # 4 x 2**19 float64 counts are exactly 16 MiB, but 2**19 repetitions
+        # would hold about 0.5 GB of Generators
+        pytest.param(["run", "--experiment", "inverted_w", "--eps10", "0.05,0.06",
+                      "--eps01", "0.01,0.01", "--repetitions", "524288", "--shots", "2",
+                      "--strategies", "nominal", "--unfold-method", "matrix_inversion"],
+                     EXIT_VALIDATION, id="run-repetitions-beyond-generator-limit"),
+        # a dense 16-qubit response matrix is 32 GiB: refused before it is built
+        pytest.param(["run", "--eps10", ",".join(["0.05"] * 16),
+                      "--eps01", ",".join(["0.01"] * 16)], EXIT_VALIDATION,
+                     id="run-tensor-too-wide"),
+        pytest.param(["calibrate", "--eps10", ",".join(["0.05"] * 16),
+                      "--eps01", ",".join(["0.01"] * 16)], EXIT_VALIDATION,
+                     id="calibrate-tensor-too-wide"),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -246,14 +247,24 @@ def test_load_rejects_out_of_range_entry(tmp_path):
         load_response(path)
 
 
-def test_committed_default_matches_generating_params(committed_response):
-    rebuilt = build_tensor_response(default_qubit_params())
-    assert np.array_equal(committed_response.entries, rebuilt.entries)
+def test_committed_default_matches_generating_params(committed_response, tmp_path):
+    # built from DEFAULT_EPS10/DEFAULT_EPS01, the default saves to the bytes
+    # of the calibration file the package once shipped
+    path = tmp_path / "default.json"
+    save_response(committed_response, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "39044d5286180764a0700568e991e713750707dd444c2519b0a933c4a585d75a"
     assert committed_response.n_qubits == 5
     assert len(DEFAULT_EPS10) == len(DEFAULT_EPS01) == 5
     # the committed draw stays inside the documented bands
     assert all(0.03 <= q <= 0.08 for q in DEFAULT_EPS10)
     assert all(0.002 <= e <= 0.01 for e in DEFAULT_EPS01)
+
+
+def test_dense_tensor_response_is_capped():
+    # 12 qubits would be a 128 MiB dense matrix; refused before any np.kron
+    with pytest.raises(ValidationError, match="dense 12-qubit"):
+        build_tensor_response([QubitNoiseParams(0.01, 0.05)] * 12)
 
 
 def test_committed_default_is_strongly_asymmetric(committed_response):

@@ -124,8 +124,8 @@ def test_seeded_runs_are_deterministic():
             unfold=UnfoldConfig(method=method, ibu_iterations=10),
             rng_seed=int(rng.integers(0, 10 ** 6)),
         )
-        first, mask_a = run_plan(t, R, plan, [rng_stream(plan.rng_seed)])
-        second, mask_b = run_plan(t, R, plan, [rng_stream(plan.rng_seed)])
+        first, mask_a = run_plan(t, R, plan, [0])
+        second, mask_b = run_plan(t, R, plan, [0])
         assert np.array_equal(first, second)
         if mask_a is not None:
             assert np.array_equal(mask_a, mask_b)

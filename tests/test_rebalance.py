@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,12 @@ from readout_rebalance.rebalance import (
     run_plan,
 )
 from readout_rebalance.states import inverted_w_dist
-from readout_rebalance.unfold import UnfoldConfig, ibu_unfold, matrix_inverse_unfold
+from readout_rebalance.unfold import (
+    UnfoldConfig,
+    apply_unfold,
+    ibu_unfold,
+    matrix_inverse_unfold,
+)
 
 from conftest import make_response
 
@@ -26,13 +29,9 @@ from conftest import make_response
 INVERSION = UnfoldConfig(method="matrix_inversion")
 
 
-def one_run(t, response, plan, stream=None):
-    """One run of ``plan``: ``(corrected histogram, flip mask or None)``.
-
-    The run draws from ``stream``, or from ``rng_stream(plan.rng_seed)``.
-    """
-    stream = stream if stream is not None else rng_stream(plan.rng_seed)
-    corrected, masks = run_plan(t, response, plan, [stream])
+def one_run(t, response, plan, repetition=0):
+    """Repetition ``repetition`` of ``plan``: ``(corrected histogram, flip mask or None)``."""
+    corrected, masks = run_plan(t, response, plan, [repetition])
     return corrected[:, 0], None if masks is None else int(masks[0])
 
 
@@ -141,14 +140,14 @@ def test_rebalanced_forced_mask_involution(committed_response):
     t = ProbDist(5, xor_permute(inverted_w_dist(5).probs, 0b01010))
     for unfold in (INVERSION, UnfoldConfig()):
         plan = MeasurementPlan(total_shots=5000, strategy="rebalanced",
-                               unfold=unfold, rng_seed=21)
-        rebalanced, f = one_run(t, committed_response, plan, rng_stream(42))
+                               unfold=unfold, rng_seed=42)
+        rebalanced, f = one_run(t, committed_response, plan)
         assert f == 0b10101
-        nominal_plan = replace(plan, strategy="nominal",
-                               total_shots=plan.total_shots - plan.pilot_shots)
-        main = rng_stream(42).spawn(2)[1]
+        main = rng_stream(42, 0).spawn(2)[1]
         flipped = ProbDist(5, xor_permute(t.probs, f))
-        nominal, _ = one_run(flipped, committed_response, nominal_plan, main)
+        measured = sample_measured(flipped, committed_response,
+                                   plan.total_shots - plan.pilot_shots, [main])
+        nominal = apply_unfold(measured, committed_response, unfold)[:, 0]
         assert np.array_equal(xor_permute(nominal, f), rebalanced)
 
 
@@ -181,13 +180,10 @@ def test_symmetrized_uniform_agrees_with_nominal_in_expectation(committed_respon
     shots, reps = 2000, 120
     means = {}
     for strat_idx, strategy in enumerate(("nominal", "symmetrized")):
-        values = []
-        for r in range(reps):
-            plan = MeasurementPlan(total_shots=shots, strategy=strategy,
-                                   unfold=INVERSION, rng_seed=50)
-            hist, _ = one_run(t, committed_response, plan, rng_stream(60, strat_idx, r))
-            values.append(counts_in_state(hist, 31) / hist.sum())
-        values = np.asarray(values)
+        plan = MeasurementPlan(total_shots=shots, strategy=strategy,
+                               unfold=INVERSION, rng_seed=60 + strat_idx)
+        hists, _ = run_plan(t, committed_response, plan, range(reps))
+        values = counts_in_state(hists, 31) / hists.sum(axis=0)
         means[strategy] = (values.mean(), values.std(ddof=1) / np.sqrt(reps))
     gap = abs(means["nominal"][0] - means["symmetrized"][0])
     combined = np.hypot(means["nominal"][1], means["symmetrized"][1])
