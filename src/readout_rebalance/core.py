@@ -44,10 +44,11 @@ def _seed_sequence(seed, *path):
 def rng_stream(seed, *path):
     """Deterministic ``numpy.random.Generator`` from a seed and an index path.
 
-    Streams with different paths are statistically independent, so ensemble
-    repetitions and Monte Carlo trials can be parallelized without any
-    run-order dependence: ``rng_stream(seed, rep)`` is the stream for
-    repetition ``rep`` regardless of scheduling.
+    ``rng_stream(seed, rep)`` is the stream for repetition ``rep`` regardless
+    of scheduling, so repetitions can run in any order.  Paths that differ
+    other than by trailing zeros give independent streams: ``SeedSequence``
+    pads its entropy with zero words, so ``rng_stream(seed)`` and
+    ``rng_stream(seed, 0)`` are the same stream, draw for draw.
     """
     return np.random.default_rng(_seed_sequence(seed, *path))
 
@@ -66,21 +67,15 @@ def bit_table(n_qubits):
 
 @dataclass(frozen=True)
 class ProbDist:
-    """Normalized probability mass function over 2^n basis states."""
+    """Normalized probability mass function over 2^n basis states, n read from len(probs)."""
 
-    n_qubits: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if int(self.n_qubits) < 1:
-            raise ValidationError("n_qubits must be >= 1")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         probs = np.array(self.probs, dtype=np.float64)
-        if probs.shape != (2 ** self.n_qubits,):
-            raise DimensionError(
-                f"probs must have length 2**{self.n_qubits} = {2 ** self.n_qubits}, "
-                f"got shape {probs.shape}"
-            )
+        if probs.ndim != 1:
+            raise DimensionError(f"probs must be 1-D, got shape {probs.shape}")
+        _width(probs, "probs")
         probs.flags.writeable = False
         # written so that NaN fails the test as well
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
@@ -90,6 +85,10 @@ class ProbDist:
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {PROB_SUM_ATOL}"
             )
         object.__setattr__(self, "probs", probs)
+
+    @property
+    def n_qubits(self):
+        return len(self.probs).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,15 @@ class QubitNoiseParams:
         object.__setattr__(self, "eps10", float(self.eps10))
 
 
-def _width(counts):
+def _width(counts, name="counts"):
     """``(counts, n)``: a ``(2**n,)`` or ``(2**n, k)`` float array and its qubit count."""
     counts = np.asarray(counts, dtype=np.float64)
-    dim = counts.shape[0] if counts.ndim in (1, 2) else 0
+    if counts.ndim not in (1, 2):
+        raise DimensionError(f"{name} must have shape (2**n,) or (2**n, k), got {counts.shape}")
+    dim = len(counts)
     if dim < 2 or dim & (dim - 1):
         raise DimensionError(
-            f"counts must have shape (2**n,) or (2**n, k) with n >= 1, got {counts.shape}"
+            f"{name} must have a power-of-two length of at least 2, got shape {counts.shape}"
         )
     return counts, dim.bit_length() - 1
 

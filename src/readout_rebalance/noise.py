@@ -13,9 +13,9 @@ import numpy as np
 from .core import (
     CalibrationFileError,
     DimensionError,
-    ProbDist,
     QubitNoiseParams,
     ValidationError,
+    _width,
     as_generator,
 )
 
@@ -32,31 +32,35 @@ LOAD_COLUMN_SUM_ATOL = 1e-6
 DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
-# Largest dense matrix build_tensor_response makes (32 MiB, 11 qubits), checked
-# before the first np.kron: building peaks at twice the matrix and each solve,
-# SVD and IBU product holds more copies, while 16 qubits would take 32 GiB per
-# copy.  wide_8q's 8 qubits take 0.5 MiB.
-_MAX_DENSE_BYTES = 2 ** 25
+# Widest register given a dense response matrix: 11 qubits, 8 * 4**11 bytes =
+# 32 MiB.  Building peaks at twice the matrix and each solve, SVD and IBU
+# product holds more copies, while 16 qubits would take 32 GiB per copy.
+# wide_8q's 8 qubits take 0.5 MiB.
+_MAX_DENSE_QUBITS = 11
+
+
+def _check_dense(n_qubits):
+    """Refuse a width above ``_MAX_DENSE_QUBITS``, before any matrix or ``2**n``
+    is made: a width read from a file may be any integer."""
+    if n_qubits > _MAX_DENSE_QUBITS:
+        raise ValidationError(
+            f"a dense {n_qubits}-qubit response matrix exceeds the limit of "
+            f"{_MAX_DENSE_QUBITS} qubits (32 MiB)"
+        )
 
 
 @dataclass(frozen=True)
 class ResponseMatrix:
-    """2^n x 2^n column-stochastic readout transition matrix."""
+    """2^n x 2^n column-stochastic readout transition matrix, n read from len(entries)."""
 
-    n_qubits: int
     entries: np.ndarray
     column_sum_atol: float = COLUMN_SUM_ATOL
 
     def __post_init__(self):
-        if int(self.n_qubits) < 1:
-            raise ValidationError("n_qubits must be >= 1")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        dim = 2 ** self.n_qubits
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (dim, dim):
-            raise DimensionError(
-                f"entries must be {dim}x{dim} for {self.n_qubits} qubits, got {entries.shape}"
-            )
+        entries = np.array(self.entries, dtype=np.float64)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise DimensionError(f"entries must be a square matrix, got shape {entries.shape}")
+        _width(entries, "entries")
         # written so that NaN fails the test as well
         outside = ~((entries >= 0.0) & (entries <= 1.0))
         if np.any(outside):
@@ -71,7 +75,6 @@ class ResponseMatrix:
             raise ValidationError(
                 f"column {col} sums to {sums[col]!r}, expected 1 within {self.column_sum_atol}"
             )
-        entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -86,22 +89,11 @@ class ResponseMatrix:
 
     @property
     def dim(self):
-        return 2 ** self.n_qubits
+        return len(self.entries)
 
-    def column(self, t):
-        """Measured-outcome distribution for true basis state t."""
-        if not 0 <= int(t) < self.dim:
-            raise DimensionError(f"true state {t} out of range")
-        return self.entries[:, int(t)]
-
-    def apply(self, dist):
-        """Fold a true distribution through the readout channel."""
-        if dist.n_qubits != self.n_qubits:
-            raise DimensionError("distribution width does not match response matrix")
-        p = self.entries @ dist.probs
-        # guard float dust so the result is a valid distribution
-        p = np.clip(p, 0.0, None)
-        return ProbDist(self.n_qubits, p / p.sum())
+    @property
+    def n_qubits(self):
+        return self.dim.bit_length() - 1
 
 
 def single_qubit_channel(params):
@@ -123,15 +115,9 @@ def build_tensor_response(params):
     params = list(params)
     if not params:
         raise ValidationError("need at least one qubit")
-    dense_bytes = 8 * 4 ** len(params)
-    if dense_bytes > _MAX_DENSE_BYTES:
-        raise ValidationError(
-            f"a dense {len(params)}-qubit response matrix needs {dense_bytes:,} bytes, "
-            f"above the limit of {_MAX_DENSE_BYTES:,}"
-        )
+    _check_dense(len(params))
     mats = [single_qubit_channel(p) for p in params]
-    entries = reduce(np.kron, reversed(mats))
-    return ResponseMatrix(len(params), entries)
+    return ResponseMatrix(reduce(np.kron, reversed(mats)))
 
 
 def estimate_response(true_response, shots_per_state, rng):
@@ -147,9 +133,9 @@ def estimate_response(true_response, shots_per_state, rng):
     shots = int(shots_per_state)
     gen = as_generator(rng)
     # row t of p is column t of R: one multinomial draw per prepared state
-    p = np.clip(true_response.entries.T, 0.0, None)
+    p = true_response.entries.T
     draws = gen.multinomial(shots, p / p.sum(axis=1, keepdims=True))
-    return ResponseMatrix(true_response.n_qubits, draws.T / shots)
+    return ResponseMatrix(draws.T / shots)
 
 
 def sample_measured(true_dist, response, shots, streams):
@@ -166,7 +152,8 @@ def sample_measured(true_dist, response, shots, streams):
     shots = int(shots)
     if shots < 0:
         raise ValidationError("shots must be >= 0")
-    measured = response.apply(true_dist).probs
+    folded = response.entries @ true_dist.probs
+    measured = folded / folded.sum()
     counts = np.zeros((response.dim, len(streams)))
     if shots > 0:
         for j, stream in enumerate(streams):
@@ -216,6 +203,10 @@ def load_response(path):
     n = payload["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CalibrationFileError(f"{path}: n_qubits must be a positive integer")
+    try:
+        _check_dense(n)
+    except ValidationError as exc:
+        raise CalibrationFileError(f"{path}: {exc}") from exc
     dim = 2 ** n
     try:
         arr = np.asarray(payload["entries"])
@@ -228,7 +219,7 @@ def load_response(path):
     if arr.dtype.kind not in "iuf":
         raise CalibrationFileError(f"{path}: entries must all be numbers")
     try:
-        return ResponseMatrix(n, arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
+        return ResponseMatrix(arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc
 

@@ -80,7 +80,7 @@ def _draw(true_dist, response, masks, shots, streams):
     """
     counts = np.empty((response.dim, len(streams)))
     for mask in sorted(set(masks.tolist())):
-        flipped = ProbDist(true_dist.n_qubits, xor_permute(true_dist.probs, mask))
+        flipped = ProbDist(xor_permute(true_dist.probs, mask))
         columns = np.flatnonzero(masks == mask)
         counts[:, columns] = sample_measured(
             flipped, response, shots, [streams[j] for j in columns]

@@ -23,7 +23,7 @@ def inverted_w_dist(n):
     ones = 2 ** n - 1
     for i in range(n):
         probs[ones ^ (1 << i)] = 1.0 / n
-    return ProbDist(n, probs)
+    return ProbDist(probs)
 
 
 def _check_grover_iterations(iterations):
@@ -50,7 +50,7 @@ def grover_dist(n, target, iterations):
     p_target = np.sin((2 * int(iterations) + 1) * theta) ** 2
     probs = np.full(dim, (1.0 - p_target) / (dim - 1))
     probs[target] = p_target
-    return ProbDist(n, probs)
+    return ProbDist(probs)
 
 
 def gaussian_grid(n_bits):
@@ -81,4 +81,9 @@ def gaussian_dist(mu, sigma, n_bits):
     _check_gaussian(mu, sigma)
     x = gaussian_grid(n_bits)
     weights = np.exp(-((x - float(mu)) ** 2) / (2.0 * float(sigma) ** 2))
-    return ProbDist(int(n_bits), weights / weights.sum())
+    total = weights.sum()
+    if not total > 0.0:
+        raise ValidationError(
+            f"every grid weight underflows to 0 for mu = {mu!r}, sigma = {sigma!r}"
+        )
+    return ProbDist(weights / total)

@@ -111,13 +111,13 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
     R = response.entries
-    occupied = counts > 0
-    for _ in range(int(iterations)):
+    for i in range(int(iterations)):
         folded = R @ t
         empty = folded <= 0.0
-        stuck = empty & occupied
-        if np.any(stuck):
-            j = int(np.argwhere(stuck)[0][0])
+        # with R, t and the counts nonnegative, an occupied bin that has folded
+        # support keeps it at every later step: only the first fold can fail
+        if i == 0 and np.any(empty & (counts > 0)):
+            j = int(np.argwhere(empty & (counts > 0))[0][0])
             raise NumericalError(
                 f"measured bin {j} has counts but zero folded support; "
                 "degenerate response/prior combination"

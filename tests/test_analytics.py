@@ -204,7 +204,7 @@ def test_ensemble_point_mass_zero_std():
     R = make_response([0, 0], [0, 0])
     probs = np.zeros(4)
     probs[2] = 1.0
-    t = ProbDist(2, probs)
+    t = ProbDist(probs)
     plan = MeasurementPlan(total_shots=100, unfold=UnfoldConfig(method="matrix_inversion"))
     res = ensemble_run(t, R, plan, 100 * np.eye(4)[2], 50)
     assert res.std == 0.0

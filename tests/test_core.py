@@ -31,18 +31,28 @@ def grover_target_probability(n, iterations):
 
 
 def test_probdist_validation():
-    ProbDist(1, [0.25, 0.75])
+    ProbDist([0.25, 0.75])
     with pytest.raises(ValidationError):
-        ProbDist(1, [0.3, 0.8])
+        ProbDist([0.3, 0.8])
     with pytest.raises(ValidationError):
-        ProbDist(1, [-0.1, 1.1])
+        ProbDist([-0.1, 1.1])
+
+
+def test_probdist_width_is_read_from_the_array():
+    assert ProbDist([0.25, 0.75]).n_qubits == 1
+    assert ProbDist(np.full(32, 1 / 32)).n_qubits == 5
+    with pytest.raises(DimensionError, match="probs must be 1-D"):
+        ProbDist(np.full((2, 2), 0.25))
+    for length in (1, 3, 6):
+        with pytest.raises(DimensionError, match="probs must have a power-of-two length"):
+            ProbDist(np.full(length, 1 / length))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_probdist_rejects_non_finite(bad):
     # NaN compares False both ways, so a plain range test lets it through
     with pytest.raises(ValidationError, match="finite"):
-        ProbDist(2, [bad, 0.5, 0.25, 0.25])
+        ProbDist([bad, 0.5, 0.25, 0.25])
 
 
 def test_noise_params_validation():

@@ -98,6 +98,14 @@ def test_run_batch_columns_match_single_runs(committed_response, strategy):
 
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7])
+def test_rng_stream_pads_the_path_with_zeros(seed):
+    # numpy's SeedSequence pads its entropy with zero words, so a path of one
+    # 0 adds nothing; fixed-seed outputs rest on numpy's streams, so another
+    # derivation of the stream tree must reproduce this padding
+    assert np.array_equal(rng_stream(seed).random(8), rng_stream(seed, 0).random(8))
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, _row_seed(7, 0, 1)])
 @pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
 def test_stream_tree_is_numpys_own(committed_response, monkeypatch, strategy, seed):
@@ -120,7 +128,7 @@ def test_stream_tree_is_numpys_own(committed_response, monkeypatch, strategy, se
     hand = []
 
     def draw(mask, shots, stream):
-        hand.append(sample_measured(ProbDist(5, xor_permute(t.probs, mask)), R, shots, [stream]))
+        hand.append(sample_measured(ProbDist(xor_permute(t.probs, mask)), R, shots, [stream]))
         return hand[-1]
 
     if strategy == "nominal":

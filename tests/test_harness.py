@@ -227,7 +227,7 @@ def test_exit_code_singular_matrix(tmp_path):
     # a legal column-stochastic but singular matrix: both columns equal
     from readout_rebalance.noise import ResponseMatrix
 
-    R = ResponseMatrix(1, [[0.5, 0.5], [0.5, 0.5]])
+    R = ResponseMatrix([[0.5, 0.5], [0.5, 0.5]])
     path = tmp_path / "singular.json"
     save_response(R, path)
     code = main([
@@ -565,8 +565,19 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["calibrate", "--eps10", ",".join(["0.05"] * 16),
                       "--eps01", ",".join(["0.01"] * 16)], EXIT_VALIDATION,
                      id="calibrate-tensor-too-wide"),
+        # refused before 2**n is taken, as the tensor builder refuses 12 qubits
+        pytest.param(["run", "--calibration-file", {"n_qubits": 12, "entries": [[1]]}],
+                     EXIT_IO, id="calibration-beyond-dense-cap"),
+        pytest.param(["run", "--calibration-file", {"n_qubits": 20000, "entries": [[1]]}],
+                     EXIT_IO, id="calibration-n-qubits-huge"),
+        # every digitized Gaussian weight underflows to 0
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "40", "--sigma", "0.01"],
+                     EXIT_VALIDATION, id="run-gaussian-far-mean"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "1e-5"],
+                     EXIT_VALIDATION, id="run-gaussian-narrow-sigma"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # a dict argument is written to a JSON file and its path passed instead
     path = tmp_path / "input.json"

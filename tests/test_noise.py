@@ -37,8 +37,8 @@ def test_single_qubit_decay_column():
     q = 0.1
     R = make_response([0.0], [q])
     # true |1> is read as 0 with probability q
-    assert np.allclose(R.column(1), [q, 1 - q])
-    assert np.allclose(R.column(0), [1.0, 0.0])
+    assert np.allclose(R.entries[:, 1], [q, 1 - q])
+    assert np.allclose(R.entries[:, 0], [1.0, 0.0])
 
 
 def test_two_qubit_tensor_by_hand():
@@ -53,14 +53,26 @@ def test_two_qubit_tensor_by_hand():
 
 def test_column_stochastic_validation():
     with pytest.raises(ValidationError):
-        ResponseMatrix(1, [[0.9, 0.0], [0.0, 1.0]])
+        ResponseMatrix([[0.9, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        ResponseMatrix(1, [[1.2, 0.0], [-0.2, 1.0]])
+        ResponseMatrix([[1.2, 0.0], [-0.2, 1.0]])
+
+
+def test_response_matrix_width_is_read_from_the_array():
+    R = ResponseMatrix(np.eye(8))
+    assert (R.n_qubits, R.dim) == (3, 8)
+    with pytest.raises(DimensionError, match="entries must be a square matrix"):
+        ResponseMatrix(np.full((4, 2), 0.25))
+    with pytest.raises(DimensionError, match="entries must be a square matrix"):
+        ResponseMatrix([1.0, 0.0])
+    for dim in (1, 3):
+        with pytest.raises(DimensionError, match="entries must have a power-of-two length"):
+            ResponseMatrix(np.eye(dim))
 
 
 def test_response_matrix_rejects_nan():
     with pytest.raises(ValidationError, match="row 0, column 0"):
-        ResponseMatrix(1, [[np.nan, 0.0], [np.nan, 1.0]])
+        ResponseMatrix([[np.nan, 0.0], [np.nan, 1.0]])
 
 
 def test_eps01_zero_keeps_ground_state_exact():
@@ -113,7 +125,7 @@ def test_estimate_matches_one_draw_per_column():
         gen = np.random.default_rng(seed)
         ref = np.empty((R.dim, R.dim))
         for t in range(R.dim):
-            p = np.clip(R.column(t), 0.0, None)
+            p = np.clip(R.entries[:, t], 0.0, None)
             ref[:, t] = gen.multinomial(1000, p / p.sum()) / 1000
         est = estimate_response(R, 1000, np.random.default_rng(seed))
         assert np.array_equal(est.entries, ref)
@@ -129,7 +141,7 @@ def test_estimate_columns_sum_to_one():
 
 def test_sample_measured_identity_point_mass():
     R = make_response([0, 0], [0, 0])
-    t = ProbDist(2, [0, 0, 1.0, 0])
+    t = ProbDist([0, 0, 1.0, 0])
     h = sample_measured(t, R, 500, [rng_stream(0)])[:, 0]
     assert h[2] == 500
     assert h.sum() == 500
@@ -138,14 +150,14 @@ def test_sample_measured_identity_point_mass():
 
 def test_sample_measured_zero_shots():
     R = make_response([0.0], [0.1])
-    h = sample_measured(ProbDist(1, [0.5, 0.5]), R, 0, [rng_stream(0)])[:, 0]
+    h = sample_measured(ProbDist([0.5, 0.5]), R, 0, [rng_stream(0)])[:, 0]
     assert np.array_equal(h, [0.0, 0.0])
 
 
 def test_sample_measured_expected_fraction():
     q0, q1 = 0.1, 0.2
     R = make_response([0.0, 0.0], [q0, q1])
-    t = ProbDist(2, [0, 0, 0, 1.0])
+    t = ProbDist([0, 0, 0, 1.0])
     shots = 200000
     h = sample_measured(t, R, shots, [rng_stream(11)])[:, 0]
     p = (1 - q0) * (1 - q1)
@@ -155,7 +167,7 @@ def test_sample_measured_expected_fraction():
 
 def test_sample_measured_seed_reproducible():
     R = make_response([0.01, 0.02], [0.1, 0.05])
-    t = ProbDist(2, [0.4, 0.3, 0.2, 0.1])
+    t = ProbDist([0.4, 0.3, 0.2, 0.1])
     a = sample_measured(t, R, 1000, [rng_stream(77)])
     b = sample_measured(t, R, 1000, [rng_stream(77)])
     assert np.array_equal(a, b)
@@ -164,7 +176,7 @@ def test_sample_measured_seed_reproducible():
 def test_sample_measured_dimension_mismatch():
     R = make_response([0.0], [0.1])
     with pytest.raises(DimensionError):
-        sample_measured(ProbDist(2, [0.25] * 4), R, 10, [rng_stream(0)])
+        sample_measured(ProbDist([0.25] * 4), R, 10, [rng_stream(0)])
 
 
 def test_diag_by_zero_count_identity():
@@ -265,6 +277,16 @@ def test_dense_tensor_response_is_capped():
     # 12 qubits would be a 128 MiB dense matrix; refused before any np.kron
     with pytest.raises(ValidationError, match="dense 12-qubit"):
         build_tensor_response([QubitNoiseParams(0.01, 0.05)] * 12)
+
+
+@pytest.mark.parametrize("n", [12, 20000])
+def test_load_refuses_a_width_beyond_the_dense_cap(tmp_path, n):
+    # refused before 2**n is taken; 20000 qubits once ended in a ValueError
+    # from printing a 6000-digit dimension
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n_qubits": n, "entries": [[1]]}))
+    with pytest.raises(CalibrationFileError, match=f"dense {n}-qubit"):
+        load_response(path)
 
 
 def test_committed_default_is_strongly_asymmetric(committed_response):

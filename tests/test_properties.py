@@ -92,7 +92,7 @@ def test_unfold_then_xor_matches_conjugated_response():
         R = random_tensor_response(rng, n)
         mask = int(rng.integers(0, dim))
         idx = np.arange(dim) ^ mask
-        conjugated = ResponseMatrix(n, R.entries[np.ix_(idx, idx)])
+        conjugated = ResponseMatrix(R.entries[np.ix_(idx, idx)])
         counts = rng.integers(0, 400, size=dim).astype(float)
         counts[int(rng.integers(0, dim))] += 1  # keep the total positive
         m_phys = counts
@@ -116,7 +116,7 @@ def test_seeded_runs_are_deterministic():
         n = 3
         R = random_tensor_response(rng, n)
         probs = rng.dirichlet(np.ones(2 ** n))
-        t = ProbDist(n, probs)
+        t = ProbDist(probs)
         method = "matrix_inversion" if case % 2 else "ibu"
         plan = MeasurementPlan(
             total_shots=int(rng.integers(20, 500)),

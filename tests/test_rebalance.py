@@ -94,7 +94,7 @@ def test_choose_flip_mask_empty():
 
 def test_nominal_identity_noise_returns_raw_sample():
     R = make_response([0, 0], [0, 0])
-    t = ProbDist(2, [0.5, 0.25, 0.125, 0.125])
+    t = ProbDist([0.5, 0.25, 0.125, 0.125])
     plan = MeasurementPlan(total_shots=4000, unfold=INVERSION, rng_seed=5)
     out, _ = one_run(t, R, plan)
     assert out.sum() == pytest.approx(4000, abs=1e-9)
@@ -124,7 +124,7 @@ def test_rebalanced_point_mass_zero_variance():
     R = make_response([0.0] * 5, [0.05, 0.06, 0.07, 0.08, 0.03])
     probs = np.zeros(32)
     probs[31] = 1.0
-    t = ProbDist(5, probs)
+    t = ProbDist(probs)
     for seed in range(5):
         hist, mask = one_run(
             t, R, MeasurementPlan(total_shots=2000, strategy="rebalanced",
@@ -137,14 +137,14 @@ def test_rebalanced_point_mass_zero_variance():
 def test_rebalanced_forced_mask_involution(committed_response):
     # the main run under the chosen mask f is exactly the nominal run of the
     # pre-permuted problem on the same stream, followed by a relabeling
-    t = ProbDist(5, xor_permute(inverted_w_dist(5).probs, 0b01010))
+    t = ProbDist(xor_permute(inverted_w_dist(5).probs, 0b01010))
     for unfold in (INVERSION, UnfoldConfig()):
         plan = MeasurementPlan(total_shots=5000, strategy="rebalanced",
                                unfold=unfold, rng_seed=42)
         rebalanced, f = one_run(t, committed_response, plan)
         assert f == 0b10101
         main = rng_stream(42, 0).spawn(2)[1]
-        flipped = ProbDist(5, xor_permute(t.probs, f))
+        flipped = ProbDist(xor_permute(t.probs, f))
         measured = sample_measured(flipped, committed_response,
                                    plan.total_shots - plan.pilot_shots, [main])
         nominal = apply_unfold(measured, committed_response, unfold)[:, 0]
@@ -156,7 +156,7 @@ def test_rebalanced_marginal_flip(committed_response, rng):
     # 0.5 plus pilot sampling error
     for _ in range(10):
         probs = rng.dirichlet(np.ones(32))
-        t = ProbDist(5, probs)
+        t = ProbDist(probs)
         pilot = sample_measured(t, committed_response, 5000, [rng])[:, 0]
         mask = choose_flip_mask(pilot)
         flipped = xor_permute(t.probs, mask)
@@ -167,7 +167,7 @@ def test_rebalanced_marginal_flip(committed_response, rng):
 
 def test_symmetrized_identity_noise_matches_nominal_scale():
     R = make_response([0, 0], [0, 0])
-    t = ProbDist(2, [0.25, 0.25, 0.25, 0.25])
+    t = ProbDist([0.25, 0.25, 0.25, 0.25])
     plan = MeasurementPlan(total_shots=5000, strategy="symmetrized", unfold=INVERSION, rng_seed=3)
     out, _ = one_run(t, R, plan)
     assert out.sum() == pytest.approx(5000, rel=1e-9)
@@ -176,7 +176,7 @@ def test_symmetrized_identity_noise_matches_nominal_scale():
 def test_symmetrized_uniform_agrees_with_nominal_in_expectation(committed_response):
     # a uniform distribution is its own XOR image, so both strategies
     # estimate the same thing; check the means are compatible
-    t = ProbDist(5, np.full(32, 1 / 32))
+    t = ProbDist(np.full(32, 1 / 32))
     shots, reps = 2000, 120
     means = {}
     for strat_idx, strategy in enumerate(("nominal", "symmetrized")):
@@ -196,7 +196,7 @@ def test_unfold_then_xor_equals_conjugated_response(committed_response):
     rng = np.random.default_rng(8)
     f = 0b01101
     idx = np.arange(32) ^ f
-    conjugated = ResponseMatrix(5, committed_response.entries[np.ix_(idx, idx)])
+    conjugated = ResponseMatrix(committed_response.entries[np.ix_(idx, idx)])
     m_phys = rng.integers(0, 500, size=32).astype(float)
     m_logical = xor_permute(m_phys, f)
 

@@ -118,6 +118,15 @@ def test_gaussian_rejects_bad_sigma():
             gaussian_dist(mu, 0.1, 5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, sigma", [(40.0, 0.01), (0.0, 1e-5)])
+def test_gaussian_refuses_all_weights_underflowing(mu, sigma):
+    # no 5-bit grid point lies within about 38.6 sigma of mu: refused before
+    # the 0 / 0 normalization, with no RuntimeWarning
+    with pytest.raises(ValidationError, match="mu = .*, sigma = "):
+        gaussian_dist(mu, sigma, 5)
+
+
 def test_distributions_normalized():
     dists = [inverted_w_dist(5), grover_dist(5, 31, 1)]
     dists += [gaussian_dist(mu, 0.1, 5) for mu in np.linspace(-1, 1, 21)]

@@ -70,7 +70,7 @@ def test_inversion_can_return_negative_entries():
 
 
 def test_inversion_rejects_singular_matrix():
-    R = ResponseMatrix(1, [[0.5, 0.5], [0.5, 0.5]])
+    R = ResponseMatrix([[0.5, 0.5], [0.5, 0.5]])
     m = np.array([10.0, 20.0])
     with pytest.raises(NumericalError):
         matrix_inverse_unfold(m, R)
@@ -109,7 +109,7 @@ def test_ibu_recovers_interior_distribution(committed_response):
     rng = np.random.default_rng(3)
     for _ in range(5):
         probs = 0.5 * rng.dirichlet(np.ones(32)) + 0.5 / 32
-        t = ProbDist(5, probs)
+        t = ProbDist(probs)
         m = committed_response.entries @ (probs * 1e6)
         out = ibu_unfold(m, committed_response, iterations=100)
         assert tv_distance(out, t) < 1e-6
@@ -140,9 +140,9 @@ def test_ibu_scale_invariance(committed_response, rng):
 
 def test_ibu_degenerate_support():
     # outcome 1 is unreachable from any true state but has counts
-    R = ResponseMatrix(1, [[1.0, 1.0], [0.0, 0.0]])
+    R = ResponseMatrix([[1.0, 1.0], [0.0, 0.0]])
     m = np.array([0.0, 5.0])
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="bin 1 "):
         ibu_unfold(m, R)
 
 
