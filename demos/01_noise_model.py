@@ -35,7 +35,7 @@ print("more 1s in the state means a lower chance of reading it correctly,")
 print("which is exactly the asymmetry rebalancing exploits.")
 
 print("\ncalibrating the same channel with 2000 shots per basis state:")
-estimated = estimate_response(R, shots_per_state=2000, rng=7)
+estimated = estimate_response(R, shots_per_state=2000, seed=7)
 err = np.abs(estimated.entries - R.entries)
 print(f"  worst entry error {err.max():.4f}, mean {err.mean():.5f}"
       f" (binomial noise at this shot count)")

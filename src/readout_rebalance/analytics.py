@@ -10,7 +10,7 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, ValidationError, as_generator
+from .core import DimensionError, ValidationError, _check_shots, rng_stream
 from .rebalance import run_plan
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
@@ -68,9 +68,7 @@ class TwoQubitModel:
             if not 0.0 <= float(q) < 1.0:
                 raise ValidationError(f"{name} = {q} outside [0, 1)")
         for name, n in (("n00", self.n00), ("n01", self.n01), ("n10", self.n10), ("n11", self.n11)):
-            if int(n) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, int(n))
+            object.__setattr__(self, name, _check_shots(n, name, least=0))
 
     @property
     def total(self):
@@ -177,25 +175,30 @@ class OracleResult:
     trials: int
 
 
-def monte_carlo_variance_oracle(model, trials, rng):
+def monte_carlo_variance_oracle(model, trials, seed):
     """Simulate the full measure-and-reconstruct pipeline and report variances.
 
     Each trial draws the measured counts as one multinomial over the exact
-    channel probabilities and applies the linear-order reconstruction, so
-    the only gap between these empirical variances and the analytic formulas
-    is the O(q^2) truncation.  Standard errors on the variances come from
-    the fourth-moment formula se(s^2) = sqrt((m4 - s^4) / trials).
+    channel probabilities from ``rng_stream(seed)`` and applies the
+    linear-order reconstruction, so the only gap between these empirical
+    variances and the analytic formulas is the O(q^2) truncation.  Standard
+    errors on the variances come from the fourth-moment formula
+    se(s^2) = sqrt((m4 - s^4) / trials).
     """
-    if int(trials) < 100:
-        raise ValidationError("need at least 100 trials for a meaningful variance")
+    trials = int(trials)
+    # the (trials, 4) int64 draws are held at once, bounded like an ensemble cell
+    if not 100 <= trials <= _MAX_CELL_BYTES // 32:
+        raise ValidationError(
+            f"trials must lie between 100 (for a meaningful variance) and "
+            f"{_MAX_CELL_BYTES // 32} ({_MAX_CELL_BYTES:,} bytes of draws)"
+        )
     if model.total < 1:
         raise ValidationError("the oracle needs a model with at least one true count")
-    trials = int(trials)
-    gen = as_generator(rng)
+    total = _check_shots(model.total, "the model's total count")
     probs = measured_state_probs(model)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    draws = gen.multinomial(model.total, probs, size=trials).astype(np.float64)
+    draws = rng_stream(seed).multinomial(total, probs, size=trials).astype(np.float64)
     recon = linear_order_reconstruct(draws, model.q0, model.q1)
     means = recon.mean(axis=0)
     variances = recon.var(axis=0, ddof=1)
@@ -222,6 +225,15 @@ def std_err_of_std(std, repetitions):
     return float(std / np.sqrt(2.0 * (int(repetitions) - 1)))
 
 
+def _check_repetitions(repetitions):
+    """Refuse a repetition count outside 2 to ``_MAX_CELL_REPETITIONS``."""
+    if not 2 <= repetitions <= _MAX_CELL_REPETITIONS:
+        raise ValidationError(
+            f"repetitions must lie between 2 (for a standard deviation) and "
+            f"{_MAX_CELL_REPETITIONS} (per ensemble cell), got {repetitions}"
+        )
+
+
 def ensemble_run(
     true_dist,
     response,
@@ -243,11 +255,7 @@ def ensemble_run(
     are checked once, and every repetition is evaluated in one product.
     """
     repetitions = int(repetitions)
-    if not 2 <= repetitions <= _MAX_CELL_REPETITIONS:
-        raise ValidationError(
-            f"repetitions must lie between 2 (for a standard deviation) and "
-            f"{_MAX_CELL_REPETITIONS} (per ensemble cell), got {repetitions}"
-        )
+    _check_repetitions(repetitions)
     cell_bytes = 8 * true_dist.probs.size * repetitions
     if cell_bytes > _MAX_CELL_BYTES:
         raise ValidationError(

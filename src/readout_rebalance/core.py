@@ -9,12 +9,16 @@ qubit i.  The "base-10 observable" below is then simply the counts-weighted
 mean of the state index.
 """
 
-import numpy as np
+import json
 from dataclasses import dataclass
+
+import numpy as np
 
 # absolute tolerance for probability normalization; all distributions in
 # this package are built analytically, so anything looser hides bugs
 PROB_SUM_ATOL = 1e-12
+# the largest shot count numpy draws a multinomial sample of (an int64)
+_MAX_SHOTS = np.iinfo(np.int64).max
 
 
 class ValidationError(ValueError):
@@ -33,12 +37,29 @@ class CalibrationFileError(ValueError):
     """Malformed or inconsistent calibration file content."""
 
 
-def _seed_sequence(seed, *path):
-    """``SeedSequence`` of a non-negative seed and index path."""
+def _read_json(path):
+    """A JSON file's value; any fault of its text is a :class:`CalibrationFileError`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _check_shots(shots, name, least=1):
+    """``int(shots)``, refused unless between ``least`` and ``_MAX_SHOTS``."""
+    shots = int(shots)
+    if not least <= shots <= _MAX_SHOTS:
+        raise ValidationError(f"{name} must lie between {least} and {_MAX_SHOTS}")
+    return shots
+
+
+def _seed_sequence(seed, *path, spawn_key=()):
+    """``SeedSequence`` of a non-negative seed, index path and spawn key."""
     entropy = [int(seed)] + [int(p) for p in path]
     if any(e < 0 for e in entropy):
         raise ValidationError(f"rng seed and path entries must be non-negative, got {entropy}")
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence(entropy, spawn_key=spawn_key)
 
 
 def rng_stream(seed, *path):
@@ -51,13 +72,6 @@ def rng_stream(seed, *path):
     ``rng_stream(seed, 0)`` are the same stream, draw for draw.
     """
     return np.random.default_rng(_seed_sequence(seed, *path))
-
-
-def as_generator(rng):
-    """``rng`` itself when it is a Generator, else ``rng_stream(rng)``."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng_stream(rng)
 
 
 def bit_table(n_qubits):

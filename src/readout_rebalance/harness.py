@@ -33,7 +33,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import CalibrationFileError, NumericalError, ValidationError, _seed_sequence
+from .core import (
+    CalibrationFileError, NumericalError, ValidationError, _check_shots, _read_json, _seed_sequence,
+)
 from .noise import (
     QubitNoiseParams,
     build_tensor_response,
@@ -54,6 +56,7 @@ from .rebalance import STRATEGIES, MeasurementPlan
 from .unfold import UnfoldConfig
 from .analytics import (
     TwoQubitModel,
+    _check_repetitions,
     appendix_a_variances,
     ensemble_run,
     monte_carlo_variance_oracle,
@@ -178,41 +181,29 @@ class ExperimentConfig:
             )
         if len(set(self.strategies)) < len(self.strategies):
             raise ValidationError(f"strategies must not repeat, got {list(self.strategies)}")
-        if self.shots < 2:
-            raise ValidationError("shots must be >= 2")
-        if self.repetitions < 2:
-            raise ValidationError("repetitions must be >= 2")
+        _check_shots(self.shots, "shots", least=2)
+        _check_repetitions(self.repetitions)
         # the state builders' own checks, before any file is read
         _check_grover_iterations(self.grover_iterations)
         for mu in self.mus or default_sweep_mus():
             _check_gaussian(mu, self.sigma)
         _check_noise_source(self.calibration_file, self.eps10, self.eps01)
-        unfold = self.unfold_config()
+        unfold = UnfoldConfig(method=self.unfold_method, ibu_iterations=self.ibu_iterations)
         return [
             MeasurementPlan(int(self.shots), strategy, self.pilot_fraction, unfold)
             for strategy in self.strategies
         ]
 
-    def semantic_dict(self):
-        return {**asdict(self), "strategies": list(self.strategies)}
-
     def config_hash(self):
-        canon = json.dumps(self.semantic_dict(), sort_keys=True)
+        canon = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def response_matrix(self):
         return _noise_response(self.calibration_file, self.eps10, self.eps01)
 
-    def unfold_config(self):
-        return UnfoldConfig(method=self.unfold_method, ibu_iterations=self.ibu_iterations)
-
 
 def load_config_file(path):
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise CalibrationFileError(f"{path}: config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
@@ -281,7 +272,8 @@ class _Outputs:
 
 
 def _row_seed(base_seed, *path):
-    """Distinct deterministic integer seed for one ensemble row."""
+    """Deterministic integer seed for one ensemble row.  ``SeedSequence`` pads the
+    path with zeros, so ``_row_seed(s, i)`` equals ``_row_seed(s, i, 0)``."""
     ss = _seed_sequence(base_seed, *path)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -330,7 +322,7 @@ def run_experiment(config):
     manifest = {
         "rng_seed": int(config.rng_seed),
         "config_hash": config.config_hash(),
-        "config": config.semantic_dict(),
+        "config": asdict(config),
         "negative_run_counts": negative_flags,
     }
     return results, manifest
@@ -524,7 +516,7 @@ def main(argv=None):
         for path in args.func(args):
             print(f"wrote {path}")
         return EXIT_OK
-    except (CalibrationFileError, OSError, json.JSONDecodeError) as exc:
+    except (CalibrationFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:

@@ -11,12 +11,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    CalibrationFileError,
-    DimensionError,
-    QubitNoiseParams,
-    ValidationError,
-    _width,
-    as_generator,
+    CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
+    _read_json, _width, rng_stream,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -120,21 +116,18 @@ def build_tensor_response(params):
     return ResponseMatrix(reduce(np.kron, reversed(mats)))
 
 
-def estimate_response(true_response, shots_per_state, rng):
+def estimate_response(true_response, shots_per_state, seed):
     """Finite-shot calibration estimate of a response matrix.
 
     Prepares each basis state ``shots_per_state`` times (a multinomial draw
     from the corresponding column) and records empirical frequencies, the
-    way calibration circuits estimate R on hardware.  Columns of the result
-    sum to one by construction.
+    way calibration circuits estimate R on hardware, drawing from
+    ``rng_stream(seed)``.  Columns of the result sum to one by construction.
     """
-    if int(shots_per_state) < 1:
-        raise ValidationError("shots_per_state must be >= 1")
-    shots = int(shots_per_state)
-    gen = as_generator(rng)
+    shots = _check_shots(shots_per_state, "shots_per_state")
     # row t of p is column t of R: one multinomial draw per prepared state
     p = true_response.entries.T
-    draws = gen.multinomial(shots, p / p.sum(axis=1, keepdims=True))
+    draws = rng_stream(seed).multinomial(shots, p / p.sum(axis=1, keepdims=True))
     return ResponseMatrix(draws.T / shots)
 
 
@@ -149,9 +142,7 @@ def sample_measured(true_dist, response, shots, streams):
     """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
-    shots = int(shots)
-    if shots < 0:
-        raise ValidationError("shots must be >= 0")
+    shots = _check_shots(shots, "shots", least=0)
     folded = response.entries @ true_dist.probs
     measured = folded / folded.sum()
     counts = np.zeros((response.dim, len(streams)))
@@ -176,13 +167,9 @@ def diag_by_zero_count(response):
 
 def save_response(response, path):
     """Write a response matrix as JSON with full round-trip precision."""
-    payload = {
-        "n_qubits": response.n_qubits,
-        "entries": [[float(x) for x in row] for row in response.entries],
-    }
+    payload = {"n_qubits": response.n_qubits, "entries": response.entries.tolist()}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_response(path):
@@ -193,11 +180,7 @@ def load_response(path):
     of range, is reported as a :class:`CalibrationFileError` naming the file
     and, where there is one, the offending location.
     """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "n_qubits" not in payload or "entries" not in payload:
         raise CalibrationFileError(f"{path}: expected keys 'n_qubits' and 'entries'")
     n = payload["n_qubits"]

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ProbDist, ValidationError, _seed_sequence, qubit_marginals, rng_stream, xor_permute,
+    ProbDist, ValidationError, _check_shots, _seed_sequence, qubit_marginals, rng_stream,
+    xor_permute,
 )
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
-# the largest shot count numpy draws a multinomial sample of (an int64)
-_MAX_SHOTS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,11 @@ class MeasurementPlan:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "total_shots", int(self.total_shots))
+        object.__setattr__(self, "total_shots", _check_shots(self.total_shots, "total_shots"))
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if not 1 <= self.total_shots <= _MAX_SHOTS:
-            raise ValidationError(f"total_shots must lie between 1 and {_MAX_SHOTS}")
         # compared without float(), which overflows on a huge integer
         if not 0.0 < self.pilot_fraction < 1.0:
             raise ValidationError("pilot_fraction must lie strictly between 0 and 1")
@@ -117,11 +114,11 @@ def run_plan(true_dist, response, plan, repetitions):
     - rebalanced: a pilot of ``plan.pilot_shots`` from the first child
       chooses the mask, then ``[(mask, N - pilot)]`` from the second.
 
-    The children are the streams ``rng_stream(plan.rng_seed, r).spawn(2)``
-    returns, made without building the parent.  Returns ``(corrected,
-    masks)``: the corrected histograms as the columns of a ``(dim,
-    len(repetitions))`` array, and the flip mask of each run as an integer
-    array (``None`` for nominal).
+    Child k is built from ``SeedSequence([plan.rng_seed, r], spawn_key=(k,))``,
+    the child k that numpy's ``spawn`` makes of that stream's ``SeedSequence``,
+    with no parent built.  Returns ``(corrected, masks)``: the corrected
+    histograms as the columns of a ``(dim, len(repetitions))`` array, and the
+    flip mask of each run as an integer array (``None`` for nominal).
     """
     reps = len(repetitions)
     shots = plan.total_shots
@@ -129,8 +126,8 @@ def run_plan(true_dist, response, plan, repetitions):
     if plan.strategy == "nominal":
         streams = [rng_stream(plan.rng_seed, r) for r in repetitions]
         return _correct(true_dist, response, plan.unfold, [(identity, shots, streams)]), None
-    spawned = (_seed_sequence(plan.rng_seed, r).spawn(2) for r in repetitions)
-    first, second = zip(*([np.random.default_rng(s) for s in pair] for pair in spawned))
+    first, second = ([np.random.default_rng(_seed_sequence(plan.rng_seed, r, spawn_key=(k,)))
+                      for r in repetitions] for k in (0, 1))
     if plan.strategy == "symmetrized":
         full = np.full(reps, response.dim - 1)
         half = shots // 2

@@ -70,6 +70,14 @@ def _check_gaussian(mu, sigma):
         raise ValidationError(f"mu must be finite, got {mu!r}")
     if not 0.0 < sigma <= largest:
         raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+    # gaussian_dist's exponent, largest at the grid end x = -1 or +1 farthest
+    # from mu, computed as there (an array's ** 2 is np.square, a float's is
+    # pow): float64 evaluates it at every grid point when it and sigma**2 are finite
+    with np.errstate(all="ignore"):
+        square = np.float64(sigma) ** 2
+        far = np.square(1.0 + abs(np.float64(mu))) / (2.0 * square)
+    if not (np.isfinite(square) and np.isfinite(far)):
+        raise ValidationError(f"float64 cannot hold the density of mu = {mu!r}, sigma = {sigma!r}")
 
 
 def gaussian_dist(mu, sigma, n_bits):

@@ -11,6 +11,7 @@ from readout_rebalance.core import (
     counts_in_state,
     observable_base10,
     qubit_marginals,
+    rng_stream,
     xor_permute,
 )
 
@@ -171,3 +172,24 @@ def test_counts_in_state_ideal_grover():
     expected = 1e5 * p_oracle  # = 25830.078125
     assert counts_in_state(h, 31) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(25830.078125, abs=1e-9)
+
+
+def test_shot_counts_beyond_int64_are_refused():
+    # numpy's multinomial draws at most an int64 of shots; every caller
+    # refuses more with the one core check instead of an OverflowError
+    from readout_rebalance.analytics import TwoQubitModel, monte_carlo_variance_oracle
+    from readout_rebalance.noise import default_response, estimate_response, sample_measured
+    from readout_rebalance.rebalance import MeasurementPlan
+
+    R, beyond = default_response(), 2 ** 63
+    calls = [
+        lambda: MeasurementPlan(beyond),
+        lambda: sample_measured(ProbDist(np.full(32, 1 / 32)), R, beyond, [rng_stream(0)]),
+        lambda: estimate_response(R, beyond, 0),
+        lambda: TwoQubitModel(0.05, 0.03, 0, 0, 0, beyond),
+        # four counts that each fit an int64 but whose total does not
+        lambda: monte_carlo_variance_oracle(TwoQubitModel(0.05, 0.03, *[2 ** 62] * 4), 100, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"between [0-9]+ and {beyond - 1}"):
+            call()

@@ -575,15 +575,45 @@ def test_csv_files_newline_terminated(tmp_path):
                      EXIT_VALIDATION, id="run-gaussian-far-mean"),
         pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "1e-5"],
                      EXIT_VALIDATION, id="run-gaussian-narrow-sigma"),
+        # JSON that json.load refuses with a ValueError or RecursionError
+        pytest.param(["run", "--config", b'{"shots": 1' + b"0" * 5000 + b"}"],
+                     EXIT_IO, id="config-integer-5000-digits"),
+        pytest.param(["run", "--calibration-file",
+                      b'{"n_qubits": 1, "entries": [[1, ' + b"1" * 5000 + b"], [0, 1]]}"],
+                     EXIT_IO, id="calibration-integer-5000-digits"),
+        pytest.param(["run", "--config", b"[" * 100000 + b"]" * 100000],
+                     EXIT_IO, id="config-nested-100000"),
+        pytest.param(["run", "--calibration-file", b"[" * 100000 + b"]" * 100000],
+                     EXIT_IO, id="calibration-nested-100000"),
+        pytest.param(["run", "--calibration-file", b"\xff\xfe{}"], EXIT_IO,
+                     id="calibration-not-utf8"),
+        # shot counts beyond int64, which numpy's multinomial cannot draw
+        pytest.param(["calibrate", "--shots-per-state", "100000000000000000000"],
+                     EXIT_VALIDATION, id="calibrate-shots-beyond-int64"),
+        pytest.param(["appendix-a", "--total", "100000000000000000000"],
+                     EXIT_VALIDATION, id="appendix-a-total-beyond-int64"),
+        # a (10**15, 4) int64 draw array is 32 PB
+        pytest.param(["appendix-a", "--trials", "1000000000000000"],
+                     EXIT_VALIDATION, id="appendix-a-trials-beyond-limit"),
+        pytest.param(["run", "--repetitions", "70000", "--calibration-file", "nope.json"],
+                     EXIT_VALIDATION, id="run-repetitions-beyond-limit-before-file"),
+        # Gaussians whose density float64 cannot evaluate
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--sigma", "1e200"],
+                     EXIT_VALIDATION, id="run-gaussian-sigma-squared-overflows"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "1e200"],
+                     EXIT_VALIDATION, id="run-gaussian-mean-squared-overflows"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus=-1", "--sigma", "1e-200"],
+                     EXIT_VALIDATION, id="run-gaussian-sigma-squared-underflows"),
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
-    # a dict argument is written to a JSON file and its path passed instead
+    # a dict argument is written to a JSON file, a bytes argument as it is,
+    # and the file's path passed instead
     path = tmp_path / "input.json"
     for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
-            path.write_text(json.dumps(arg))
+        if isinstance(arg, (dict, bytes)):
+            path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
             argv = argv[:i] + [str(path)] + argv[i + 1:]
     out_dir = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out_dir)]) == code

@@ -119,7 +119,8 @@ def test_estimate_error_scales_as_inverse_sqrt_shots():
 
 def test_estimate_matches_one_draw_per_column():
     # reference: one multinomial draw per prepared state, in column order,
-    # from the same generator; the batched draw makes the same draws
+    # from default_rng(seed), which is rng_stream(seed); the batched draw
+    # makes the same draws
     R = build_tensor_response(default_qubit_params())
     for seed in (0, 5, 123):
         gen = np.random.default_rng(seed)
@@ -127,7 +128,7 @@ def test_estimate_matches_one_draw_per_column():
         for t in range(R.dim):
             p = np.clip(R.entries[:, t], 0.0, None)
             ref[:, t] = gen.multinomial(1000, p / p.sum()) / 1000
-        est = estimate_response(R, 1000, np.random.default_rng(seed))
+        est = estimate_response(R, 1000, seed)
         assert np.array_equal(est.entries, ref)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,26 @@ def test_gaussian_refuses_all_weights_underflowing(mu, sigma):
     # the 0 / 0 normalization, with no RuntimeWarning
     with pytest.raises(ValidationError, match="mu = .*, sigma = "):
         gaussian_dist(mu, sigma, 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [(0.0, 1e200), (1e200, 0.1), (-1.0, 1e-200), (-1.0, 1e-160)],
+    ids=["sigma-squared-overflows", "mean-squared-overflows", "sigma-squared-underflows",
+         "exponent-overflows"],
+)
+def test_gaussian_refuses_a_density_float64_cannot_evaluate(mu, sigma):
+    with pytest.raises(ValidationError, match=re.escape(f"mu = {mu!r}, sigma = {sigma!r}")):
+        gaussian_dist(mu, sigma, 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_accepts_the_extremes_float64_evaluates():
+    # 2 sigma**2 overflows to inf, not sigma**2: every exponent is 0
+    assert np.array_equal(gaussian_dist(0.0, 1.3e154, 5).probs, np.full(32, 1 / 32))
+    # the grid point at mu keeps all the mass; the others underflow to 0
+    assert np.array_equal(gaussian_dist(-1.0, 1e-150, 5).probs, np.eye(32)[0])
 
 
 def test_distributions_normalized():
