@@ -10,7 +10,8 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, ValidationError, _check_shots, rng_stream
+from .core import DimensionError, QubitNoiseParams, ValidationError, _check_shots, rng_stream
+from .noise import build_tensor_response
 from .rebalance import run_plan
 
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
@@ -78,24 +79,16 @@ class TwoQubitModel:
         return np.array([self.n00, self.n01, self.n10, self.n11], dtype=np.float64)
 
 
-def measured_state_probs(model):
-    """Exact measured-state probabilities of the decay channel.
-
-    Entry order (00, 01, 10, 11).  Each excited qubit decays independently,
-    so e.g. the 11 column contributes q0*(1-q1) of its mass to 01.
-    """
-    n = model.true_counts() / model.total if model.total else np.zeros(4)
-    q0, q1 = model.q0, model.q1
-    p00 = n[0] + q0 * n[2] + q1 * n[1] + q0 * q1 * n[3]
-    p01 = (1 - q1) * n[1] + q0 * (1 - q1) * n[3]
-    p10 = (1 - q0) * n[2] + q1 * (1 - q0) * n[3]
-    p11 = (1 - q0) * (1 - q1) * n[3]
-    return np.array([p00, p01, p10, p11])
-
-
 def appendix_a_expectations(model):
-    """Exact expected measured counts E[N^PRC] for the four states."""
-    return measured_state_probs(model) * model.total
+    """Exact expected measured counts E[N^PRC] for the four states: the true
+    counts folded through the package's tensor channel with decay only.
+
+    The appendix names qubit 0 first, so label ab is package state a + 2b,
+    and the order [0, 2, 1, 3] takes labels to states and back.
+    """
+    channel = build_tensor_response([QubitNoiseParams(0.0, q) for q in (model.q0, model.q1)])
+    order = [0, 2, 1, 3]
+    return (channel.entries @ model.true_counts()[order])[order]
 
 
 def appendix_a_expectations_linear(model):
@@ -195,9 +188,7 @@ def monte_carlo_variance_oracle(model, trials, seed):
     if model.total < 1:
         raise ValidationError("the oracle needs a model with at least one true count")
     total = _check_shots(model.total, "the model's total count")
-    probs = measured_state_probs(model)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+    probs = appendix_a_expectations(model) / total
     draws = rng_stream(seed).multinomial(total, probs, size=trials).astype(np.float64)
     recon = linear_order_reconstruct(draws, model.q0, model.q1)
     means = recon.mean(axis=0)

@@ -53,7 +53,7 @@ from .states import (
     inverted_w_dist,
 )
 from .rebalance import STRATEGIES, MeasurementPlan
-from .unfold import UnfoldConfig
+from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
     TwoQubitModel,
     _check_repetitions,
@@ -154,9 +154,9 @@ class ExperimentConfig:
     strategies: list[str] = _help(
         STRATEGIES, "comma-separated subset of nominal,rebalanced,symmetrized"
     )
-    unfold_method: str = "ibu"
-    ibu_iterations: int = 100
-    pilot_fraction: float = 0.1
+    unfold_method: str = UnfoldConfig.method
+    ibu_iterations: int = DEFAULT_IBU_ITERATIONS
+    pilot_fraction: float = MeasurementPlan.pilot_fraction
     rng_seed: int = 0
     output_dir: str = "results"
     # None -> default sweep

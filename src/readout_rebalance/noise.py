@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
-    _read_json, _width, rng_stream,
+    _read_json, _width, bit_table, rng_stream,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -160,9 +160,8 @@ def diag_by_zero_count(response):
     more often.
     """
     n = response.n_qubits
-    diag = np.diag(response.entries)
-    zeros = np.array([n - bin(s).count("1") for s in range(response.dim)])
-    return {k: float(diag[zeros == k].mean()) for k in range(n + 1)}
+    zeros = n - bit_table(n).sum(axis=0)
+    return {k: float(response.entries.diagonal()[zeros == k].mean()) for k in range(n + 1)}
 
 
 def save_response(response, path):

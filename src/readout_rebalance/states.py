@@ -27,8 +27,9 @@ def inverted_w_dist(n):
 
 
 def _check_grover_iterations(iterations):
-    if int(iterations) < 0:
-        raise ValidationError("iterations must be >= 0")
+    # float64 holds the angle factor 2k + 1 exactly only up to 2**53 - 1
+    if not 0 <= int(iterations) < 2 ** 52:
+        raise ValidationError("iterations must lie between 0 and 2**52 - 1")
 
 
 def grover_dist(n, target, iterations):

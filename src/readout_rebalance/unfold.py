@@ -13,11 +13,22 @@ from dataclasses import dataclass
 from .core import DimensionError, NumericalError, ValidationError, _totals, _width
 
 DEFAULT_IBU_ITERATIONS = 100
+# Most IBU iterations: 10**5 take about 30 s on a 5-qubit, 1000-repetition cell
+# (2-core host), 10**10 over a month; the tests and docs use at most 3000.
+_MAX_IBU_ITERATIONS = 10 ** 5
 # refuse inversion beyond this condition number; far above anything a
 # readout matrix should reach
 DEFAULT_MAX_CONDITION = 1e12
 
 _METHODS = ("matrix_inversion", "ibu")
+
+
+def _check_ibu_iterations(iterations):
+    """``int(iterations)``, refused unless between 1 and ``_MAX_IBU_ITERATIONS``."""
+    iterations = int(iterations)
+    if not 1 <= iterations <= _MAX_IBU_ITERATIONS:
+        raise ValidationError(f"ibu_iterations must lie between 1 and {_MAX_IBU_ITERATIONS}")
+    return iterations
 
 
 @dataclass(frozen=True)
@@ -32,9 +43,7 @@ class UnfoldConfig:
             raise ValidationError(
                 f"unknown unfold method {self.method!r}, expected one of {_METHODS}"
             )
-        if int(self.ibu_iterations) < 1:
-            raise ValidationError("ibu_iterations must be >= 1")
-        object.__setattr__(self, "ibu_iterations", int(self.ibu_iterations))
+        object.__setattr__(self, "ibu_iterations", _check_ibu_iterations(self.ibu_iterations))
 
 
 def condition_report(response):
@@ -98,20 +107,19 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     Raises
     ------
     ValidationError
-        For negative or zero-total input histograms, or ``iterations < 1``.
+        For negative or zero-total input histograms, or iterations outside 1 to 10**5.
     NumericalError
         If some measured bin has counts but zero folded support, so no
         redistribution can explain it.
     """
     counts = _check_counts(counts, response)
-    if int(iterations) < 1:
-        raise ValidationError("ibu_iterations must be >= 1")
+    iterations = _check_ibu_iterations(iterations)
     if np.any(counts < 0):
         raise ValidationError("IBU requires a nonnegative measured histogram")
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
     R = response.entries
-    for i in range(int(iterations)):
+    for i in range(iterations):
         folded = R @ t
         empty = folded <= 0.0
         # with R, t and the counts nonnegative, an occupied bin that has folded

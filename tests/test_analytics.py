@@ -9,7 +9,6 @@ from readout_rebalance.analytics import (
     appendix_a_variances,
     ensemble_run,
     linear_order_reconstruct,
-    measured_state_probs,
     monte_carlo_variance_oracle,
     shots_equivalent_fraction,
     std_err_of_std,
@@ -167,11 +166,6 @@ def test_oracle_detects_printed_10_row_discrepancy():
     tol = np.maximum(3 * oracle.variance_std_errors, 0.1 ** 2 * model.total)
     assert abs(printed[2] - oracle.variances[2]) > tol[2]
     assert abs(mirror[2] - oracle.variances[2]) <= tol[2]
-
-
-def test_measured_probs_normalized():
-    model = TwoQubitModel(0.07, 0.02, 123, 456, 789, 1011)
-    assert measured_state_probs(model).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shots_equivalent_fraction_basics():

@@ -106,6 +106,12 @@ def test_xor_permute_width_mismatch():
         xor_permute(np.ones(8), [0])
 
 
+def test_xor_permute_refuses_float_masks():
+    for masks in (1.0, [0.0, 1.0]):
+        with pytest.raises(ValidationError, match="flip masks must be one integer"):
+            xor_permute(np.ones((8, 2)), masks)
+
+
 def test_marginals_ground_and_excited():
     ground = np.eye(32)[0] * 100
     excited = np.eye(32)[31] * 100

@@ -1,0 +1,38 @@
+"""The package runs on numpy and the standard library alone."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "readout_rebalance").glob("*.py"))
+
+
+def imported_roots(path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    assert MODULES
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = {
+        f"{path.name}: {root}"
+        for path in MODULES for root in imported_roots(path) if root not in allowed
+    }
+    assert not outside
+
+
+def test_numpy_is_the_one_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    # each entry is a PEP 508 requirement: a distribution name, then its versions
+    assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in dependencies] == ["numpy"]

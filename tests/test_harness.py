@@ -604,6 +604,24 @@ def test_csv_files_newline_terminated(tmp_path):
                      EXIT_VALIDATION, id="run-gaussian-mean-squared-overflows"),
         pytest.param(["run", "--experiment", "gaussian_sweep", "--mus=-1", "--sigma", "1e-200"],
                      EXIT_VALIDATION, id="run-gaussian-sigma-squared-underflows"),
+        # a Grover count float64 cannot hold, and an IBU loop of about a month,
+        # both refused before the calibration file is read
+        pytest.param(["run", "--experiment", "grover", "--grover-iterations", "9" * 400,
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-grover-iterations-400-digits-before-file"),
+        pytest.param(["run", "--ibu-iterations", "10000000000", "--repetitions", "2",
+                      "--shots", "100", "--strategies", "nominal",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-ibu-iterations-beyond-limit-before-file"),
+        # 2**10 x 2049 float64 counts are 8 kB above the 16 MiB a cell may hold
+        pytest.param(["run", "--eps10", ",".join(["0.05"] * 10),
+                      "--eps01", ",".join(["0.01"] * 10), "--repetitions", "2049"],
+                     EXIT_VALIDATION, id="run-cell-bytes-beyond-limit"),
+        pytest.param(["run", "--config", b"[1, 2]"], EXIT_IO, id="config-json-array"),
+        pytest.param(["run", "--calibration-file", {"n_qubits": 1}], EXIT_IO,
+                     id="calibration-without-entries"),
+        pytest.param(["appendix-a", "--counts", "1,2,3"], EXIT_VALIDATION,
+                     id="appendix-a-counts-three"),
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -71,6 +71,14 @@ def test_grover_target_out_of_range():
         grover_dist(3, 8, 1)
 
 
+def test_grover_iterations_bounded_where_2k_plus_1_is_exact():
+    # 2k + 1 = 2**53 - 1 is the largest odd factor float64 holds exactly
+    assert 0.0 <= grover_dist(5, 31, 2 ** 52 - 1).probs[31] <= 1.0
+    for k in (-1, 2 ** 52, 10 ** 400):
+        with pytest.raises(ValidationError, match="iterations must lie between 0 and"):
+            grover_dist(5, 31, k)
+
+
 def test_gaussian_grid_endpoints():
     x = gaussian_grid(5)
     assert x[0] == -1.0

@@ -157,6 +157,18 @@ def test_ibu_input_validation(committed_response):
         ibu_unfold(np.ones(32), committed_response, iterations=0)
 
 
+def test_ibu_iterations_bounded_with_one_message(committed_response):
+    # refused before the first iteration, by the same rule as the config's
+    counts = np.ones(32)
+    for iterations in (0, 10 ** 5 + 1, 10 ** 10):
+        with pytest.raises(ValidationError) as from_function:
+            ibu_unfold(counts, committed_response, iterations=iterations)
+        with pytest.raises(ValidationError) as from_config:
+            UnfoldConfig(ibu_iterations=iterations)
+        assert str(from_function.value) == str(from_config.value)
+        assert "between 1 and 100000" in str(from_function.value)
+
+
 def test_condition_identity():
     R = make_response([0, 0], [0, 0])
     assert condition_report(R) == pytest.approx(1.0, abs=1e-12)
