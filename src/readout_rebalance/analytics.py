@@ -185,8 +185,6 @@ def monte_carlo_variance_oracle(model, trials, seed):
             f"trials must lie between 100 (for a meaningful variance) and "
             f"{_MAX_CELL_BYTES // 32} ({_MAX_CELL_BYTES:,} bytes of draws)"
         )
-    if model.total < 1:
-        raise ValidationError("the oracle needs a model with at least one true count")
     total = _check_shots(model.total, "the model's total count")
     probs = appendix_a_expectations(model) / total
     draws = rng_stream(seed).multinomial(total, probs, size=trials).astype(np.float64)

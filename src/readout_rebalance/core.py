@@ -62,16 +62,19 @@ def _seed_sequence(seed, *path, spawn_key=()):
     return np.random.SeedSequence(entropy, spawn_key=spawn_key)
 
 
-def rng_stream(seed, *path):
+def rng_stream(seed, *path, spawn_key=()):
     """Deterministic ``numpy.random.Generator`` from a seed and an index path.
 
-    ``rng_stream(seed, rep)`` is the stream for repetition ``rep`` regardless
-    of scheduling, so repetitions can run in any order.  Paths that differ
-    other than by trailing zeros give independent streams: ``SeedSequence``
-    pads its entropy with zero words, so ``rng_stream(seed)`` and
-    ``rng_stream(seed, 0)`` are the same stream, draw for draw.
+    This is the one place the package builds a stream.  ``rng_stream(seed,
+    rep)`` is the stream for repetition ``rep`` regardless of scheduling, so
+    repetitions can run in any order.  Paths that differ other than by
+    trailing zeros give independent streams: ``SeedSequence`` pads its
+    entropy with zero words, so ``rng_stream(seed)`` and ``rng_stream(seed,
+    0)`` are the same stream, draw for draw.  ``spawn_key=(k,)`` gives child
+    k of that stream, the one ``rng_stream(seed, *path).spawn(k + 1)[k]``
+    returns, without a parent built only to be spawned.
     """
-    return np.random.default_rng(_seed_sequence(seed, *path))
+    return np.random.default_rng(_seed_sequence(seed, *path, spawn_key=spawn_key))
 
 
 def bit_table(n_qubits):

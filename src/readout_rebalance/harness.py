@@ -118,6 +118,11 @@ def default_sweep_mus():
     return sorted(mus)
 
 
+def _sweep_mus(config):
+    """The gaussian sweep means of a config: ``mus``, or the default sweep for None."""
+    return default_sweep_mus() if config.mus is None else config.mus
+
+
 def _check_noise_source(calibration_file, eps10, eps01):
     if (eps10 is None) != (eps01 is None):
         raise ValidationError("eps10 and eps01 must be given together")
@@ -185,7 +190,7 @@ class ExperimentConfig:
         _check_repetitions(self.repetitions)
         # the state builders' own checks, before any file is read
         _check_grover_iterations(self.grover_iterations)
-        for mu in self.mus or default_sweep_mus():
+        for mu in _sweep_mus(self):
             _check_gaussian(mu, self.sigma)
         _check_noise_source(self.calibration_file, self.eps10, self.eps01)
         unfold = UnfoldConfig(method=self.unfold_method, ibu_iterations=self.ibu_iterations)
@@ -292,9 +297,8 @@ def _experiment_rows(config, response):
         # different kept totals estimate the same quantity
         weights = int(config.shots) * (states == target)
         return [("grover", None, dist, weights, "target_counts_per_budget")]
-    mus = config.mus if config.mus is not None else default_sweep_mus()
     rows = []
-    for mu in mus:
+    for mu in _sweep_mus(config):
         dist = gaussian_dist(mu, config.sigma, n)
         rows.append(("gaussian", float(mu), dist, states, "base10_mean"))
     return rows

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
-    _read_json, _width, bit_table, rng_stream,
+    _read_json, _width, bit_table, rng_stream, xor_permute,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -131,24 +131,29 @@ def estimate_response(true_response, shots_per_state, seed):
     return ResponseMatrix(draws.T / shots)
 
 
-def sample_measured(true_dist, response, shots, streams):
-    """Noisy measured histograms: one multinomial draw from R @ t per stream.
+def sample_measured(true_dist, response, shots, streams, masks=0):
+    """Noisy measured histograms of one readout segment, one column per stream.
 
     Column j of the returned ``(dim, len(streams))`` float array holds
-    ``shots`` draws made with ``streams[j]``; zero shots draw nothing.  The
-    folded distribution is computed once for all columns.  Works for
-    arbitrary (non-tensor) response matrices, and fixed seeds give
-    bit-reproducible histograms.
+    ``shots`` draws made with ``streams[j]`` from ``R @ p[s ^ masks[j]]``:
+    the truth read out after X gates on the qubits of its flip mask.
+    ``masks`` is one integer for every column or one per stream, and each
+    distinct mask is folded once.  Zero shots draw zeros and leave the
+    streams untouched.  Works for arbitrary (non-tensor) response matrices,
+    and fixed seeds give bit-reproducible histograms.
     """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
     shots = _check_shots(shots, "shots", least=0)
-    folded = response.entries @ true_dist.probs
-    measured = folded / folded.sum()
-    counts = np.zeros((response.dim, len(streams)))
-    if shots > 0:
-        for j, stream in enumerate(streams):
-            counts[:, j] = stream.multinomial(shots, measured)
+    masks = np.asarray(masks)
+    if masks.shape not in ((), (len(streams),)):
+        raise DimensionError(f"flip masks of shape {masks.shape} for {len(streams)} streams")
+    masks = np.broadcast_to(masks, len(streams)).tolist()
+    folded = {m: response.entries @ xor_permute(true_dist.probs, m) for m in set(masks)}
+    measured = {m: f / f.sum() for m, f in folded.items()}
+    counts = np.empty((response.dim, len(streams)))
+    for j, (stream, mask) in enumerate(zip(streams, masks)):
+        counts[:, j] = stream.multinomial(shots, measured[mask])
     return counts
 
 

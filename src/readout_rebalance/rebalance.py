@@ -11,10 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ProbDist, ValidationError, _check_shots, _seed_sequence, qubit_marginals, rng_stream,
-    xor_permute,
-)
+from .core import ValidationError, _check_shots, qubit_marginals, rng_stream, xor_permute
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
@@ -70,69 +67,43 @@ def choose_flip_mask(pilots):
     return (1 << np.arange(marginals.shape[0])) @ (marginals > 0.5)
 
 
-def _draw(true_dist, response, masks, shots, streams):
-    """One readout segment of every repetition as columns of a ``(dim, reps)``
-    array: column j holds ``shots`` draws from ``streams[j]`` of the truth
-    flipped by ``masks[j]``, sampled once per distinct mask.
-    """
-    counts = np.empty((response.dim, len(streams)))
-    for mask in sorted(set(masks.tolist())):
-        flipped = ProbDist(xor_permute(true_dist.probs, mask))
-        columns = np.flatnonzero(masks == mask)
-        counts[:, columns] = sample_measured(
-            flipped, response, shots, [streams[j] for j in columns]
-        )
-    return counts
-
-
-def _correct(true_dist, response, unfold, segments):
-    """Corrected histograms of every repetition, as columns of a ``(dim, reps)`` array.
-
-    ``segments`` lists the readout segments each repetition is made of, each
-    as ``(masks, shots, streams)`` with one flip mask and one stream per
-    repetition.  All segments are sampled, stacked as the columns of one
-    counts array and unfolded in one batch in the physical basis.  Each
-    column is then un-flipped by its own mask, and the segments of each
-    repetition are summed.
-    """
-    masks = np.concatenate([m for m, _, _ in segments])
-    counts = np.hstack([_draw(true_dist, response, *segment) for segment in segments])
-    unflipped = xor_permute(apply_unfold(counts, response, unfold), masks)
-    return unflipped.reshape(response.dim, len(segments), -1).sum(axis=1)
-
-
 def run_plan(true_dist, response, plan, repetitions):
     """Run a plan once per repetition index and correct all the runs in one batch.
 
     This is the engine behind every strategy, from a single run to a whole
     ensemble, and the one place that picks random streams.  Run r is a list
-    of (flip mask, shots) segments:
+    of readout segments, each a flip mask and a shot count drawn from one
+    stream ``rng_stream(plan.rng_seed, r, spawn_key=key)``:
 
-    - nominal: ``[(0, N)]`` from ``rng_stream(plan.rng_seed, r)``;
-    - symmetrized: ``[(0, N // 2), (full, N - N // 2)]``, the halves drawn
-      from the two children of that stream's ``SeedSequence``;
-    - rebalanced: a pilot of ``plan.pilot_shots`` from the first child
-      chooses the mask, then ``[(mask, N - pilot)]`` from the second.
+    - nominal: ``[(0, N)]`` with key ``()``;
+    - symmetrized: ``[(0, N // 2), (full, N - N // 2)]`` with keys ``(0,)``
+      and ``(1,)``, the two children numpy's ``spawn`` makes of the nominal
+      stream;
+    - rebalanced: a pilot of ``plan.pilot_shots`` with key ``(0,)`` chooses
+      the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
 
-    Child k is built from ``SeedSequence([plan.rng_seed, r], spawn_key=(k,))``,
-    the child k that numpy's ``spawn`` makes of that stream's ``SeedSequence``,
-    with no parent built.  Returns ``(corrected, masks)``: the corrected
-    histograms as the columns of a ``(dim, len(repetitions))`` array, and the
-    flip mask of each run as an integer array (``None`` for nominal).
+    Each segment of every run is one :func:`sample_measured` call.  The
+    segments are stacked as the columns of one counts array, unfolded in one
+    batch in the physical basis, un-flipped column by column and summed per
+    run.  Returns ``(corrected, masks)``: the corrected histograms as the
+    columns of a ``(dim, len(repetitions))`` array, and the flip mask of each
+    run as an integer array (``None`` for nominal).
     """
-    reps = len(repetitions)
-    shots = plan.total_shots
-    identity = np.zeros(reps, dtype=np.int64)
+    reps, shots = len(repetitions), plan.total_shots
+
+    def streams(*key):
+        return [rng_stream(plan.rng_seed, r, spawn_key=key) for r in repetitions]
+
     if plan.strategy == "nominal":
-        streams = [rng_stream(plan.rng_seed, r) for r in repetitions]
-        return _correct(true_dist, response, plan.unfold, [(identity, shots, streams)]), None
-    first, second = ([np.random.default_rng(_seed_sequence(plan.rng_seed, r, spawn_key=(k,)))
-                      for r in repetitions] for k in (0, 1))
-    if plan.strategy == "symmetrized":
-        full = np.full(reps, response.dim - 1)
-        half = shots // 2
-        segments = [(identity, half, first), (full, shots - half, second)]
-        return _correct(true_dist, response, plan.unfold, segments), full
-    masks = choose_flip_mask(_draw(true_dist, response, identity, plan.pilot_shots, first))
-    segments = [(masks, shots - plan.pilot_shots, second)]
-    return _correct(true_dist, response, plan.unfold, segments), masks
+        masks, segments = None, [(0, shots, streams())]
+    elif plan.strategy == "symmetrized":
+        masks = np.full(reps, response.dim - 1)
+        segments = [(0, shots // 2, streams(0)), (masks, shots - shots // 2, streams(1))]
+    else:
+        pilots = sample_measured(true_dist, response, plan.pilot_shots, streams(0))
+        masks = choose_flip_mask(pilots)
+        segments = [(masks, shots - plan.pilot_shots, streams(1))]
+    counts = np.hstack([sample_measured(true_dist, response, n, s, m) for m, n, s in segments])
+    flips = np.concatenate([np.broadcast_to(m, reps) for m, _, _ in segments])
+    unflipped = xor_permute(apply_unfold(counts, response, plan.unfold), flips)
+    return unflipped.reshape(response.dim, len(segments), reps).sum(axis=1), masks

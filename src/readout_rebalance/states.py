@@ -26,10 +26,14 @@ def inverted_w_dist(n):
     return ProbDist(probs)
 
 
+# (2k + 1) * theta carries the rounding of theta times 2k + 1: up to 10**4
+# iterations the target probability stays within about 1e-12 at every width
+_MAX_GROVER_ITERATIONS = 10 ** 4
+
+
 def _check_grover_iterations(iterations):
-    # float64 holds the angle factor 2k + 1 exactly only up to 2**53 - 1
-    if not 0 <= int(iterations) < 2 ** 52:
-        raise ValidationError("iterations must lie between 0 and 2**52 - 1")
+    if not 0 <= int(iterations) <= _MAX_GROVER_ITERATIONS:
+        raise ValidationError(f"iterations must lie between 0 and {_MAX_GROVER_ITERATIONS}")
 
 
 def grover_dist(n, target, iterations):

@@ -133,7 +133,7 @@ def test_oracle_requires_enough_trials():
 def test_oracle_rejects_a_model_without_counts():
     # zero true counts give the multinomial NaN probabilities
     model = TwoQubitModel(0.05, 0.03, 0, 0, 0, 0)
-    with pytest.raises(ValidationError, match="at least one true count"):
+    with pytest.raises(ValidationError, match="the model's total count must lie between 1 and"):
         monte_carlo_variance_oracle(model, 1000, 0)
 
 

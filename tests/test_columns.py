@@ -10,6 +10,8 @@ import pytest
 
 from readout_rebalance.core import (
     DimensionError,
+    ProbDist,
+    ValidationError,
     counts_in_state,
     observable_base10,
     qubit_marginals,
@@ -31,7 +33,7 @@ TRUTH = gaussian_dist(0.0, 0.3, 5)
 
 # name -> (call on counts, masks and streams, rtol against the column calls)
 CASES = {
-    "sample_measured": (lambda R, c, m, s: sample_measured(TRUTH, R, 3000, s), 0),
+    "sample_measured": (lambda R, c, m, s: sample_measured(TRUTH, R, 3000, s, m), 0),
     "xor_permute": (lambda R, c, m, s: xor_permute(c, m), 0),
     "choose_flip_mask": (lambda R, c, m, s: choose_flip_mask(c), 0),
     "qubit_marginals": (lambda R, c, m, s: qubit_marginals(c), 0),
@@ -62,6 +64,39 @@ def test_batch_equals_column_calls(committed_response, name):
         np.testing.assert_allclose(batch, expected, rtol=rtol, atol=1e-9)
     else:
         np.testing.assert_array_equal(batch, expected)
+
+
+def test_sample_measured_column_j_draws_the_truth_flipped_by_mask_j(committed_response):
+    # repeated masks share one fold; every column is the plain draw of its
+    # flipped truth from its own stream
+    masks = np.array([0, 5, 31, 5, 0, 12])
+    streams = [rng_stream(5, j) for j in range(K)]
+    batch = sample_measured(TRUTH, committed_response, 3000, streams, masks)
+    columns = [
+        sample_measured(ProbDist(xor_permute(TRUTH.probs, int(mask))), committed_response,
+                        3000, [rng_stream(5, j)])[:, 0]
+        for j, mask in enumerate(masks)
+    ]
+    np.testing.assert_array_equal(batch, np.stack(columns, axis=-1))
+
+
+@pytest.mark.parametrize(
+    "masks, error",
+    [
+        ([0, 1], DimensionError),
+        ([[0, 1, 2]], DimensionError),
+        (1.0, ValidationError),
+        ([0, 1.5, 2], ValidationError),
+        (32, DimensionError),
+        ([0, -1, 1], DimensionError),
+    ],
+    ids=["count-mismatch", "matrix", "float", "float-column", "out-of-range", "negative"],
+)
+def test_sample_measured_refuses_masks_that_do_not_fit(committed_response, masks, error):
+    streams = [rng_stream(5, j) for j in range(3)]
+    with pytest.raises(error) as raised:
+        sample_measured(TRUTH, committed_response, 10, streams, masks)
+    assert raised.type is error
 
 
 UNFOLDERS = {

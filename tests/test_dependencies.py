@@ -1,4 +1,5 @@
-"""The package runs on numpy and the standard library alone."""
+"""The package runs on numpy and the standard library alone, and builds its
+random streams in one place."""
 
 import ast
 import re
@@ -36,3 +37,29 @@ def test_numpy_is_the_one_declared_dependency():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     # each entry is a PEP 508 requirement: a distribution name, then its versions
     assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in dependencies] == ["numpy"]
+
+
+# what building a numpy stream takes; core.rng_stream is the one place that does
+STREAM_NAMES = {"default_rng", "SeedSequence", "Generator"}
+
+
+def named(path):
+    """Every name and attribute the code of one source file uses; docstrings and
+    comments are not code and do not count."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def test_only_core_builds_random_streams():
+    core = ROOT / "src" / "readout_rebalance" / "core.py"
+    assert STREAM_NAMES & set(named(core))
+    outside = {
+        f"{path.name}: {name}"
+        for path in MODULES if path != core for name in named(path) if name in STREAM_NAMES
+    }
+    assert not outside

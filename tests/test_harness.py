@@ -609,6 +609,10 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--experiment", "grover", "--grover-iterations", "9" * 400,
                       "--calibration-file", "nope.json"], EXIT_VALIDATION,
                      id="run-grover-iterations-400-digits-before-file"),
+        # one past the last k whose target probability float64 keeps accurate
+        pytest.param(["run", "--experiment", "grover", "--grover-iterations", "10001",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-grover-iterations-beyond-limit-before-file"),
         pytest.param(["run", "--ibu-iterations", "10000000000", "--repetitions", "2",
                       "--shots", "100", "--strategies", "nominal",
                       "--calibration-file", "nope.json"], EXIT_VALIDATION,

@@ -71,11 +71,16 @@ def test_grover_target_out_of_range():
         grover_dist(3, 8, 1)
 
 
-def test_grover_iterations_bounded_where_2k_plus_1_is_exact():
-    # 2k + 1 = 2**53 - 1 is the largest odd factor float64 holds exactly
-    assert 0.0 <= grover_dist(5, 31, 2 ** 52 - 1).probs[31] <= 1.0
-    for k in (-1, 2 ** 52, 10 ** 400):
-        with pytest.raises(ValidationError, match="iterations must lie between 0 and"):
+def test_grover_iterations_bounded_where_the_angle_stays_accurate():
+    # (2k + 1) * theta carries theta's rounding times 2k + 1.  Exact references:
+    # one qubit has theta = pi/4, so p = 1/2 for every k; two qubits have
+    # theta = pi/6, so p = 1 when k = 1 (mod 3) and 1/4 otherwise
+    for k in (10 ** 4 - 1, 10 ** 4):
+        assert grover_dist(1, 1, k).probs[1] == pytest.approx(0.5, abs=1e-11)
+        assert grover_dist(2, 3, k).probs[3] == pytest.approx(
+            1.0 if k % 3 == 1 else 0.25, abs=1e-11)
+    for k in (-1, 10 ** 4 + 1, 10 ** 400):
+        with pytest.raises(ValidationError, match="iterations must lie between 0 and 10000"):
             grover_dist(5, 31, k)
 
 
