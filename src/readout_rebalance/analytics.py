@@ -22,9 +22,9 @@ VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # 5-qubit cell (65536 repetitions) peaks near 0.4 GB.
 _MAX_CELL_BYTES = 2 ** 24
 # Most repetitions of one cell at any width.  While a cell runs each holds one
-# Generator (nominal) or two, about 0.97 kB each by tracemalloc, which the byte
+# Generator (nominal) or two, about 780 B each by tracemalloc, which the byte
 # bound does not count (it admits 2**20 at one qubit); 2**16 caps them near
-# 128 MB.
+# 2**16 * 2 * 780 B = 102 MB.
 _MAX_CELL_REPETITIONS = 2 ** 16
 
 

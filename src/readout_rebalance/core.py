@@ -65,16 +65,131 @@ def _seed_sequence(seed, *path, spawn_key=()):
 def rng_stream(seed, *path, spawn_key=()):
     """Deterministic ``numpy.random.Generator`` from a seed and an index path.
 
-    This is the one place the package builds a stream.  ``rng_stream(seed,
-    rep)`` is the stream for repetition ``rep`` regardless of scheduling, so
-    repetitions can run in any order.  Paths that differ other than by
-    trailing zeros give independent streams: ``SeedSequence`` pads its
-    entropy with zero words, so ``rng_stream(seed)`` and ``rng_stream(seed,
-    0)`` are the same stream, draw for draw.  ``spawn_key=(k,)`` gives child
-    k of that stream, the one ``rng_stream(seed, *path).spawn(k + 1)[k]``
-    returns, without a parent built only to be spawned.
+    It builds one stream through numpy's own ``SeedSequence``;
+    :func:`rng_streams` builds the same streams for many repetitions at
+    once, and ``test_rng_streams_match_numpys_seed_sequence`` holds it to
+    this function.  These two are the only stream builders in the package.
+    ``rng_stream(seed, rep)`` is the stream for repetition ``rep`` regardless
+    of scheduling, so repetitions can run in any order.  Paths that differ
+    other than by trailing zeros give independent streams: ``SeedSequence``
+    pads its entropy with zero words, so ``rng_stream(seed)`` and
+    ``rng_stream(seed, 0)`` are the same stream, draw for draw.
+    ``spawn_key=(k,)`` gives child k of that stream, the one
+    ``rng_stream(seed, *path).spawn(k + 1)[k]`` returns, without a parent
+    built only to be spawned.
     """
     return np.random.default_rng(_seed_sequence(seed, *path, spawn_key=spawn_key))
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32
+# words, mixed with these constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value, name):
+    """The 32-bit words of a non-negative integer, least significant first (0 is one word)."""
+    value = int(value)
+    if value < 0:
+        raise ValidationError(f"{name} must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_rows(values, const, mult):
+    """One step of numpy's seed hash on each row of a uint32 array, in order.
+
+    Row i is hashed with the i-th of the successive constants ``const``,
+    ``const * mult``, ... (mod 2**32); returns the hashed rows and the
+    constant the next step starts from.  uint32 arrays wrap on overflow
+    exactly as numpy's C hash does.
+    """
+    keys = [const]
+    for _ in range(len(values)):
+        keys.append(keys[-1] * mult & _MASK32)
+    steps = np.array(keys, dtype=np.uint32)[:, None]
+    values = (values ^ steps[:-1]) * steps[1:]
+    return values ^ (values >> 16), keys[-1]
+
+
+def _mix(x, y):
+    """numpy's seed-hash mix of pool words ``x`` with hashed words ``y``."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _state_words(entropy):
+    """``SeedSequence.generate_state(4, np.uint64)`` for every column of ``entropy``.
+
+    ``entropy`` is a ``(words, k)`` uint32 array: each column is the
+    assembled entropy of one ``SeedSequence``, zero-padded to at least the
+    pool size.  Returns the ``(k, 4)`` uint64 state words.  Where numpy
+    loops over destination pool words, the loop's steps are independent and
+    run as one array step.
+    """
+    pool, const = _hash_rows(entropy[:_POOL_SIZE], _INIT_A, _MULT_A)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        hashed, const = _hash_rows(pool[[src] * len(dst)], const, _MULT_A)
+        pool[dst] = _mix(pool[dst], hashed)
+    # entropy beyond the pool is mixed into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        hashed, const = _hash_rows(np.broadcast_to(word, pool.shape), const, _MULT_A)
+        pool = _mix(pool, hashed)
+    # generate_state cycles through the pool for eight uint32 words
+    state, _ = _hash_rows(np.tile(pool, (2, 1)), _INIT_B, _MULT_B)
+    # pairs of uint32 words read as little-endian uint64, as numpy does
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Seed source of one ``PCG64`` whose four uint64 state words are known."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly these: four uint64 words
+        return self.words
+
+
+def rng_streams(seed, repetitions, spawn_key=()):
+    """``[rng_stream(seed, r, spawn_key=spawn_key) for r in repetitions]``, in one pass.
+
+    Every stream draws exactly what its :func:`rng_stream` draws:
+    :func:`_state_words` reproduces numpy's ``SeedSequence`` hash word for
+    word, for all repetitions at once as uint32 arrays, and each ``PCG64``
+    is seeded with its repetition's state words.  The entropy is the
+    seed's 32-bit words, then ``r``, zero-padded to the pool size before a
+    non-empty spawn key, as ``SeedSequence`` assembles it.  The streams
+    cannot ``spawn``.  The seed and the indices are checked once per call,
+    before any stream is built: both must be non-negative, and each index
+    must fit in one 32-bit word.
+    """
+    run = _uint32_words(seed, "rng seed")
+    key = [w for k in spawn_key for w in _uint32_words(k, "spawn key entries")]
+    indices = [int(r) for r in repetitions]
+    if indices and not 0 <= min(indices) <= max(indices) <= _MASK32:
+        raise ValidationError(
+            f"repetition indices must lie between 0 and {_MASK32}, "
+            f"got {min(indices)} to {max(indices)}"
+        )
+    # the seed's words and r, then the spawn key after zero padding to the pool
+    start = max(len(run) + 1, _POOL_SIZE) if key else len(run) + 1
+    entropy = np.zeros((max(start + len(key), _POOL_SIZE), len(indices)), dtype=np.uint32)
+    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
+    entropy[len(run)] = indices
+    entropy[start:start + len(key)] = np.array(key, dtype=np.uint32).reshape(-1, 1)
+    return [
+        np.random.Generator(np.random.PCG64(_StateWords(words)))
+        for words in _state_words(entropy)
+    ]
 
 
 def bit_table(n_qubits):

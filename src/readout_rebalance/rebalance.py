@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _check_shots, qubit_marginals, rng_stream, xor_permute
+from .core import ValidationError, _check_shots, qubit_marginals, rng_streams, xor_permute
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
@@ -82,6 +82,15 @@ def run_plan(true_dist, response, plan, repetitions):
     - rebalanced: a pilot of ``plan.pilot_shots`` with key ``(0,)`` chooses
       the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
 
+    The streams of one key are built for all repetitions in one
+    :func:`~readout_rebalance.core.rng_streams` call, which reproduces
+    numpy's ``SeedSequence`` word for word
+    (``test_rng_streams_match_numpys_seed_sequence`` pins it).  The seed
+    must be non-negative, and each repetition index must lie between 0 and
+    2**32 - 1, so that it is one entropy word; ``ensemble_run`` passes at
+    most 2**16 indices.  Anything else raises ``ValidationError`` before a
+    stream is built.
+
     Each segment of every run is one :func:`sample_measured` call.  The
     segments are stacked as the columns of one counts array, unfolded in one
     batch in the physical basis, un-flipped column by column and summed per
@@ -92,7 +101,7 @@ def run_plan(true_dist, response, plan, repetitions):
     reps, shots = len(repetitions), plan.total_shots
 
     def streams(*key):
-        return [rng_stream(plan.rng_seed, r, spawn_key=key) for r in repetitions]
+        return rng_streams(plan.rng_seed, repetitions, spawn_key=key)
 
     if plan.strategy == "nominal":
         masks, segments = None, [(0, shots, streams())]

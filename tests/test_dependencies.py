@@ -39,8 +39,9 @@ def test_numpy_is_the_one_declared_dependency():
     assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in dependencies] == ["numpy"]
 
 
-# what building a numpy stream takes; core.rng_stream is the one place that does
-STREAM_NAMES = {"default_rng", "SeedSequence", "Generator"}
+# what building a numpy stream takes; core.py is the one module that does, in
+# rng_stream (one stream) and rng_streams (one per repetition)
+STREAM_NAMES = {"default_rng", "SeedSequence", "Generator", "PCG64", "ISeedSequence"}
 
 
 def named(path):

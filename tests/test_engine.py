@@ -13,7 +13,9 @@ import pytest
 
 from readout_rebalance.analytics import ensemble_run
 from readout_rebalance import rebalance
-from readout_rebalance.core import ProbDist, observable_base10, rng_stream, xor_permute
+from readout_rebalance.core import (
+    ProbDist, ValidationError, observable_base10, rng_stream, rng_streams, xor_permute,
+)
 from readout_rebalance.harness import _row_seed
 from readout_rebalance.noise import sample_measured
 from readout_rebalance.rebalance import MeasurementPlan, choose_flip_mask, run_plan
@@ -104,6 +106,46 @@ def test_rng_stream_pads_the_path_with_zeros(seed):
     # 0 adds nothing; fixed-seed outputs rest on numpy's streams, so another
     # derivation of the stream tree must reproduce this padding
     assert np.array_equal(rng_stream(seed).random(8), rng_stream(seed, 0).random(8))
+
+
+# a seed of one word at each end of its range, one of two words, a harness
+# row seed, and one of four words: with r that is more entropy than numpy's
+# pool of four words holds, so the hash's last mixing loop runs for every key
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32 + 7, _row_seed(7, 0, 1), 2 ** 96 + 5])
+@pytest.mark.parametrize("key", [(), (0,), (1,)])
+def test_rng_streams_match_numpys_seed_sequence(seed, key):
+    # the vectorized hash gives the state words numpy's SeedSequence gives,
+    # and the streams draw what rng_stream draws; r = 0 ends the path in a
+    # zero, which SeedSequence's padding makes vanish for key ()
+    indices = [0, 1, 2, 999, 2 ** 32 - 1]
+    streams = rng_streams(seed, indices, spawn_key=key)
+    assert len(streams) == len(indices)
+    for r, stream in zip(indices, streams):
+        expected = np.random.SeedSequence([seed, r], spawn_key=key).generate_state(4, np.uint64)
+        words = stream.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.tolist() == expected.tolist()
+        assert np.array_equal(stream.random(8), rng_stream(seed, r, spawn_key=key).random(8))
+
+
+@pytest.mark.parametrize("seed, repetitions", [
+    (-1, [0]),
+    (SEED, [-1]),
+    (SEED, [0, 1, 2 ** 32]),
+    (SEED, [2 ** 70]),
+])
+@pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
+def test_run_plan_refuses_streams_it_cannot_derive(committed_response, monkeypatch,
+                                                   strategy, seed, repetitions):
+    # a negative seed or index would wrap in a uint32 cast, and an index of
+    # 2**32 or more would need a second entropy word: both are refused before
+    # any bit generator is built
+    def unreachable(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy, rng_seed=seed)
+    with pytest.raises(ValidationError):
+        run_plan(inverted_w_dist(5), committed_response, plan, repetitions)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, _row_seed(7, 0, 1)])
