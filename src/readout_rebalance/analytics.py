@@ -17,9 +17,11 @@ from .rebalance import run_plan
 VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
 # engine keeps about ten arrays of that size alive at once (IBU's iterate and
-# temporaries, the corrected and un-flipped copies, twice over for symmetrized).
-# 16 MiB is 64 times the paper's 5-qubit, 1000-repetition cell; its largest
-# 5-qubit cell (65536 repetitions) peaks near 0.4 GB.
+# temporaries, the corrected and un-flipped copies, twice over for symmetrized):
+# by tracemalloc, symmetrized IBU peaks at 11.3 cells, or 13.0 where the
+# Kronecker-factored products hold one more intermediate array.  16 MiB is 64
+# times the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell
+# (65536 repetitions) peaks near 0.4 GB.
 _MAX_CELL_BYTES = 2 ** 24
 # Most repetitions of one cell at any width.  While a cell runs each holds one
 # Generator (nominal) or two, about 780 B each by tracemalloc, which the byte

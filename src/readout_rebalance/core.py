@@ -255,6 +255,20 @@ def _width(counts, name="counts"):
     return counts, dim.bit_length() - 1
 
 
+def _counts(counts):
+    """``_width(counts)`` of measured counts, refused unless every count is finite.
+
+    The one finiteness check of the functions that reduce or unfold counts:
+    a NaN or inf count would come out of them as NaN estimates or a flip
+    mask of 0, with a ``RuntimeWarning`` at most.
+    """
+    counts, n = _width(counts)
+    if not np.isfinite(counts).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(counts))[0])
+        raise ValidationError(f"counts must be finite, got {counts[at]!r} at index {at}")
+    return counts, n
+
+
 def _totals(counts, what):
     totals = counts.sum(axis=0)
     if np.any(totals <= 0):
@@ -292,7 +306,7 @@ def qubit_marginals(counts):
     ``(2**n, k)`` array.  One ``bits @ counts`` gives every qubit's count of
     1s in every column.
     """
-    counts, n = _width(counts)
+    counts, n = _counts(counts)
     return (bit_table(n) @ counts) / _totals(counts, "qubit marginals")
 
 
@@ -302,7 +316,7 @@ def observable_base10(counts):
     Equals sum_i 2^i <s_i>: the bitstring read as a base-2 integer,
     averaged over the histogram.
     """
-    counts, n = _width(counts)
+    counts, n = _counts(counts)
     return np.arange(2 ** n) @ counts / _totals(counts, "base-10 observable")
 
 

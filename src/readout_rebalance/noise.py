@@ -29,10 +29,18 @@ DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
 # Widest register given a dense response matrix: 11 qubits, 8 * 4**11 bytes =
-# 32 MiB.  Building peaks at twice the matrix and each solve, SVD and IBU
-# product holds more copies, while 16 qubits would take 32 GiB per copy.
-# wide_8q's 8 qubits take 0.5 MiB.
+# 32 MiB.  Building peaks at twice the matrix and looking for its Kronecker
+# factors at three times; each dense solve, SVD and IBU product holds more
+# copies (a factored matrix needs none), while 16 qubits would take 32 GiB per
+# copy.  wide_8q's 8 qubits take 0.5 MiB.
 _MAX_DENSE_QUBITS = 11
+# Narrowest register whose unfolding runs on Kronecker factors: below it a
+# dense 32x32 product is as fast as the two small ones.
+_MIN_FACTORED_QUBITS = 7
+# Entries lie in [0, 1], and the Kronecker product of a tensor-product
+# matrix's factors rebuilds them to within 7 eps at 2 to 11 qubits (300
+# random models); a finite-shot estimate misses by more than 1e-4.
+_KRON_ATOL = 16 * np.finfo(np.float64).eps
 
 
 def _check_dense(n_qubits):
@@ -64,6 +72,11 @@ class ResponseMatrix:
             raise ValidationError(
                 f"entry at row {m}, column {t} is {entries[m, t]!r}, outside [0, 1]"
             )
+        # written so that NaN fails the test as well
+        if not 0.0 <= self.column_sum_atol < np.inf:
+            raise ValidationError(
+                f"column_sum_atol must be finite and non-negative, got {self.column_sum_atol!r}"
+            )
         sums = entries.sum(axis=0)
         off = np.abs(sums - 1.0)
         if np.any(off > self.column_sum_atol):
@@ -75,13 +88,44 @@ class ResponseMatrix:
         object.__setattr__(self, "entries", entries)
 
     @cached_property
+    def kron_factors(self):
+        """``(hi, lo)`` with ``entries == np.kron(hi, lo)``, or ``None``.
+
+        ``hi`` acts on the high ``ceil(n/2)`` qubits and ``lo`` on the low
+        ``floor(n/2)``.  Each is a marginal of the entries: ``hi`` sums the
+        low measured bits of the columns whose low true bits are 0, and
+        ``lo`` the high measured bits of those whose high true bits are 0.
+        The pair is kept only when its Kronecker product rebuilds every
+        entry to within ``_KRON_ATOL``, so a tensor-product model has it
+        however it was made or read, and a calibrated estimate does not.
+        Found on first use and kept, like :attr:`condition_number`; always
+        ``None`` below ``_MIN_FACTORED_QUBITS`` qubits, where the dense
+        products are as fast.
+        """
+        if self.n_qubits < _MIN_FACTORED_QUBITS:
+            return None
+        high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
+        # indices [measured high, measured low, true high, true low]
+        blocks = self.entries.reshape(high, low, high, low)
+        hi, lo = blocks[:, :, :, 0].sum(axis=1), blocks[:, :, 0, :].sum(axis=0)
+        if np.abs(np.kron(hi, lo) - self.entries).max() > _KRON_ATOL:
+            return None
+        return hi, lo
+
+    @cached_property
     def condition_number(self):
         """2-norm condition number (ratio of extreme singular values).
 
         Computed by an SVD on first use and kept: the entries never change,
-        and construction should not pay for an SVD nobody asks for.
+        and construction should not pay for an SVD nobody asks for.  With
+        :attr:`kron_factors` it is the product of the factors' condition
+        numbers, which is exact: the singular values of a Kronecker
+        product are the products of the factors' singular values.
         """
-        return float(np.linalg.cond(self.entries))
+        if self.kron_factors is None:
+            return float(np.linalg.cond(self.entries))
+        hi, lo = self.kron_factors
+        return float(np.linalg.cond(hi) * np.linalg.cond(lo))
 
     @property
     def dim(self):

@@ -5,12 +5,19 @@ Both unfolders take measured counts, one histogram or one per column of a
 true histograms at the same totals.  Matrix inversion is exactly unbiased
 for linear observables but can go negative; IBU stays nonnegative and is
 the usual choice for actual correction work.
+
+A response matrix with :attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`
+(a tensor-product model from 7 qubits up, however it was built or read) is
+never used densely here: ``R @ x``, ``R.T @ x`` and the solve each act on
+the high and the low half of the qubits in turn, through the two factors.
+Any other matrix takes the dense path.  The two paths differ by rounding
+only.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, NumericalError, ValidationError, _totals, _width
+from .core import DimensionError, NumericalError, ValidationError, _counts, _totals
 
 DEFAULT_IBU_ITERATIONS = 100
 # Most IBU iterations: 10**5 take about 30 s on a 5-qubit, 1000-repetition cell
@@ -53,7 +60,7 @@ def condition_report(response):
 
 
 def _check_counts(counts, response):
-    counts, n = _width(counts)
+    counts, n = _counts(counts)
     if n != response.n_qubits:
         raise DimensionError(
             f"counts of shape {counts.shape} do not match a {response.dim}-state response matrix"
@@ -61,16 +68,44 @@ def _check_counts(counts, response):
     return counts
 
 
+def _kron_apply(op, hi, lo, x):
+    """``op(np.kron(hi, lo), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
+
+    ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(hi), len(lo), k)``,
+    ``hi`` acts on its first axis, then ``lo``, broadcast, on its second.
+    """
+    y = op(hi, x.reshape(len(hi), -1)).reshape(len(hi), len(lo), -1)
+    return op(lo, y).reshape(x.shape)
+
+
+class _KronProduct:
+    """``np.kron(hi, lo)`` as far as ``@`` and ``.T`` go, applied through its factors."""
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    def __matmul__(self, x):
+        return _kron_apply(np.matmul, self.hi, self.lo, x)
+
+    @property
+    def T(self):
+        return _KronProduct(self.hi.T, self.lo.T)
+
+
 def matrix_inverse_unfold(counts, response):
     """Unfold by solving R t = m, for every column of the counts at once.
 
-    Solves the linear system rather than materializing R^-1.  Because the
-    columns of R sum to one, the solution preserves each measured total.
+    Solves the linear system rather than materializing R^-1: one dense LU
+    solve, or, for a matrix with ``kron_factors``, one solve with each
+    factor, so no ``2**n x 2**n`` matrix is factorized.  Because the columns
+    of R sum to one, the solution preserves each measured total.
     Entries may come out negative; they are returned as-is so downstream
     statistics stay unbiased.
 
     Raises
     ------
+    ValidationError
+        For a count that is NaN or infinite.
     NumericalError
         If R is singular or its condition number exceeds ``DEFAULT_MAX_CONDITION``.
     """
@@ -81,7 +116,9 @@ def matrix_inverse_unfold(counts, response):
             f"response matrix condition number {cond:.3e} exceeds {DEFAULT_MAX_CONDITION:.3e}"
         )
     try:
-        return np.linalg.solve(response.entries, counts)
+        if response.kron_factors is None:
+            return np.linalg.solve(response.entries, counts)
+        return _kron_apply(np.linalg.solve, *response.kron_factors, counts)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"response matrix is singular: {exc}") from exc
 
@@ -95,7 +132,8 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         t[i] <- t[i] * sum_j R[j, i] * m[j] / (R t)[j]
 
     Every column of the counts runs in the same loop of ``R @ t`` and
-    ``R.T @ ratio``.  The iterate stays nonnegative and keeps the measured
+    ``R.T @ ratio``, both taken through the Kronecker factors of R where it
+    has them.  The iterate stays nonnegative and keeps the measured
     total at every step.  Convergence is controlled purely by the iteration
     count, and it is slow where the truth is (near-)empty: the
     multiplicative update clears the mass left in such bins only like
@@ -107,7 +145,8 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     Raises
     ------
     ValidationError
-        For negative or zero-total input histograms, or iterations outside 1 to 10**5.
+        For negative, non-finite or zero-total input histograms, or
+        iterations outside 1 to 10**5.
     NumericalError
         If some measured bin has counts but zero folded support, so no
         redistribution can explain it.
@@ -118,7 +157,8 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         raise ValidationError("IBU requires a nonnegative measured histogram")
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
-    R = response.entries
+    factors = response.kron_factors
+    R = response.entries if factors is None else _KronProduct(*factors)
     for i in range(iterations):
         folded = R @ t
         empty = folded <= 0.0
@@ -141,9 +181,9 @@ def apply_unfold(counts, response, config):
 
     One ``solve`` for matrix inversion, or one IBU loop over the whole
     array.  A column's result does not depend on the other columns beyond
-    floating-point rounding, but the checks (condition bound, nonnegative
-    input, positive total, folded support) apply to every column, and one
-    failing column fails the call.
+    floating-point rounding, but the checks (finite counts, condition bound,
+    nonnegative input, positive total, folded support) apply to every
+    column, and one failing column fails the call.
     """
     if config.method == "matrix_inversion":
         return matrix_inverse_unfold(counts, response)

@@ -11,6 +11,7 @@ import pytest
 from readout_rebalance.core import (
     DimensionError,
     ProbDist,
+    QubitNoiseParams,
     ValidationError,
     counts_in_state,
     observable_base10,
@@ -18,7 +19,7 @@ from readout_rebalance.core import (
     rng_stream,
     xor_permute,
 )
-from readout_rebalance.noise import sample_measured
+from readout_rebalance.noise import build_tensor_response, sample_measured
 from readout_rebalance.rebalance import choose_flip_mask
 from readout_rebalance.states import gaussian_dist
 from readout_rebalance.unfold import (
@@ -30,10 +31,16 @@ from readout_rebalance.unfold import (
 
 K = 6
 TRUTH = gaussian_dist(0.0, 0.3, 5)
+# from 7 qubits a tensor model unfolds through its Kronecker factors
+WIDE = build_tensor_response(
+    [QubitNoiseParams(0.002 + 0.0002 * i, 0.065 + 0.002 * i) for i in range(8)]
+)
+TRUTHS = {5: TRUTH, 8: gaussian_dist(0.0, 0.3, 8)}
 
 # name -> (call on counts, masks and streams, rtol against the column calls)
 CASES = {
-    "sample_measured": (lambda R, c, m, s: sample_measured(TRUTH, R, 3000, s, m), 0),
+    "sample_measured": (
+        lambda R, c, m, s: sample_measured(TRUTHS[R.n_qubits], R, 3000, s, m), 0),
     "xor_permute": (lambda R, c, m, s: xor_permute(c, m), 0),
     "choose_flip_mask": (lambda R, c, m, s: choose_flip_mask(c), 0),
     "qubit_marginals": (lambda R, c, m, s: qubit_marginals(c), 0),
@@ -48,22 +55,25 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_batch_equals_column_calls(committed_response, name):
     call, rtol = CASES[name]
-    rng = np.random.default_rng(11)
-    # pilot-like counts, each column's marginals spread around 0.5
-    counts = rng.integers(0, 400, size=(32, K)).astype(float)
-    masks = rng.integers(0, 32, size=K)
-    batch = call(committed_response, counts, masks, [rng_stream(5, j) for j in range(K)])
-    columns = [
-        call(committed_response, counts[:, j], int(masks[j]), [rng_stream(5, j)])
-        for j in range(K)
-    ]
-    # one stream gives a (dim, 1) sample; every other call gives (dim,) or a scalar
-    expected = np.stack([np.reshape(c, np.shape(batch)[:-1]) for c in columns], axis=-1)
-    assert np.shape(batch) == expected.shape
-    if rtol:
-        np.testing.assert_allclose(batch, expected, rtol=rtol, atol=1e-9)
-    else:
-        np.testing.assert_array_equal(batch, expected)
+    # the committed model unfolds densely, the wide one through its factors
+    for response, factored in ((committed_response, False), (WIDE, True)):
+        assert (response.kron_factors is not None) == factored
+        rng = np.random.default_rng(11)
+        # pilot-like counts, each column's marginals spread around 0.5
+        counts = rng.integers(0, 400, size=(response.dim, K)).astype(float)
+        masks = rng.integers(0, response.dim, size=K)
+        batch = call(response, counts, masks, [rng_stream(5, j) for j in range(K)])
+        columns = [
+            call(response, counts[:, j], int(masks[j]), [rng_stream(5, j)])
+            for j in range(K)
+        ]
+        # one stream gives a (dim, 1) sample; every other call gives (dim,) or a scalar
+        expected = np.stack([np.reshape(c, np.shape(batch)[:-1]) for c in columns], axis=-1)
+        assert np.shape(batch) == expected.shape
+        if rtol:
+            np.testing.assert_allclose(batch, expected, rtol=rtol, atol=1e-9)
+        else:
+            np.testing.assert_array_equal(batch, expected)
 
 
 def test_sample_measured_column_j_draws_the_truth_flipped_by_mask_j(committed_response):
@@ -121,6 +131,19 @@ def test_counts_of_the_wrong_shape_raise(committed_response, name, shape):
     call = {**UNFOLDERS, **REGISTER}[name]
     with pytest.raises(DimensionError):
         call(committed_response, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", [*UNFOLDERS, "qubit_marginals", "choose_flip_mask",
+                                  "observable_base10"])
+def test_non_finite_counts_are_refused(committed_response, name, bad):
+    call = {**UNFOLDERS, **REGISTER}[name]
+    counts = np.ones((32, 3))
+    counts[7, 1] = bad
+    with pytest.raises(ValidationError, match=r"counts must be finite, got .* at index \(7, 1\)"):
+        call(committed_response, counts)
+    with pytest.raises(ValidationError, match="finite"):
+        call(committed_response, counts[:, 1])
 
 
 @pytest.mark.parametrize("name", UNFOLDERS)

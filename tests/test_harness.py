@@ -24,6 +24,8 @@ from readout_rebalance.harness import (
 from readout_rebalance.noise import save_response
 from readout_rebalance.rebalance import STRATEGIES
 
+from conftest import make_response
+
 
 def read_csv(path):
     lines = path.read_text().splitlines()
@@ -224,20 +226,25 @@ def test_exit_code_bad_strategy(tmp_path):
 
 
 def test_exit_code_singular_matrix(tmp_path):
-    # a legal column-stochastic but singular matrix: both columns equal
     from readout_rebalance.noise import ResponseMatrix
 
-    R = ResponseMatrix([[0.5, 0.5], [0.5, 0.5]])
-    path = tmp_path / "singular.json"
-    save_response(R, path)
-    code = main([
-        "run", "--experiment", "grover",
-        "--calibration-file", str(path),
-        "--unfold-method", "matrix_inversion",
-        "--shots", "100", "--repetitions", "5",
-        "--output-dir", str(tmp_path),
-    ])
-    assert code == EXIT_NUMERICAL
+    # a legal column-stochastic but singular matrix: both columns equal; and
+    # an 8-qubit tensor model, unfolded through its factors, whose qubit 3
+    # reads out at random (eps01 + eps10 = 1)
+    singular = ResponseMatrix([[0.5, 0.5], [0.5, 0.5]])
+    wide = make_response([0.003] * 3 + [0.4] + [0.003] * 4, [0.07] * 3 + [0.6] + [0.07] * 4)
+    assert wide.kron_factors is not None
+    for R in (singular, wide):
+        path = tmp_path / f"singular-{R.n_qubits}.json"
+        save_response(R, path)
+        code = main([
+            "run", "--experiment", "grover",
+            "--calibration-file", str(path),
+            "--unfold-method", "matrix_inversion",
+            "--shots", "100", "--repetitions", "5",
+            "--output-dir", str(tmp_path / f"out-{R.n_qubits}"),
+        ])
+        assert code == EXIT_NUMERICAL
 
 
 def test_run_failure_removes_partial_outputs(tmp_path, monkeypatch):

@@ -58,6 +58,14 @@ def test_column_stochastic_validation():
         ResponseMatrix([[1.2, 0.0], [-0.2, 1.0]])
 
 
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -1e-9])
+def test_column_sum_tolerance_must_be_finite_and_non_negative(atol):
+    with pytest.raises(ValidationError, match="column_sum_atol must be finite and non-negative"):
+        ResponseMatrix(np.full((4, 4), 0.5), column_sum_atol=atol)
+    with pytest.raises(ValidationError, match="column_sum_atol"):
+        ResponseMatrix(np.eye(4), column_sum_atol=atol)
+
+
 def test_response_matrix_width_is_read_from_the_array():
     R = ResponseMatrix(np.eye(8))
     assert (R.n_qubits, R.dim) == (3, 8)
