@@ -52,7 +52,6 @@ from .analytics import (
     OracleResult,
     TwoQubitModel,
     appendix_a_expectations,
-    appendix_a_expectations_linear,
     appendix_a_variances,
     ensemble_run,
     monte_carlo_variance_oracle,

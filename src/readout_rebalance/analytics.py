@@ -93,23 +93,6 @@ def appendix_a_expectations(model):
     return (channel.entries @ model.true_counts()[order])[order]
 
 
-def appendix_a_expectations_linear(model):
-    """Measured-count expectations truncated at linear order in q.
-
-    Identical to the exact values except for the dropped q0*q1 cross terms.
-    """
-    n00, n01, n10, n11 = model.true_counts()
-    q0, q1 = model.q0, model.q1
-    return np.array(
-        [
-            n00 + q0 * n10 + q1 * n01,
-            (1 - q1) * n01 + q0 * n11,
-            (1 - q0) * n10 + q1 * n11,
-            (1 - q0 - q1) * n11,
-        ]
-    )
-
-
 def linear_order_reconstruct(measured_counts, q0, q1):
     """First-order inverse of the decay channel applied to measured counts.
 

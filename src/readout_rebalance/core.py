@@ -54,34 +54,7 @@ def _check_shots(shots, name, least=1):
     return shots
 
 
-def _seed_sequence(seed, *path, spawn_key=()):
-    """``SeedSequence`` of a non-negative seed, index path and spawn key."""
-    entropy = [int(seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entropy):
-        raise ValidationError(f"rng seed and path entries must be non-negative, got {entropy}")
-    return np.random.SeedSequence(entropy, spawn_key=spawn_key)
-
-
-def rng_stream(seed, *path, spawn_key=()):
-    """Deterministic ``numpy.random.Generator`` from a seed and an index path.
-
-    It builds one stream through numpy's own ``SeedSequence``;
-    :func:`rng_streams` builds the same streams for many repetitions at
-    once, and ``test_rng_streams_match_numpys_seed_sequence`` holds it to
-    this function.  These two are the only stream builders in the package.
-    ``rng_stream(seed, rep)`` is the stream for repetition ``rep`` regardless
-    of scheduling, so repetitions can run in any order.  Paths that differ
-    other than by trailing zeros give independent streams: ``SeedSequence``
-    pads its entropy with zero words, so ``rng_stream(seed)`` and
-    ``rng_stream(seed, 0)`` are the same stream, draw for draw.
-    ``spawn_key=(k,)`` gives child k of that stream, the one
-    ``rng_stream(seed, *path).spawn(k + 1)[k]`` returns, without a parent
-    built only to be spawned.
-    """
-    return np.random.default_rng(_seed_sequence(seed, *path, spawn_key=spawn_key))
-
-
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32
+# numpy's seed-sequence hash (O'Neill's seed_seq_fe): a pool of four uint32
 # words, mixed with these constants
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -125,13 +98,13 @@ def _mix(x, y):
 
 
 def _state_words(entropy):
-    """``SeedSequence.generate_state(4, np.uint64)`` for every column of ``entropy``.
+    """numpy's ``generate_state(4, np.uint64)`` for every column of ``entropy``.
 
     ``entropy`` is a ``(words, k)`` uint32 array: each column is the
-    assembled entropy of one ``SeedSequence``, zero-padded to at least the
+    assembled entropy of one seed sequence, zero-padded to at least the
     pool size.  Returns the ``(k, 4)`` uint64 state words.  Where numpy
     loops over destination pool words, the loop's steps are independent and
-    run as one array step.
+    run as one array step.  This is the package's one seed hash.
     """
     pool, const = _hash_rows(entropy[:_POOL_SIZE], _INIT_A, _MULT_A)
     for src in range(_POOL_SIZE):
@@ -148,6 +121,40 @@ def _state_words(entropy):
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+def _seed_states(seed, paths, spawn_key=()):
+    """State words of the seed sequence of ``seed``, each index path and ``spawn_key``.
+
+    ``paths`` is a ``(k, depth)`` integer array, one index path per row.
+    Row i of the ``(k, 4)`` result is ``generate_state(4, np.uint64)`` of
+    numpy's seed sequence of entropy ``[seed, *paths[i]]`` and this spawn
+    key: the state that seeds a ``PCG64``, whose word 0 is also the
+    integer seed of a child.  This is the package's one entropy assembly,
+    done as numpy does it: the seed's 32-bit words, then one word per path
+    entry, zero-padded to the pool size before a non-empty spawn key.  The
+    seed and the spawn key entries may be any non-negative integers; a path
+    entry must lie between 0 and 2**32 - 1, so that it is one word.
+    Anything else raises ``ValidationError`` before anything is hashed.
+    """
+    run = _uint32_words(seed, "rng seed")
+    key = [w for k in spawn_key for w in _uint32_words(k, "spawn key entries")]
+    paths = np.asarray(paths)
+    if paths.size and not (
+        paths.dtype.kind in "iu" and 0 <= paths.min() <= paths.max() <= _MASK32
+    ):
+        raise ValidationError(
+            f"path entries must be integers between 0 and {_MASK32}, "
+            f"got {paths.min()!r} to {paths.max()!r}"
+        )
+    k, depth = paths.shape
+    # the seed's words and the path, then the spawn key after zero padding to the pool
+    start = max(len(run) + depth, _POOL_SIZE) if key else len(run) + depth
+    entropy = np.zeros((max(start + len(key), _POOL_SIZE), k), dtype=np.uint32)
+    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
+    entropy[len(run):len(run) + depth] = paths.T
+    entropy[start:start + len(key)] = np.array(key, dtype=np.uint32).reshape(-1, 1)
+    return _state_words(entropy)
+
+
 class _StateWords(np.random.bit_generator.ISeedSequence):
     """Seed source of one ``PCG64`` whose four uint64 state words are known."""
 
@@ -159,37 +166,40 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _streams(seed, paths, spawn_key):
+    """One ``numpy.random.Generator`` per row of ``paths``, seeded by :func:`_seed_states`."""
+    return [
+        np.random.Generator(np.random.PCG64(_StateWords(words)))
+        for words in _seed_states(seed, paths, spawn_key)
+    ]
+
+
+def rng_stream(seed, *path, spawn_key=()):
+    """Deterministic ``numpy.random.Generator`` from a seed and an index path.
+
+    It draws what numpy's default generator draws from the seed sequence
+    of entropy ``[seed, *path]`` and this spawn key, through the package's
+    one seed hash (see :func:`_seed_states`).  The stream cannot ``spawn``;
+    ``spawn_key=(k,)`` gives child k, the one numpy's ``spawn`` returns at
+    index k.
+    The seed sequence pads its entropy with zero words, so paths that
+    differ only by trailing zeros give the same stream: ``rng_stream(seed)``
+    and ``rng_stream(seed, 0)`` draw alike.  Other paths give independent
+    streams.
+    """
+    return _streams(seed, [path], spawn_key)[0]
+
+
 def rng_streams(seed, repetitions, spawn_key=()):
     """``[rng_stream(seed, r, spawn_key=spawn_key) for r in repetitions]``, in one pass.
 
-    Every stream draws exactly what its :func:`rng_stream` draws:
-    :func:`_state_words` reproduces numpy's ``SeedSequence`` hash word for
-    word, for all repetitions at once as uint32 arrays, and each ``PCG64``
-    is seeded with its repetition's state words.  The entropy is the
-    seed's 32-bit words, then ``r``, zero-padded to the pool size before a
-    non-empty spawn key, as ``SeedSequence`` assembles it.  The streams
-    cannot ``spawn``.  The seed and the indices are checked once per call,
+    The state words of all repetitions come from one :func:`_seed_states`
+    call, as uint32 arrays, so this costs one hash call plus one ``PCG64``
+    per repetition.  The seed and the indices are checked once per call,
     before any stream is built: both must be non-negative, and each index
     must fit in one 32-bit word.
     """
-    run = _uint32_words(seed, "rng seed")
-    key = [w for k in spawn_key for w in _uint32_words(k, "spawn key entries")]
-    indices = [int(r) for r in repetitions]
-    if indices and not 0 <= min(indices) <= max(indices) <= _MASK32:
-        raise ValidationError(
-            f"repetition indices must lie between 0 and {_MASK32}, "
-            f"got {min(indices)} to {max(indices)}"
-        )
-    # the seed's words and r, then the spawn key after zero padding to the pool
-    start = max(len(run) + 1, _POOL_SIZE) if key else len(run) + 1
-    entropy = np.zeros((max(start + len(key), _POOL_SIZE), len(indices)), dtype=np.uint32)
-    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
-    entropy[len(run)] = indices
-    entropy[start:start + len(key)] = np.array(key, dtype=np.uint32).reshape(-1, 1)
-    return [
-        np.random.Generator(np.random.PCG64(_StateWords(words)))
-        for words in _state_words(entropy)
-    ]
+    return _streams(seed, np.asarray(repetitions).reshape(-1, 1), spawn_key)
 
 
 def bit_table(n_qubits):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .core import (
-    CalibrationFileError, NumericalError, ValidationError, _check_shots, _read_json, _seed_sequence,
+    CalibrationFileError, NumericalError, ValidationError, _check_shots, _read_json, _seed_states,
 )
 from .noise import (
     QubitNoiseParams,
@@ -276,13 +276,6 @@ class _Outputs:
                     os.rmdir(directory)
 
 
-def _row_seed(base_seed, *path):
-    """Deterministic integer seed for one ensemble row.  ``SeedSequence`` pads the
-    path with zeros, so ``_row_seed(s, i)`` equals ``_row_seed(s, i, 0)``."""
-    ss = _seed_sequence(base_seed, *path)
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _experiment_rows(config, response):
     """(label, mu, distribution, observable weights, observable_label) per
     benchmark row."""
@@ -310,11 +303,15 @@ def run_experiment(config):
     response = config.response_matrix()
     rows = _experiment_rows(config, response)
 
+    # a cell's seed is state word 0 of the path (row, strategy), the strategy
+    # by its place in STRATEGIES, so a cell draws alike in any strategy list
+    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(len(rows)) for plan in plans]
+    seeds = iter(_seed_states(config.rng_seed, paths)[:, 0].tolist())
     results = []
     negative_flags = {}
-    for row_idx, (label, mu, dist, observable, obs_label) in enumerate(rows):
-        for strat_idx, plan in enumerate(plans):
-            seeded = replace(plan, rng_seed=_row_seed(config.rng_seed, row_idx, strat_idx))
+    for label, mu, dist, observable, obs_label in rows:
+        for plan in plans:
+            seeded = replace(plan, rng_seed=next(seeds))
             res = ensemble_run(
                 dist, response, seeded, observable, int(config.repetitions),
                 observable_label=obs_label,
@@ -398,11 +395,11 @@ def appendix_a_table(q0, q1, splits, trials, rng_seed):
         "bootstrap_err", "tolerance", "passes",
     ]
     states = ("00", "01", "10", "11")
-    for split_idx, (split_name, counts) in enumerate(splits):
+    # split i draws from state word 0 of the path (i,)
+    seeds = _seed_states(rng_seed, np.arange(len(splits))[:, None])[:, 0].tolist()
+    for (split_name, counts), seed in zip(splits, seeds):
         model = TwoQubitModel(q0, q1, *counts)
-        oracle = monte_carlo_variance_oracle(
-            model, trials, _row_seed(rng_seed, split_idx)
-        )
+        oracle = monte_carlo_variance_oracle(model, trials, seed)
         truncation = (q0 + q1) ** 2 * model.total
         tol = np.maximum(3.0 * oracle.variance_std_errors, truncation)
         for variant in ("as_printed", "mirror_symmetric"):

@@ -83,13 +83,12 @@ def run_plan(true_dist, response, plan, repetitions):
       the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
 
     The streams of one key are built for all repetitions in one
-    :func:`~readout_rebalance.core.rng_streams` call, which reproduces
-    numpy's ``SeedSequence`` word for word
-    (``test_rng_streams_match_numpys_seed_sequence`` pins it).  The seed
-    must be non-negative, and each repetition index must lie between 0 and
-    2**32 - 1, so that it is one entropy word; ``ensemble_run`` passes at
-    most 2**16 indices.  Anything else raises ``ValidationError`` before a
-    stream is built.
+    :func:`~readout_rebalance.core.rng_streams` call, that is one call of the
+    package's one seed hash, which the tests hold to numpy's own seed
+    sequence word for word.  The seed must be non-negative, and each
+    repetition index must lie between 0 and 2**32 - 1, so that it is one
+    entropy word; ``ensemble_run`` passes at most 2**16 indices.  Anything
+    else raises ``ValidationError`` before a stream is built.
 
     Each segment of every run is one :func:`sample_measured` call.  The
     segments are stacked as the columns of one counts array, unfolded in one

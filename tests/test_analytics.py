@@ -5,7 +5,6 @@ from readout_rebalance.analytics import (
     EnsembleResult,
     TwoQubitModel,
     appendix_a_expectations,
-    appendix_a_expectations_linear,
     appendix_a_variances,
     ensemble_run,
     linear_order_reconstruct,
@@ -34,7 +33,6 @@ def test_two_qubit_model_validation():
 def test_expectations_noiseless_identity():
     model = TwoQubitModel(0.0, 0.0, 10, 20, 30, 40)
     assert np.allclose(appendix_a_expectations(model), [10, 20, 30, 40])
-    assert np.allclose(appendix_a_expectations_linear(model), [10, 20, 30, 40])
 
 
 def test_expectations_pure_excited():
@@ -42,8 +40,6 @@ def test_expectations_pure_excited():
     model = TwoQubitModel(0.05, 0.03, 0, 0, 0, N)
     exact = appendix_a_expectations(model)
     assert exact[3] == pytest.approx((1 - 0.05) * (1 - 0.03) * N, rel=1e-12)
-    linear = appendix_a_expectations_linear(model)
-    assert linear[3] == pytest.approx((1 - 0.08) * N, rel=1e-12)
     # the decayed counts land where a single qubit dropped
     assert exact[1] == pytest.approx(0.05 * (1 - 0.03) * N, rel=1e-12)
     assert exact[2] == pytest.approx(0.03 * (1 - 0.05) * N, rel=1e-12)

@@ -39,9 +39,11 @@ def test_numpy_is_the_one_declared_dependency():
     assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in dependencies] == ["numpy"]
 
 
-# what building a numpy stream takes; core.py is the one module that does, in
-# rng_stream (one stream) and rng_streams (one per repetition)
+# what building a numpy stream takes; core.py is the one module that does,
+# seeding each PCG64 with state words of its own seed hash, _state_words
 STREAM_NAMES = {"default_rng", "SeedSequence", "Generator", "PCG64", "ISeedSequence"}
+# numpy's own seeding, which would be a second seed hash: no module uses it
+NUMPY_SEEDING = {"default_rng", "SeedSequence"}
 
 
 def named(path):
@@ -64,3 +66,11 @@ def test_only_core_builds_random_streams():
         for path in MODULES if path != core for name in named(path) if name in STREAM_NAMES
     }
     assert not outside
+
+
+def test_no_module_seeds_through_numpys_seed_sequence():
+    used = {
+        f"{path.name}: {name}"
+        for path in MODULES for name in named(path) if name in NUMPY_SEEDING
+    }
+    assert not used

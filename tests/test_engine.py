@@ -16,13 +16,14 @@ from readout_rebalance import rebalance
 from readout_rebalance.core import (
     ProbDist, ValidationError, observable_base10, rng_stream, rng_streams, xor_permute,
 )
-from readout_rebalance.harness import _row_seed
 from readout_rebalance.noise import sample_measured
 from readout_rebalance.rebalance import MeasurementPlan, choose_flip_mask, run_plan
 from readout_rebalance.states import gaussian_dist, inverted_w_dist
 from readout_rebalance.unfold import UnfoldConfig, apply_unfold
 
 SHOTS, REPS, SEED = 2000, 20, 2024
+# a run-cell seed: state word 0 of numpy's seed sequence of base seed 7, row 0, strategy 1
+CELL_SEED = int(np.random.SeedSequence([7, 0, 1]).generate_state(1, np.uint64)[0])
 # the base-10 observable as per-state weights
 BASE10 = np.arange(32.0)
 
@@ -100,23 +101,32 @@ def test_run_batch_columns_match_single_runs(committed_response, strategy):
 
 
 
+def numpys_stream(seed, *path, spawn_key=()):
+    """numpy's own generator of a seed, an index path and a spawn key: the reference."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *path], spawn_key=spawn_key))
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7])
 def test_rng_stream_pads_the_path_with_zeros(seed):
-    # numpy's SeedSequence pads its entropy with zero words, so a path of one
-    # 0 adds nothing; fixed-seed outputs rest on numpy's streams, so another
-    # derivation of the stream tree must reproduce this padding
-    assert np.array_equal(rng_stream(seed).random(8), rng_stream(seed, 0).random(8))
+    # numpy's seed sequence pads its entropy with zero words, so a path of one
+    # 0 adds nothing; fixed-seed outputs rest on numpy's streams, so the
+    # package's hash must reproduce this padding
+    expected = numpys_stream(seed).random(8)
+    assert np.array_equal(numpys_stream(seed, 0).random(8), expected)
+    assert np.array_equal(rng_stream(seed).random(8), expected)
+    assert np.array_equal(rng_stream(seed, 0).random(8), expected)
 
 
 # a seed of one word at each end of its range, one of two words, a harness
-# row seed, and one of four words: with r that is more entropy than numpy's
+# cell seed, and one of four words: with r that is more entropy than numpy's
 # pool of four words holds, so the hash's last mixing loop runs for every key
-@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32 + 7, _row_seed(7, 0, 1), 2 ** 96 + 5])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32 + 7, CELL_SEED, 2 ** 96 + 5])
 @pytest.mark.parametrize("key", [(), (0,), (1,)])
 def test_rng_streams_match_numpys_seed_sequence(seed, key):
     # the vectorized hash gives the state words numpy's SeedSequence gives,
-    # and the streams draw what rng_stream draws; r = 0 ends the path in a
-    # zero, which SeedSequence's padding makes vanish for key ()
+    # and every stream, whether from rng_streams or rng_stream, draws what
+    # numpy's own generator draws; r = 0 ends the path in a zero, which
+    # SeedSequence's padding makes vanish for key ()
     indices = [0, 1, 2, 999, 2 ** 32 - 1]
     streams = rng_streams(seed, indices, spawn_key=key)
     assert len(streams) == len(indices)
@@ -124,7 +134,9 @@ def test_rng_streams_match_numpys_seed_sequence(seed, key):
         expected = np.random.SeedSequence([seed, r], spawn_key=key).generate_state(4, np.uint64)
         words = stream.bit_generator.seed_seq.generate_state(4, np.uint64)
         assert words.dtype == np.uint64 and words.tolist() == expected.tolist()
-        assert np.array_equal(stream.random(8), rng_stream(seed, r, spawn_key=key).random(8))
+        draws = numpys_stream(seed, r, spawn_key=key).random(8)
+        assert np.array_equal(stream.random(8), draws)
+        assert np.array_equal(rng_stream(seed, r, spawn_key=key).random(8), draws)
 
 
 @pytest.mark.parametrize("seed, repetitions", [
@@ -148,11 +160,12 @@ def test_run_plan_refuses_streams_it_cannot_derive(committed_response, monkeypat
         run_plan(inverted_w_dist(5), committed_response, plan, repetitions)
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, _row_seed(7, 0, 1)])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, CELL_SEED])
 @pytest.mark.parametrize("strategy", ["nominal", "rebalanced", "symmetrized"])
 def test_stream_tree_is_numpys_own(committed_response, monkeypatch, strategy, seed):
     # run r of a plan is the run assembled by hand from numpy's own streams:
-    # rng_stream(seed, r) for nominal, its spawn(2) children for the others
+    # numpy's generator of (seed, r) for nominal, its spawn(2) children for
+    # the others
     R, r = committed_response, 3
     t = gaussian_dist(0.0, 0.1, 5)
     plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy,
@@ -174,9 +187,9 @@ def test_stream_tree_is_numpys_own(committed_response, monkeypatch, strategy, se
         return hand[-1]
 
     if strategy == "nominal":
-        segments = [(0, SHOTS, rng_stream(seed, r))]
+        segments = [(0, SHOTS, numpys_stream(seed, r))]
     else:
-        first, second = rng_stream(seed, r).spawn(2)
+        first, second = numpys_stream(seed, r).spawn(2)
         if strategy == "symmetrized":
             segments = [(0, SHOTS // 2, first), (31, SHOTS - SHOTS // 2, second)]
         else:

@@ -143,7 +143,7 @@ def test_rebalanced_forced_mask_involution(committed_response):
                                unfold=unfold, rng_seed=42)
         rebalanced, f = one_run(t, committed_response, plan)
         assert f == 0b10101
-        main = rng_stream(42, 0).spawn(2)[1]
+        main = np.random.default_rng(np.random.SeedSequence([42, 0])).spawn(2)[1]
         flipped = ProbDist(xor_permute(t.probs, f))
         measured = sample_measured(flipped, committed_response,
                                    plan.total_shots - plan.pilot_shots, [main])
