@@ -30,6 +30,7 @@ import types
 import typing
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -184,8 +185,11 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"
             )
-        if len(set(self.strategies)) < len(self.strategies):
-            raise ValidationError(f"strategies must not repeat, got {list(self.strategies)}")
+        # compared by value, so 0 and 0.0 (or 0.0 and -0.0) are one mean
+        for name in ("strategies", "mus"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} must not repeat, got {list(values)}")
         _check_shots(self.shots, "shots", least=2)
         _check_repetitions(self.repetitions)
         # the state builders' own checks, before any file is read
@@ -329,47 +333,39 @@ def run_experiment(config):
     return results, manifest
 
 
+# each run CSV: its name, the experiments that write it, and its columns,
+# keys of the cell records that write_run_outputs builds
+_RUN_CSVS = (
+    ("ensemble.csv", EXPERIMENTS, ("experiment", "strategy", "mu", "mean", "std", "std_err",
+                                   "shots", "repetitions", "flip_mask_mode")),
+    ("summary.csv", EXPERIMENTS,
+     ("experiment", "mu", "strategy", "std", "std_nominal", "shots_equivalent_fraction")),
+    ("sweep_curves.csv", ("gaussian_sweep",), ("mu", "strategy", "mean", "std", "std_err")),
+)
+
+
 def write_run_outputs(config, results, manifest):
-    """Write ensemble/summary/sweep CSVs plus the manifest; returns their
-    paths.  Nothing is left behind on failure."""
+    """Write the ``_RUN_CSVS`` of the config's experiment, one line per cell
+    in the order of ``results``, then the manifest; returns their paths.
+    Nothing is left behind on failure.  ``std_nominal`` is the std of the
+    row's nominal cell, and ``shots_equivalent_fraction`` is written only
+    where that std and the cell's own are both positive."""
+    # a row is its (label, mu), since validate refuses repeated means
+    nominal_std = {(label, mu): res.std for label, mu, res in results if res.strategy == "nominal"}
+    records = []
+    for label, mu, res in results:
+        sn, mask = nominal_std.get((label, mu)), res.flip_mask_mode
+        frac = shots_equivalent_fraction(res.std, sn) if sn and res.std else None
+        records.append({
+            "experiment": label, "strategy": res.strategy, "mu": mu, "mean": res.mean,
+            "std": res.std, "std_err": res.std_err_of_std, "shots": config.shots,
+            "repetitions": res.repetitions, "std_nominal": sn, "shots_equivalent_fraction": frac,
+            "flip_mask_mode": None if mask is None else format(mask, "b"),
+        })
     with _Outputs(config.output_dir) as out:
-        header = [
-            "experiment", "strategy", "mu", "mean", "std", "std_err",
-            "shots", "repetitions", "flip_mask_mode",
-        ]
-        rows = []
-        for label, mu, res in results:
-            mask = "" if res.flip_mask_mode is None else format(res.flip_mask_mode, "b")
-            rows.append([
-                label, res.strategy, mu, res.mean, res.std, res.std_err_of_std,
-                config.shots, res.repetitions, mask,
-            ])
-        _write_csv(out.path("ensemble.csv"), header, rows)
-
-        # nominal std per benchmark row keys the shots-equivalent fractions
-        nominal_std = {
-            (label, mu): res.std for label, mu, res in results if res.strategy == "nominal"
-        }
-        srows = []
-        for label, mu, res in results:
-            sn = nominal_std.get((label, mu))
-            frac = "" if sn is None else shots_equivalent_fraction(res.std, sn)
-            srows.append([label, mu, res.strategy, res.std, sn, frac])
-        _write_csv(
-            out.path("summary.csv"),
-            ["experiment", "mu", "strategy", "std", "std_nominal", "shots_equivalent_fraction"],
-            srows,
-        )
-
-        if config.experiment == "gaussian_sweep":
-            curows = [
-                [mu, res.strategy, res.mean, res.std, res.std_err_of_std]
-                for label, mu, res in results
-            ]
-            _write_csv(
-                out.path("sweep_curves.csv"), ["mu", "strategy", "mean", "std", "std_err"], curows
-            )
-
+        for name, experiments, columns in _RUN_CSVS:
+            if config.experiment in experiments:
+                _write_csv(out.path(name), columns, map(itemgetter(*columns), records))
         _write_json(out.path("manifest.json"), manifest)
     return out.paths
 
@@ -386,8 +382,10 @@ def appendix_a_table(q0, q1, splits, trials, rng_seed):
 
     ``splits`` holds ``(name, (n00, n01, n10, n11))`` pairs of true counts.
 
-    Tolerance per row: max(3 * bootstrap error, (q0+q1)^2 * N), the second
-    term covering the linear-order truncation of the analytic formulas.
+    Tolerance per row: max(3 * standard error, (q0+q1)^2 * N), the second
+    term covering the linear-order truncation of the analytic formulas.  The
+    standard error is the oracle's fourth-moment estimate for its variance;
+    the ``bootstrap_err`` column holds it, though no bootstrap is drawn.
     """
     rows = []
     header = [

@@ -633,6 +633,16 @@ def test_csv_files_newline_terminated(tmp_path):
                      id="calibration-without-entries"),
         pytest.param(["appendix-a", "--counts", "1,2,3"], EXIT_VALIDATION,
                      id="appendix-a-counts-three"),
+        # means compared by value, refused before the calibration file is read
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "0.5,0.5,0.3",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-mus-repeat-before-file"),
+        pytest.param(["run", "--experiment", "gaussian_sweep", "--mus=0.0,-0.0",
+                      "--calibration-file", "nope.json"], EXIT_VALIDATION,
+                     id="run-mus-signed-zeros-repeat"),
+        pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "mus": [0, 0.0],
+                                          "calibration_file": "nope.json"}],
+                     EXIT_VALIDATION, id="config-mus-int-and-float-repeat"),
     ],
 )
 @pytest.mark.filterwarnings("error")
