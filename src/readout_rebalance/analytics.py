@@ -143,7 +143,7 @@ def appendix_a_variances(model, variant="as_printed"):
     return multinomial + np.array([d00, d01, d10, d11])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Empirical moments of the reconstructed counts from simulation."""
 

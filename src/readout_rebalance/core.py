@@ -207,7 +207,7 @@ def bit_table(n_qubits):
     return (np.arange(2 ** n_qubits) >> np.arange(n_qubits)[:, None]) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbDist:
     """Normalized probability mass function over 2^n basis states, n read from len(probs)."""
 

@@ -204,7 +204,8 @@ class ExperimentConfig:
         ]
 
     def config_hash(self):
-        canon = json.dumps(asdict(self), sort_keys=True)
+        """sha256 of every field but ``output_dir``, which moves no result."""
+        canon = json.dumps(asdict(replace(self, output_dir=None)), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def response_matrix(self):

@@ -37,10 +37,11 @@ _MAX_DENSE_QUBITS = 11
 # Narrowest register whose unfolding runs on Kronecker factors: below it a
 # dense 32x32 product is as fast as the two small ones.
 _MIN_FACTORED_QUBITS = 7
-# Entries lie in [0, 1], and the Kronecker product of a tensor-product
-# matrix's factors rebuilds them to within 7 eps at 2 to 11 qubits (300
-# random models); a finite-shot estimate misses by more than 1e-4.
-_KRON_ATOL = 16 * np.finfo(np.float64).eps
+# Entries lie in [0, 1]; factors summed from up to 2**6 entries rebuild them to
+# within about 96 eps at 11 qubits: 7 eps for per-qubit tensor models (300
+# random models at 2 to 11 qubits), up to 48 eps for products of two dense
+# column-stochastic factors.  A finite-shot estimate misses by more than 1e-4.
+_KRON_ATOL = 128 * np.finfo(np.float64).eps
 
 
 def _check_dense(n_qubits):
@@ -53,7 +54,7 @@ def _check_dense(n_qubits):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseMatrix:
     """2^n x 2^n column-stochastic readout transition matrix, n read from len(entries)."""
 
@@ -89,43 +90,39 @@ class ResponseMatrix:
 
     @cached_property
     def kron_factors(self):
-        """``(hi, lo)`` with ``entries == np.kron(hi, lo)``, or ``None``.
+        """R's Kronecker factors, outermost first: ``(hi, lo)`` or ``(entries,)``.
 
         ``hi`` acts on the high ``ceil(n/2)`` qubits and ``lo`` on the low
         ``floor(n/2)``.  Each is a marginal of the entries: ``hi`` sums the
         low measured bits of the columns whose low true bits are 0, and
         ``lo`` the high measured bits of those whose high true bits are 0.
-        The pair is kept only when its Kronecker product rebuilds every
-        entry to within ``_KRON_ATOL``, so a tensor-product model has it
-        however it was made or read, and a calibrated estimate does not.
-        Found on first use and kept, like :attr:`condition_number`; always
-        ``None`` below ``_MIN_FACTORED_QUBITS`` qubits, where the dense
-        products are as fast.
+        The pair is kept only when ``np.kron(hi, lo)`` rebuilds every entry
+        to within ``_KRON_ATOL``, so a tensor-product model has it however
+        it was made or read, and a calibrated estimate does not.  Any other
+        matrix, and any below ``_MIN_FACTORED_QUBITS`` qubits, where dense
+        products are as fast, is its own one factor.  Found on first use and
+        kept, like :attr:`condition_number`.
         """
-        if self.n_qubits < _MIN_FACTORED_QUBITS:
-            return None
-        high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
-        # indices [measured high, measured low, true high, true low]
-        blocks = self.entries.reshape(high, low, high, low)
-        hi, lo = blocks[:, :, :, 0].sum(axis=1), blocks[:, :, 0, :].sum(axis=0)
-        if np.abs(np.kron(hi, lo) - self.entries).max() > _KRON_ATOL:
-            return None
-        return hi, lo
+        if self.n_qubits >= _MIN_FACTORED_QUBITS:
+            high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
+            # indices [measured high, measured low, true high, true low]
+            blocks = self.entries.reshape(high, low, high, low)
+            hi, lo = blocks[:, :, :, 0].sum(axis=1), blocks[:, :, 0, :].sum(axis=0)
+            if np.abs(np.kron(hi, lo) - self.entries).max() <= _KRON_ATOL:
+                return hi, lo
+        return (self.entries,)
 
     @cached_property
     def condition_number(self):
         """2-norm condition number (ratio of extreme singular values).
 
-        Computed by an SVD on first use and kept: the entries never change,
-        and construction should not pay for an SVD nobody asks for.  With
-        :attr:`kron_factors` it is the product of the factors' condition
-        numbers, which is exact: the singular values of a Kronecker
-        product are the products of the factors' singular values.
+        The product of the condition numbers of :attr:`kron_factors`, each
+        by an SVD, which is exact: the singular values of a Kronecker
+        product are the products of the factors' singular values.  Computed
+        on first use and kept: the entries never change, and construction
+        should not pay for an SVD nobody asks for.
         """
-        if self.kron_factors is None:
-            return float(np.linalg.cond(self.entries))
-        hi, lo = self.kron_factors
-        return float(np.linalg.cond(hi) * np.linalg.cond(lo))
+        return float(np.prod([np.linalg.cond(f) for f in self.kron_factors]))
 
     @property
     def dim(self):

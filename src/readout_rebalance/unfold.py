@@ -6,16 +6,18 @@ true histograms at the same totals.  Matrix inversion is exactly unbiased
 for linear observables but can go negative; IBU stays nonnegative and is
 the usual choice for actual correction work.
 
-A response matrix with :attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`
-(a tensor-product model from 7 qubits up, however it was built or read) is
-never used densely here: ``R @ x``, ``R.T @ x`` and the solve each act on
-the high and the low half of the qubits in turn, through the two factors.
-Any other matrix takes the dense path.  The two paths differ by rounding
-only.
+Both act on R through its factor tuple,
+:attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`: the dense
+matrix alone, or, for a tensor-product model from 7 qubits up (however it
+was built or read), a high-qubit and a low-qubit factor.  ``_kron_apply``
+is the one code that walks the factors: ``R @ x``, ``R.T @ x`` and the
+solve each act on one axis of the counts per factor.  Factoring changes
+results by rounding only.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from functools import partial
 
 from .core import DimensionError, NumericalError, ValidationError, _counts, _totals
 
@@ -68,37 +70,35 @@ def _check_counts(counts, response):
     return counts
 
 
-def _kron_apply(op, hi, lo, x):
-    """``op(np.kron(hi, lo), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
+def _kron_apply(op, factors, x):
+    """``op(np.kron(*factors), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
 
-    ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(hi), len(lo), k)``,
-    ``hi`` acts on its first axis, then ``lo``, broadcast, on its second.
+    ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(f0), len(f1), ..., k)``,
+    each factor acts, broadcast, on its own axis, outermost first.
     """
-    y = op(hi, x.reshape(len(hi), -1)).reshape(len(hi), len(lo), -1)
-    return op(lo, y).reshape(x.shape)
+    y, lead = x, 1
+    for f in factors:
+        y = op(f, y.reshape(lead, len(f), -1))
+        lead *= len(f)
+    return y.reshape(x.shape)
 
 
-class _KronProduct:
-    """``np.kron(hi, lo)`` as far as ``@`` and ``.T`` go, applied through its factors."""
-
-    def __init__(self, hi, lo):
-        self.hi, self.lo = hi, lo
-
-    def __matmul__(self, x):
-        return _kron_apply(np.matmul, self.hi, self.lo, x)
-
-    @property
-    def T(self):
-        return _KronProduct(self.hi.T, self.lo.T)
+def _products(factors):
+    """``R @ x`` and ``R.T @ x`` as callables; a lone factor's own ``@`` saves
+    the 2 us a ``_kron_apply`` call adds to each 7 us 32x32 product."""
+    transposed = tuple(f.T for f in factors)
+    if len(factors) == 1:
+        return factors[0].__matmul__, transposed[0].__matmul__
+    return partial(_kron_apply, np.matmul, factors), partial(_kron_apply, np.matmul, transposed)
 
 
 def matrix_inverse_unfold(counts, response):
     """Unfold by solving R t = m, for every column of the counts at once.
 
-    Solves the linear system rather than materializing R^-1: one dense LU
-    solve, or, for a matrix with ``kron_factors``, one solve with each
-    factor, so no ``2**n x 2**n`` matrix is factorized.  Because the columns
-    of R sum to one, the solution preserves each measured total.
+    Solves the linear system rather than materializing R^-1: one LU solve
+    with each of R's ``kron_factors``, so a factored matrix never has its
+    ``2**n x 2**n`` product factorized.  Because the columns of R sum to
+    one, the solution preserves each measured total.
     Entries may come out negative; they are returned as-is so downstream
     statistics stay unbiased.
 
@@ -116,9 +116,7 @@ def matrix_inverse_unfold(counts, response):
             f"response matrix condition number {cond:.3e} exceeds {DEFAULT_MAX_CONDITION:.3e}"
         )
     try:
-        if response.kron_factors is None:
-            return np.linalg.solve(response.entries, counts)
-        return _kron_apply(np.linalg.solve, *response.kron_factors, counts)
+        return _kron_apply(np.linalg.solve, response.kron_factors, counts)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"response matrix is singular: {exc}") from exc
 
@@ -132,8 +130,8 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         t[i] <- t[i] * sum_j R[j, i] * m[j] / (R t)[j]
 
     Every column of the counts runs in the same loop of ``R @ t`` and
-    ``R.T @ ratio``, both taken through the Kronecker factors of R where it
-    has them.  The iterate stays nonnegative and keeps the measured
+    ``R.T @ ratio``, both taken through R's Kronecker factors.  The
+    iterate stays nonnegative and keeps the measured
     total at every step.  Convergence is controlled purely by the iteration
     count, and it is slow where the truth is (near-)empty: the
     multiplicative update clears the mass left in such bins only like
@@ -157,10 +155,9 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         raise ValidationError("IBU requires a nonnegative measured histogram")
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
-    factors = response.kron_factors
-    R = response.entries if factors is None else _KronProduct(*factors)
+    fold, back = _products(response.kron_factors)
     for i in range(iterations):
-        folded = R @ t
+        folded = fold(t)
         empty = folded <= 0.0
         # with R, t and the counts nonnegative, an occupied bin that has folded
         # support keeps it at every later step: only the first fold can fail
@@ -171,7 +168,7 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
                 "degenerate response/prior combination"
             )
         ratio = np.divide(counts, folded, out=np.zeros_like(t), where=~empty)
-        t = t * (R.T @ ratio)
+        t = t * back(ratio)
     return t
 
 

@@ -120,6 +120,13 @@ def test_oracle_pure_ground_exact_zero():
     assert np.array_equal(oracle.means, [100000.0, 0.0, 0.0, 0.0])
 
 
+def test_oracle_results_compare_and_hash_by_identity():
+    model = TwoQubitModel(0.3, 0.2, 100000, 0, 0, 0)
+    a, b = (monte_carlo_variance_oracle(model, 500, 3) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_oracle_requires_enough_trials():
     model = TwoQubitModel(0.1, 0.1, 0, 0, 0, 1000)
     with pytest.raises(ValidationError):

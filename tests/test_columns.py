@@ -55,9 +55,11 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_batch_equals_column_calls(committed_response, name):
     call, rtol = CASES[name]
-    # the committed model unfolds densely, the wide one through its factors
-    for response, factored in ((committed_response, False), (WIDE, True)):
-        assert (response.kron_factors is not None) == factored
+    # the committed model unfolds densely, as its own single factor, the wide
+    # one through two factors
+    assert committed_response.kron_factors[0] is committed_response.entries
+    for response, n_factors in ((committed_response, 1), (WIDE, 2)):
+        assert len(response.kron_factors) == n_factors
         rng = np.random.default_rng(11)
         # pilot-like counts, each column's marginals spread around 0.5
         counts = rng.integers(0, 400, size=(response.dim, K)).astype(float)

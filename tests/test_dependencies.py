@@ -74,3 +74,35 @@ def test_no_module_seeds_through_numpys_seed_sequence():
         for path in MODULES for name in named(path) if name in NUMPY_SEEDING
     }
     assert not used
+
+
+# ResponseMatrix.kron_factors is the one place that decides between R's dense
+# entries and its Kronecker factors; the unfolders take whatever tuple it gives
+UNFOLD = ROOT / "src" / "readout_rebalance" / "unfold.py"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def compared_with_none(path):
+    """Every name and attribute one source file compares with ``None``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                for o in operands:
+                    if isinstance(o, ast.Attribute):
+                        yield o.attr
+                    elif isinstance(o, ast.Name):
+                        yield o.id
+
+
+def test_unfold_reads_no_dense_entries():
+    assert UNFOLD in MODULES
+    assert "entries" not in set(named(UNFOLD))
+
+
+def test_no_module_tests_the_factors_against_none():
+    assert TESTS
+    found = {
+        path.name for path in MODULES + TESTS if "kron_factors" in set(compared_with_none(path))
+    }
+    assert not found

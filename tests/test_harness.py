@@ -159,13 +159,17 @@ def test_manifest_hash_tracks_semantic_changes(tmp_path):
     ])
     load = lambda d: json.loads((tmp_path / d / "manifest.json").read_text())
     ha, hb, hc = (load(d)["config_hash"] for d in "abc")
-    # output_dir is part of the config, so rebuild hashes without it
+    # the output directory moves no result, so it leaves the hash alone
+    assert ha == hb
+    assert ha != hc
+    assert len({ExperimentConfig(output_dir=d).config_hash() for d in "ab"}) == 1
+    # but the manifest still records it, and every other field
     ca, cb, cc = (load(d)["config"] for d in "abc")
-    for c in (ca, cb, cc):
+    assert ca.pop("output_dir") == str(tmp_path / "a")
+    for c in (cb, cc):
         c.pop("output_dir")
     assert ca == cb
     assert ca != cc
-    assert ha != hc
 
 
 def test_manifest_records_seed_and_negative_flags(tmp_path):
@@ -233,7 +237,7 @@ def test_exit_code_singular_matrix(tmp_path):
     # reads out at random (eps01 + eps10 = 1)
     singular = ResponseMatrix([[0.5, 0.5], [0.5, 0.5]])
     wide = make_response([0.003] * 3 + [0.4] + [0.003] * 4, [0.07] * 3 + [0.6] + [0.07] * 4)
-    assert wide.kron_factors is not None
+    assert len(wide.kron_factors) == 2
     for R in (singular, wide):
         path = tmp_path / f"singular-{R.n_qubits}.json"
         save_response(R, path)

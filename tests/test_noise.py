@@ -18,6 +18,7 @@ from readout_rebalance.noise import (
     ResponseMatrix,
     build_tensor_response,
     default_qubit_params,
+    default_response,
     diag_by_zero_count,
     estimate_response,
     load_response,
@@ -81,6 +82,21 @@ def test_response_matrix_width_is_read_from_the_array():
 def test_response_matrix_rejects_nan():
     with pytest.raises(ValidationError, match="row 0, column 0"):
         ResponseMatrix([[np.nan, 0.0], [np.nan, 1.0]])
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    # equal values, on which a generated __eq__ over the arrays would raise
+    a, b = default_response(), default_response()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    p, q = ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5])
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+    # the cached properties still fill in and stay
+    assert a.kron_factors is a.kron_factors
+    assert len(a.kron_factors) == 1 and a.kron_factors[0] is a.entries
+    assert a.condition_number == float(np.linalg.cond(a.entries))
 
 
 def test_eps01_zero_keeps_ground_state_exact():
