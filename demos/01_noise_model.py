@@ -5,6 +5,9 @@ tensor-product response matrix, the correct-readout diagnostics, and a
 finite-shot calibration estimate of the same matrix.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from readout_rebalance import (
@@ -40,6 +43,8 @@ err = np.abs(estimated.entries - R.entries)
 print(f"  worst entry error {err.max():.4f}, mean {err.mean():.5f}"
       f" (binomial noise at this shot count)")
 
-save_response(estimated, "/tmp/demo_calibration.json")
-again = load_response("/tmp/demo_calibration.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_calibration.json")
+    save_response(estimated, path)
+    again = load_response(path)
 print(f"  saved and reloaded bit-exactly: {np.array_equal(estimated.entries, again.entries)}")

@@ -18,8 +18,8 @@ VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
 # engine keeps about ten arrays of that size alive at once (IBU's iterate and
 # temporaries, the corrected and un-flipped copies, twice over for symmetrized):
-# by tracemalloc, symmetrized IBU peaks at 11.3 cells, or 13.0 where the
-# Kronecker-factored products hold one more intermediate array.  16 MiB is 64
+# by tracemalloc at 8 qubits, symmetrized IBU peaks at 11.0 cells, or 13.0 where
+# the Kronecker-factored products hold one more intermediate array.  16 MiB is 64
 # times the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell
 # (65536 repetitions) peaks near 0.4 GB.
 _MAX_CELL_BYTES = 2 ** 24

@@ -303,7 +303,8 @@ def xor_permute(values, masks):
     outside = (masks < 0) | (masks >= 2 ** n)
     if np.any(outside):
         raise DimensionError(f"flip mask {masks[outside].flat[0]} does not fit in {n} qubits")
-    states = np.arange(2 ** n)
+    # int64 ^ uint64 has no integer loop: index with the checked masks as intp
+    masks, states = masks.astype(np.intp, copy=False), np.arange(2 ** n)
     if masks.ndim == 0:
         return values[states ^ masks]
     return values[states[:, None] ^ masks, np.arange(masks.size)]

@@ -11,10 +11,13 @@ run         execute a benchmark experiment across strategies and write
 appendix-a  compare the analytic two-qubit variance formulas against the
             Monte Carlo oracle and write the comparison table
 
-Each ``run`` flag is made from the ``ExperimentConfig`` field of the same
-name and parsed by its annotation; a list field's flag takes comma-separated
-text, parsed whenever given, empty text included.  On failure no subcommand
-leaves an output file or a new empty directory behind.
+argparse parses every flag of every subcommand, and the commands receive
+typed values.  Each ``run`` flag is made from the ``ExperimentConfig`` field
+of the same name and parsed by its annotation.  A list flag (a list field's
+``run`` flag, ``calibrate --eps10`` and ``--eps01``, ``appendix-a --counts``)
+takes comma-separated text, parsed whenever given, empty text included.  Bad
+values are refused before any file is read.  On failure no subcommand leaves
+an output file or a new empty directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 numerical failure.
@@ -36,6 +39,7 @@ import numpy as np
 
 from .core import (
     CalibrationFileError, NumericalError, ValidationError, _check_shots, _read_json, _seed_states,
+    _uint32_words,
 )
 from .noise import (
     QubitNoiseParams,
@@ -72,14 +76,16 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 
-def _parse_list(text, kind, flag):
-    """Comma-separated values of one type given to a command-line flag."""
-    try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(
-            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
-        ) from exc
+def _list_of(kind):
+    """The argparse ``type`` of a list flag: comma-separated ``kind`` values."""
+    def parse(text):
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
 
 
 # the instances a scalar kind accepts: bool (an int subclass) is refused
@@ -101,10 +107,6 @@ def _holds(kind, value):
         listed = isinstance(value, (list, tuple)) and len(value) > 0
         return listed and all(_holds(entry[0], v) for v in value)
     return isinstance(value, _SCALARS[kind]) and not isinstance(value, bool)
-
-
-def _option(name):
-    return "--" + name.replace("_", "-")
 
 
 def _help(default, text):
@@ -192,6 +194,7 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must not repeat, got {list(values)}")
         _check_shots(self.shots, "shots", least=2)
         _check_repetitions(self.repetitions)
+        _uint32_words(self.rng_seed, "rng_seed")
         # the state builders' own checks, before any file is read
         _check_grover_iterations(self.grover_iterations)
         for mu in _sweep_mus(self):
@@ -414,9 +417,11 @@ def appendix_a_table(q0, q1, splits, trials, rng_seed):
 
 
 def cmd_calibrate(args):
-    texts = {"--eps10": args.eps10, "--eps01": args.eps01}
-    eps10, eps01 = (None if t is None else _parse_list(t, float, f) for f, t in texts.items())
-    response = _noise_response(args.input, eps10, eps01)
+    # checked, used or not, before the input file is read
+    _uint32_words(args.rng_seed, "rng_seed")
+    if args.shots_per_state:
+        _check_shots(args.shots_per_state, "shots_per_state")
+    response = _noise_response(args.input, args.eps10, args.eps01)
     if args.shots_per_state:
         response = estimate_response(response, args.shots_per_state, args.rng_seed)
     diag = diag_by_zero_count(response)
@@ -433,12 +438,8 @@ def cmd_calibrate(args):
 def cmd_run(args):
     settings = load_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
-        text = getattr(args, f.name)
-        if text is None:
-            continue
-        # argparse parsed the scalar kinds; a list kind's text is parsed here
-        entry = typing.get_args(_kind(f.type)[0])
-        settings[f.name] = _parse_list(text, entry[0], _option(f.name)) if entry else text
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
     config = ExperimentConfig(**settings)
     results, manifest = run_experiment(config)
     return write_run_outputs(config, results, manifest)
@@ -446,12 +447,9 @@ def cmd_run(args):
 
 def cmd_appendix_a(args):
     if args.counts:
-        splits = []
-        for i, spec in enumerate(args.counts):
-            counts = _parse_list(spec, int, "--counts")
-            if len(counts) != 4:
-                raise ValidationError("--counts needs four comma-separated integers")
-            splits.append((f"split_{i}", counts))
+        if any(len(counts) != 4 for counts in args.counts):
+            raise ValidationError("--counts needs four comma-separated integers")
+        splits = [(f"split_{i}", counts) for i, counts in enumerate(args.counts)]
     else:
         splits = [
             (name, [round(f * args.total) for f in fractions])
@@ -478,8 +476,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     cal = sub.add_parser("calibrate", help="build or estimate a response matrix")
-    cal.add_argument("--eps10", help="comma-separated Pr(1->0) per qubit")
-    cal.add_argument("--eps01", help="comma-separated Pr(0->1) per qubit")
+    cal.add_argument("--eps10", type=_list_of(float), help="comma-separated Pr(1->0) per qubit")
+    cal.add_argument("--eps01", type=_list_of(float), help="comma-separated Pr(0->1) per qubit")
     cal.add_argument("--input", help="existing response matrix JSON to re-estimate")
     cal.add_argument("--shots-per-state", type=int, default=0,
                      help="finite-shot estimation; 0 keeps the exact matrix")
@@ -492,8 +490,9 @@ def build_parser():
     run.add_argument("--config", help="JSON config file; flags override its fields")
     for f in fields(ExperimentConfig):
         kind = _kind(f.type)[0]
-        parse = str if typing.get_args(kind) else kind  # cmd_run parses a list's text
-        run.add_argument(_option(f.name), type=parse, help=f.metadata.get("help"))
+        entry = typing.get_args(kind)
+        parse = _list_of(entry[0]) if entry else kind
+        run.add_argument("--" + f.name.replace("_", "-"), type=parse, help=f.metadata.get("help"))
     run.set_defaults(func=cmd_run)
 
     app = sub.add_parser("appendix-a", help="two-qubit analytic vs Monte Carlo variances")
@@ -501,7 +500,7 @@ def build_parser():
     app.add_argument("--q1", type=float, default=0.03)
     app.add_argument("--total", type=int, default=100000)
     app.add_argument("--trials", type=int, default=10000)
-    app.add_argument("--counts", action="append",
+    app.add_argument("--counts", action="append", type=_list_of(int),
                      help="N00,N01,N10,N11 true-count split (repeatable)")
     app.add_argument("--rng-seed", type=int, default=0)
     app.add_argument("--output-dir", default="results")

@@ -98,18 +98,23 @@ class ResponseMatrix:
         ``lo`` the high measured bits of those whose high true bits are 0.
         The pair is kept only when ``np.kron(hi, lo)`` rebuilds every entry
         to within ``_KRON_ATOL``, so a tensor-product model has it however
-        it was made or read, and a calibrated estimate does not.  Any other
-        matrix, and any below ``_MIN_FACTORED_QUBITS`` qubits, where dense
-        products are as fast, is its own one factor.  Found on first use and
-        kept, like :attr:`condition_number`.
+        it was made or read, and a calibrated estimate does not.  Where that
+        fails, ``lo`` divided by the sum of R's first column is tried, which
+        finds a product whose columns sum to 1 only within the tolerance.
+        Any other matrix, and any below ``_MIN_FACTORED_QUBITS`` qubits,
+        where dense products are as fast, is its own one factor.  Found on
+        first use and kept, like :attr:`condition_number`.
         """
         if self.n_qubits >= _MIN_FACTORED_QUBITS:
             high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
             # indices [measured high, measured low, true high, true low]
             blocks = self.entries.reshape(high, low, high, low)
             hi, lo = blocks[:, :, :, 0].sum(axis=1), blocks[:, :, 0, :].sum(axis=0)
-            if np.abs(np.kron(hi, lo) - self.entries).max() <= _KRON_ATOL:
-                return hi, lo
+            # each marginal carries the other factor's column-0 sum, so where
+            # the columns miss 1 the product is R times that sum: divide it out
+            for low in (lo, lo / self.entries[:, 0].sum()):
+                if np.abs(np.kron(hi, low) - self.entries).max() <= _KRON_ATOL:
+                    return hi, low
         return (self.entries,)
 
     @cached_property

@@ -156,18 +156,22 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
     fold, back = _products(response.kron_factors)
+    # One mask and one ratio array for the whole loop.  An empty bin's ratio
+    # stays 0, as 0 / folded would give.  An occupied bin with folded support
+    # keeps it at every later step: R, t and the counts are nonnegative, and
+    # the largest term R[j, k] t[k] of its fold leaves t'[k] >= counts[j] / dim.
+    # So only the first fold can fail, and no later division meets a zero.
+    occupied = counts > 0
+    ratio = np.zeros_like(t)
     for i in range(iterations):
         folded = fold(t)
-        empty = folded <= 0.0
-        # with R, t and the counts nonnegative, an occupied bin that has folded
-        # support keeps it at every later step: only the first fold can fail
-        if i == 0 and np.any(empty & (counts > 0)):
-            j = int(np.argwhere(empty & (counts > 0))[0][0])
+        if i == 0 and np.any(occupied & (folded <= 0.0)):
+            j = int(np.argwhere(occupied & (folded <= 0.0))[0][0])
             raise NumericalError(
                 f"measured bin {j} has counts but zero folded support; "
                 "degenerate response/prior combination"
             )
-        ratio = np.divide(counts, folded, out=np.zeros_like(t), where=~empty)
+        np.divide(counts, folded, out=ratio, where=occupied)
         t = t * back(ratio)
     return t
 

@@ -77,6 +77,16 @@ def test_xor_permute_two_qubit_reversal():
     assert list(out) == [4.0, 3.0, 2.0, 1.0]
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_xor_permute_takes_every_integer_mask_dtype(dtype):
+    # int64 states ^ uint64 masks has no integer loop in numpy
+    values = np.arange(24.0).reshape(8, 3)
+    masks = np.array([0, 5, 7])
+    assert np.array_equal(xor_permute(values, masks.astype(dtype)), xor_permute(values, masks))
+    assert np.array_equal(xor_permute(values[:, 0], dtype(6)), xor_permute(values[:, 0], 6))
+
+
 def test_xor_permute_involution(rng):
     counts = rng.integers(0, 50, size=32).astype(float)
     f = 0b10001

@@ -134,6 +134,21 @@ def test_factored_paths_match_dense_references(case):
     assert_close(ibu_unfold(counts, R, 30), dense_ibu(R.entries, counts, 30))
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-11, 1 - 1e-11, 1 + 1e-7])
+def test_products_whose_columns_miss_one_are_factored(scale):
+    # within the column-sum tolerances (1e-9, 1e-6 on load), each marginal
+    # carries the other factor's column sum, so only the rescaled pair fits
+    entries = make_response(EPS01[:8], EPS10[:8]).entries * scale
+    R = ResponseMatrix(entries, column_sum_atol=1e-6)
+    assert len(R.kron_factors) == 2
+    counts = np.random.default_rng(5).integers(0, 10 ** 4, (256, 3)).astype(float)
+    assert condition_report(R) == pytest.approx(np.linalg.cond(entries), rel=1e-12)
+    assert_close(matrix_inverse_unfold(counts, R), np.linalg.solve(entries, counts))
+    assert_close(ibu_unfold(counts, R, 30), dense_ibu(entries, counts, 30))
+    # a finite-shot estimate is no product, rescaled or not
+    assert_dense(estimate_response(R, 10 ** 6, 3))
+
+
 @pytest.mark.parametrize("op", [np.matmul, np.linalg.solve])
 @pytest.mark.parametrize("k", [None, 1, 4])
 def test_kron_apply_walks_any_number_of_factors(op, k):

@@ -383,6 +383,33 @@ def test_run_flags_are_the_config_fields():
     assert dests == set(ExperimentConfig.__dataclass_fields__) | {"config"}
 
 
+def list_entry(annotation):
+    """The entry kind of a list annotation, ``| None`` or not; None for a scalar."""
+    if isinstance(annotation, types.UnionType):
+        annotation = typing.get_args(annotation)[0]
+    entry = typing.get_args(annotation)
+    return entry[0] if entry else None
+
+
+def test_argparse_converts_every_list_flag():
+    # one parse path: each list flag's argparse type turns its text into a
+    # list, so the commands receive values, never text to parse
+    parser = build_parser()
+    listed = [f for f in fields(ExperimentConfig) if list_entry(f.type)]
+    assert {f.name for f in listed} == {"eps10", "eps01", "strategies", "mus"}
+    for f in listed:
+        kind = list_entry(f.type)
+        args = parser.parse_args(["run", "--" + f.name.replace("_", "-"), "1,2"])
+        value = getattr(args, f.name)
+        assert value == [kind("1"), kind("2")]
+        assert all(type(v) is kind for v in value)
+    args = parser.parse_args(["calibrate", "--eps10", "0.05,1", "--eps01", "0.01,0"])
+    assert (args.eps10, args.eps01) == ([0.05, 1.0], [0.01, 0.0])
+    assert all(type(v) is float for v in args.eps10 + args.eps01)
+    args = parser.parse_args(["appendix-a", "--counts", "1,2,3,4", "--counts", "5,6,7,8"])
+    assert args.counts == [[1, 2, 3, 4], [5, 6, 7, 8]]
+
+
 def test_experiment_config_validation():
     from readout_rebalance.core import ValidationError
 
@@ -647,6 +674,17 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--config", {"experiment": "gaussian_sweep", "mus": [0, 0.0],
                                           "calibration_file": "nope.json"}],
                      EXIT_VALIDATION, id="config-mus-int-and-float-repeat"),
+        # a bad seed or shot count is refused before the input file is read
+        pytest.param(["run", "--rng-seed", "-1", "--calibration-file", "nope.json"],
+                     EXIT_VALIDATION, id="run-negative-seed-before-file"),
+        pytest.param(["calibrate", "--input", "nope.json", "--shots-per-state", "-5"],
+                     EXIT_VALIDATION, id="calibrate-negative-shots-before-file"),
+        pytest.param(["calibrate", "--input", "nope.json", "--shots-per-state", "10",
+                      "--rng-seed", "-1"], EXIT_VALIDATION,
+                     id="calibrate-negative-seed-before-file"),
+        # checked like every config field, whether or not a draw uses it
+        pytest.param(["calibrate", "--rng-seed", "-1"], EXIT_VALIDATION,
+                     id="calibrate-negative-seed-unused"),
     ],
 )
 @pytest.mark.filterwarnings("error")

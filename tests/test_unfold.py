@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from readout_rebalance.core import NumericalError, ProbDist, ValidationError
 from readout_rebalance.noise import ResponseMatrix
@@ -144,6 +146,56 @@ def test_ibu_degenerate_support():
     m = np.array([0.0, 5.0])
     with pytest.raises(NumericalError, match="bin 1 "):
         ibu_unfold(m, R)
+
+
+def guarded_ibu(counts, R, iterations):
+    """Dense IBU that rebuilds its zero-support guard on every iteration: the
+    reference that ``ibu_unfold``'s fixed mask must match bit for bit."""
+    t = np.ones_like(counts) * (counts.sum(axis=0) / R.dim)
+    for i in range(iterations):
+        folded = R.entries @ t
+        empty = folded <= 0.0
+        if i == 0 and np.any(empty & (counts > 0)):
+            j = int(np.argwhere(empty & (counts > 0))[0][0])
+            raise NumericalError(
+                f"measured bin {j} has counts but zero folded support; "
+                "degenerate response/prior combination"
+            )
+        ratio = np.divide(counts, folded, out=np.zeros_like(t), where=~empty)
+        t = t * (R.entries.T @ ratio)
+    return t
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 3), columns=st.integers(0, 3), iterations=st.integers(1, 59),
+       data=st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ibu_fixed_mask_matches_the_guard_rebuilt_each_iteration(n, columns, iterations, data):
+    # bit-identical results and the same refusals, on sparse R and counts
+    # with empty bins; columns == 0 draws one histogram of shape (dim,)
+    dim = 2 ** n
+    # zero entries, and about one row in four unreachable
+    weights = data.draw(arrays(np.int64, (dim, dim), elements=st.sampled_from([0, 0, 1, 3])))
+    unreachable = data.draw(arrays(bool, dim, elements=st.sampled_from([False] * 3 + [True])))
+    weights[unreachable] = 0
+    assume(weights.sum(axis=0).all())
+    R = ResponseMatrix(weights / weights.sum(axis=0))
+    shape = (dim, columns) if columns else (dim,)
+    counts = data.draw(arrays(np.int64, shape, elements=st.sampled_from([0, 0, 1, 50])))
+    counts = counts.astype(float)
+    assume(counts.sum(axis=0).all())
+
+    def outcome(unfold):
+        try:
+            return unfold(counts, R, iterations)
+        except NumericalError as exc:
+            return str(exc)
+
+    fixed, guarded = outcome(ibu_unfold), outcome(guarded_ibu)
+    if isinstance(guarded, str):
+        assert fixed == guarded
+    else:
+        assert np.array_equal(fixed, guarded)
 
 
 def test_ibu_input_validation(committed_response):
