@@ -28,6 +28,7 @@ import hashlib
 import json
 import numbers
 import os
+import re
 import sys
 import types
 import typing
@@ -462,6 +463,12 @@ def cmd_appendix_a(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only a plain negative number for a value, not a
+        # list such as "-1,0.5" or a number such as "-1e-3"
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.,eE+-]*$")
+
     # argparse exits with code 2 on usage errors; route them through the
     # validation path instead so exit codes stay meaningful
     def error(self, message):

@@ -4,6 +4,8 @@ The response matrix R is column-stochastic with R[m][t] = Pr(measured = m |
 true = t).  A measured distribution is R @ t for a true distribution t.
 """
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -12,7 +14,7 @@ import numpy as np
 
 from .core import (
     CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
-    _read_json, _width, bit_table, rng_stream, xor_permute,
+    _json_errors, _width, bit_table, rng_stream, xor_permute,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -103,7 +105,8 @@ class ResponseMatrix:
         finds a product whose columns sum to 1 only within the tolerance.
         Any other matrix, and any below ``_MIN_FACTORED_QUBITS`` qubits,
         where dense products are as fast, is its own one factor.  Found on
-        first use and kept, like :attr:`condition_number`.
+        first use and kept, like :attr:`condition_number`, and read-only,
+        like the entries.
         """
         if self.n_qubits >= _MIN_FACTORED_QUBITS:
             high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
@@ -114,6 +117,8 @@ class ResponseMatrix:
             # the columns miss 1 the product is R times that sum: divide it out
             for low in (lo, lo / self.entries[:, 0].sum()):
                 if np.abs(np.kron(hi, low) - self.entries).max() <= _KRON_ATOL:
+                    # one matrix serves every load of a file's bytes
+                    hi.flags.writeable = low.flags.writeable = False
                     return hi, low
         return (self.entries,)
 
@@ -222,6 +227,11 @@ def save_response(response, path):
         fh.write(json.dumps(payload) + "\n")
 
 
+# the last calibration file load_response parsed: (sha256 of its bytes, its
+# matrix); one entry, so at most one matrix is held
+_last_load = (None, None)
+
+
 def load_response(path):
     """Load a response matrix written by :func:`save_response`.
 
@@ -229,8 +239,29 @@ def load_response(path):
     Every content fault, including entries that are not numbers, NaN or out
     of range, is reported as a :class:`CalibrationFileError` naming the file
     and, where there is one, the offending location.
+
+    The file is read and hashed on every call, but parsed only when its
+    bytes differ from those of the last file loaded.  Loading the same bytes
+    again, from any path, returns the same immutable matrix, which keeps its
+    :attr:`~ResponseMatrix.kron_factors` and condition number; a changed
+    file, even one rewritten in place with its old size and mtime, is
+    always read afresh.  A file that fails is never remembered.
     """
-    payload = _read_json(path)
+    global _last_load
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    last_digest, last = _last_load
+    if digest == last_digest:
+        return last
+    with _json_errors(path):
+        # decoded as open(path) decodes text; the bytes go before the parse
+        # and the text after it, so no more is held than json.load holds
+        with io.TextIOWrapper(io.BytesIO(data)) as fh:
+            del data
+            text = fh.read()
+        payload = json.loads(text)
+    del text
     if not isinstance(payload, dict) or "n_qubits" not in payload or "entries" not in payload:
         raise CalibrationFileError(f"{path}: expected keys 'n_qubits' and 'entries'")
     n = payload["n_qubits"]
@@ -252,9 +283,11 @@ def load_response(path):
     if arr.dtype.kind not in "iuf":
         raise CalibrationFileError(f"{path}: entries must all be numbers")
     try:
-        return ResponseMatrix(arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
+        response = ResponseMatrix(arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc
+    _last_load = (digest, response)
+    return response
 
 
 def default_qubit_params():

@@ -48,6 +48,18 @@ def test_tensor_model_read_back_from_a_file_is_factored(tmp_path, n):
     np.testing.assert_allclose(lo, make_response(EPS01[:low], EPS10[:low]).entries, atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-7])
+def test_kron_factors_are_read_only(scale):
+    # one matrix serves every load of a file's bytes, so a write into a
+    # factor would reach every later run; the rescaled pair is frozen too
+    entries = make_response(EPS01[:8], EPS10[:8]).entries * scale
+    R = ResponseMatrix(entries, column_sum_atol=1e-6)
+    for factor in R.kron_factors:
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.5
+    assert len(R.kron_factors) == 2
+
+
 def test_matrices_off_the_product_are_not_factored():
     R = make_response(EPS01[:8], EPS10[:8])
     # finite-shot noise breaks the product structure far beyond rounding

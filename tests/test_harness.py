@@ -408,6 +408,20 @@ def test_argparse_converts_every_list_flag():
     assert all(type(v) is float for v in args.eps10 + args.eps01)
     args = parser.parse_args(["appendix-a", "--counts", "1,2,3,4", "--counts", "5,6,7,8"])
     assert args.counts == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    # a value may start with a minus sign: a list, a leading point, an exponent
+    args = parser.parse_args(["run", "--mus", "-.5,-1e-3", "--eps10", "-1E+2"])
+    assert (args.mus, args.eps10) == ([-0.5, -1e-3], [-100.0])
+
+
+@pytest.mark.parametrize("mus", ["-1,0.5", "-1e0,5e-1"])
+def test_list_flag_value_may_start_with_a_minus_sign(tmp_path, mus):
+    # "--mus -1,0.5" once exited 1 with "expected one argument": argparse
+    # took the value for an option string.  "--mus=-1,0.5" always worked.
+    run = ["run", "--experiment", "gaussian_sweep", "--shots", "200", "--repetitions", "5"]
+    assert main(run + ["--mus", mus, "--output-dir", str(tmp_path / "spaced")]) == EXIT_OK
+    assert main(run + ["--mus=-1,0.5", "--output-dir", str(tmp_path / "joined")]) == EXIT_OK
+    curves = [(tmp_path / d / "sweep_curves.csv").read_bytes() for d in ("spaced", "joined")]
+    assert curves[0] == curves[1]
 
 
 def test_experiment_config_validation():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -342,3 +343,52 @@ def test_load_rejects_malformed_entries(tmp_path, entries, match):
     path.write_text(json.dumps({"n_qubits": 1, "entries": entries}))
     with pytest.raises(CalibrationFileError, match=match):
         load_response(path)
+
+
+def test_same_bytes_load_as_one_matrix_with_its_factors(tmp_path):
+    # an 8-qubit tensor model, the width whose factors are worth keeping
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_response(make_response([0.002] * 8, [0.07] * 8), first)
+    second.write_bytes(first.read_bytes())
+    loaded = load_response(first)
+    factors = loaded.kron_factors
+    assert len(factors) == 2
+    assert load_response(first) is loaded
+    # the bytes are the key, not the path, and the factors come along
+    assert load_response(second) is loaded
+    assert load_response(second).kron_factors is factors
+
+
+def test_file_rewritten_in_place_loads_its_new_entries(tmp_path):
+    path = tmp_path / "cal.json"
+    old = {"n_qubits": 1, "entries": [[0.9, 0.2], [0.1, 0.8]]}
+    new = {"n_qubits": 1, "entries": [[0.8, 0.2], [0.2, 0.8]]}
+    path.write_text(json.dumps(old))
+    stat = os.stat(path)
+    assert load_response(path).entries[0, 0] == 0.9
+    path.write_text(json.dumps(new))
+    # same size and mtime: only the content tells the two files apart
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    assert load_response(path).entries[0, 0] == 0.8
+
+
+def test_a_bad_file_fails_on_every_load_until_fixed(tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps({"n_qubits": 1, "entries": [[0.9, 0.0], [0.0, 1.0]]}))
+    for _ in range(2):
+        with pytest.raises(CalibrationFileError, match="column 0"):
+            load_response(path)
+    path.write_text(json.dumps({"n_qubits": 1, "entries": [[0.9, 0.0], [0.1, 1.0]]}))
+    assert load_response(path).entries[1, 0] == 0.1
+
+
+@pytest.mark.parametrize("text", ["not json{", '{"n_qubits": 1, "entries": [[2, 0], [0, 1]]}'])
+def test_a_failure_names_each_path_that_holds_the_bytes(tmp_path, text):
+    for name in ("first.json", "second.json"):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(CalibrationFileError) as info:
+            load_response(path)
+        assert str(info.value).startswith(f"{path}: ")
