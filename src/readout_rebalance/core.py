@@ -10,7 +10,6 @@ mean of the state index.
 """
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +37,13 @@ class CalibrationFileError(ValueError):
     """Malformed or inconsistent calibration file content."""
 
 
-@contextmanager
-def _json_errors(path):
-    """Report a fault of the JSON text read from ``path``, its decoding
-    included, as a :class:`CalibrationFileError` naming the file."""
-    try:
-        yield
-    except (ValueError, RecursionError) as exc:
-        raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _read_json(path):
     """A JSON file's value; any fault of its text is a :class:`CalibrationFileError`."""
-    with open(path) as fh, _json_errors(path):
-        return json.load(fh)
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _check_shots(shots, name, least=1):

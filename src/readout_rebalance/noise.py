@@ -4,17 +4,15 @@ The response matrix R is column-stochastic with R[m][t] = Pr(measured = m |
 true = t).  A measured distribution is R @ t for a true distribution t.
 """
 
-import hashlib
-import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .core import (
     CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
-    _json_errors, _width, bit_table, rng_stream, xor_permute,
+    _read_json, _width, bit_table, rng_stream, xor_permute,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -62,6 +60,9 @@ class ResponseMatrix:
 
     entries: np.ndarray
     column_sum_atol: float = COLUMN_SUM_ATOL
+    # the per-qubit pairs of a matrix made by build_tensor_response, which
+    # save_response writes in place of the 4**n entries; None for any other
+    qubit_params: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.float64)
@@ -117,7 +118,7 @@ class ResponseMatrix:
             # the columns miss 1 the product is R times that sum: divide it out
             for low in (lo, lo / self.entries[:, 0].sum()):
                 if np.abs(np.kron(hi, low) - self.entries).max() <= _KRON_ATOL:
-                    # one matrix serves every load of a file's bytes
+                    # kept with the matrix: a write would reach every later unfold
                     hi.flags.writeable = low.flags.writeable = False
                     return hi, low
         return (self.entries,)
@@ -164,7 +165,9 @@ def build_tensor_response(params):
         raise ValidationError("need at least one qubit")
     _check_dense(len(params))
     mats = [single_qubit_channel(p) for p in params]
-    return ResponseMatrix(reduce(np.kron, reversed(mats)))
+    response = ResponseMatrix(reduce(np.kron, reversed(mats)))
+    object.__setattr__(response, "qubit_params", tuple(params))
+    return response
 
 
 def estimate_response(true_response, shots_per_state, seed):
@@ -221,49 +224,44 @@ def diag_by_zero_count(response):
 
 
 def save_response(response, path):
-    """Write a response matrix as JSON with full round-trip precision."""
-    payload = {"n_qubits": response.n_qubits, "entries": response.entries.tolist()}
+    """Write a response matrix as JSON with full round-trip precision.
+
+    A matrix made by :func:`build_tensor_response` is written as its
+    per-qubit ``eps01`` and ``eps10`` lists, qubit 0 first: 2n numbers in
+    place of 4**n entries.  Any other is written as its ``entries``.
+    """
+    if response.qubit_params is None:
+        payload = {"n_qubits": response.n_qubits, "entries": response.entries.tolist()}
+    else:
+        payload = {
+            "n_qubits": response.n_qubits,
+            "eps01": [float(p.eps01) for p in response.qubit_params],
+            "eps10": [float(p.eps10) for p in response.qubit_params],
+        }
     with open(path, "w") as fh:
         fh.write(json.dumps(payload) + "\n")
-
-
-# the last calibration file load_response parsed: (sha256 of its bytes, its
-# matrix); one entry, so at most one matrix is held
-_last_load = (None, None)
 
 
 def load_response(path):
     """Load a response matrix written by :func:`save_response`.
 
-    Column sums are checked at the looser tolerance ``LOAD_COLUMN_SUM_ATOL``.
-    Every content fault, including entries that are not numbers, NaN or out
+    A file of ``eps01`` and ``eps10`` lists is rebuilt by
+    :func:`build_tensor_response`, so it loads to the very matrix that was
+    saved, however wide.  A file of ``entries`` is checked at the looser
+    column-sum tolerance ``LOAD_COLUMN_SUM_ATOL``.
+    Every content fault, including values that are not numbers, NaN or out
     of range, is reported as a :class:`CalibrationFileError` naming the file
     and, where there is one, the offending location.
-
-    The file is read and hashed on every call, but parsed only when its
-    bytes differ from those of the last file loaded.  Loading the same bytes
-    again, from any path, returns the same immutable matrix, which keeps its
-    :attr:`~ResponseMatrix.kron_factors` and condition number; a changed
-    file, even one rewritten in place with its old size and mtime, is
-    always read afresh.  A file that fails is never remembered.
     """
-    global _last_load
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).digest()
-    last_digest, last = _last_load
-    if digest == last_digest:
-        return last
-    with _json_errors(path):
-        # decoded as open(path) decodes text; the bytes go before the parse
-        # and the text after it, so no more is held than json.load holds
-        with io.TextIOWrapper(io.BytesIO(data)) as fh:
-            del data
-            text = fh.read()
-        payload = json.loads(text)
-    del text
-    if not isinstance(payload, dict) or "n_qubits" not in payload or "entries" not in payload:
-        raise CalibrationFileError(f"{path}: expected keys 'n_qubits' and 'entries'")
+    payload = _read_json(path)
+    tensor = (
+        isinstance(payload, dict) and "entries" not in payload
+        and ("eps01" in payload or "eps10" in payload)
+    )
+    keys = ("n_qubits", "eps01", "eps10") if tensor else ("n_qubits", "entries")
+    if not isinstance(payload, dict) or any(k not in payload for k in keys):
+        expected = "'n_qubits', 'eps01' and 'eps10'" if tensor else "'n_qubits' and 'entries'"
+        raise CalibrationFileError(f"{path}: expected keys {expected}")
     n = payload["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CalibrationFileError(f"{path}: n_qubits must be a positive integer")
@@ -271,23 +269,26 @@ def load_response(path):
         _check_dense(n)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc
-    dim = 2 ** n
+    if tensor:
+        values, shape, what = [payload["eps01"], payload["eps10"]], (2, n), "eps01 and eps10"
+        shape_text = f"eps01 and eps10 must each list {n} values"
+    else:
+        values, shape, what = payload["entries"], (2**n, 2**n), "entries"
+        shape_text = f"entries must be a {2**n}x{2**n} array"
     try:
-        arr = np.asarray(payload["entries"])
+        arr = np.asarray(values)
     except ValueError:  # ragged rows
         arr = None
-    if arr is None or arr.shape != (dim, dim):
-        raise CalibrationFileError(
-            f"{path}: entries must be a {dim}x{dim} array for n_qubits = {n}"
-        )
+    if arr is None or arr.shape != shape:
+        raise CalibrationFileError(f"{path}: {shape_text} for n_qubits = {n}")
     if arr.dtype.kind not in "iuf":
-        raise CalibrationFileError(f"{path}: entries must all be numbers")
+        raise CalibrationFileError(f"{path}: {what} must all be numbers")
     try:
-        response = ResponseMatrix(arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
+        if tensor:
+            return build_tensor_response(QubitNoiseParams(*pair) for pair in arr.T)
+        return ResponseMatrix(arr, column_sum_atol=LOAD_COLUMN_SUM_ATOL)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc
-    _last_load = (digest, response)
-    return response
 
 
 def default_qubit_params():

@@ -50,8 +50,8 @@ def test_tensor_model_read_back_from_a_file_is_factored(tmp_path, n):
 
 @pytest.mark.parametrize("scale", [1.0, 1 + 1e-7])
 def test_kron_factors_are_read_only(scale):
-    # one matrix serves every load of a file's bytes, so a write into a
-    # factor would reach every later run; the rescaled pair is frozen too
+    # the factors are kept with the matrix, so a write into one would reach
+    # every later unfold; the rescaled pair is frozen too
     entries = make_response(EPS01[:8], EPS10[:8]).entries * scale
     R = ResponseMatrix(entries, column_sum_atol=1e-6)
     for factor in R.kron_factors:

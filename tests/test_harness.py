@@ -21,7 +21,7 @@ from readout_rebalance.harness import (
     main,
     run_experiment,
 )
-from readout_rebalance.noise import save_response
+from readout_rebalance.noise import load_response, save_response
 from readout_rebalance.rebalance import STRATEGIES
 
 from conftest import make_response
@@ -249,6 +249,30 @@ def test_exit_code_singular_matrix(tmp_path):
             "--output-dir", str(tmp_path / f"out-{R.n_qubits}"),
         ])
         assert code == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("method", ["ibu", "matrix_inversion"])
+def test_a_tensor_model_runs_alike_from_either_file_form(tmp_path, method):
+    # calibrate --eps10/--eps01 writes the qubit pairs; a file of the same
+    # model's entries, as written before, gives the same outputs
+    eps = ["--eps10", ",".join(["0.07"] * 8), "--eps01", ",".join(["0.003"] * 8)]
+    assert main(["calibrate", *eps, "--output-dir", str(tmp_path)]) == EXIT_OK
+    pairs = tmp_path / "calibration.json"
+    assert set(json.loads(pairs.read_text())) == {"n_qubits", "eps01", "eps10"}
+    entries = tmp_path / "entries.json"
+    entries.write_text(json.dumps(
+        {"n_qubits": 8, "entries": load_response(pairs).entries.tolist()}
+    ))
+    outputs = []
+    for path in (pairs, entries):
+        out = tmp_path / f"out-{path.stem}"
+        assert main([
+            "run", "--experiment", "inverted_w", "--calibration-file", str(path),
+            "--unfold-method", method, "--shots", "2000", "--repetitions", "4",
+            "--output-dir", str(out),
+        ]) == EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in ("ensemble.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_run_failure_removes_partial_outputs(tmp_path, monkeypatch):
@@ -560,6 +584,10 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--calibration-file",
                       {"n_qubits": True, "entries": [[1, 0], [0, 1]]}],
                      EXIT_IO, id="calibration-n-qubits-bool"),
+        pytest.param(["run", "--calibration-file", {"n_qubits": 2, "eps01": [0], "eps10": [0]}],
+                     EXIT_IO, id="calibration-eps-short"),
+        pytest.param(["run", "--calibration-file", {"n_qubits": 1, "eps01": [2], "eps10": [0]}],
+                     EXIT_IO, id="calibration-eps-out-of-range"),
         # a list flag given empty text is an error, not a request for the default
         pytest.param(["run", "--eps10", "", "--eps01", "", "--shots", "200",
                       "--repetitions", "5"], EXIT_VALIDATION, id="run-eps-empty"),

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -285,12 +284,11 @@ def test_load_rejects_out_of_range_entry(tmp_path):
         load_response(path)
 
 
-def test_committed_default_matches_generating_params(committed_response, tmp_path):
-    # built from DEFAULT_EPS10/DEFAULT_EPS01, the default saves to the bytes
-    # of the calibration file the package once shipped
-    path = tmp_path / "default.json"
-    save_response(committed_response, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+def test_committed_default_matches_generating_params(committed_response):
+    # built from DEFAULT_EPS10/DEFAULT_EPS01, the default's entries are those
+    # of the calibration file the package once shipped, written as entries
+    text = json.dumps({"n_qubits": 5, "entries": committed_response.entries.tolist()}) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "39044d5286180764a0700568e991e713750707dd444c2519b0a933c4a585d75a"
     assert committed_response.n_qubits == 5
     assert len(DEFAULT_EPS10) == len(DEFAULT_EPS01) == 5
@@ -345,50 +343,54 @@ def test_load_rejects_malformed_entries(tmp_path, entries, match):
         load_response(path)
 
 
-def test_same_bytes_load_as_one_matrix_with_its_factors(tmp_path):
-    # an 8-qubit tensor model, the width whose factors are worth keeping
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    save_response(make_response([0.002] * 8, [0.07] * 8), first)
-    second.write_bytes(first.read_bytes())
-    loaded = load_response(first)
-    factors = loaded.kron_factors
-    assert len(factors) == 2
-    assert load_response(first) is loaded
-    # the bytes are the key, not the path, and the factors come along
-    assert load_response(second) is loaded
-    assert load_response(second).kron_factors is factors
-
-
-def test_file_rewritten_in_place_loads_its_new_entries(tmp_path):
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_tensor_model_is_saved_as_its_qubit_pairs(tmp_path, n):
+    eps01, eps10 = np.linspace(0.002, 0.0036, n).tolist(), np.linspace(0.065, 0.08, n).tolist()
+    R = make_response(eps01, eps10)
     path = tmp_path / "cal.json"
-    old = {"n_qubits": 1, "entries": [[0.9, 0.2], [0.1, 0.8]]}
-    new = {"n_qubits": 1, "entries": [[0.8, 0.2], [0.2, 0.8]]}
-    path.write_text(json.dumps(old))
-    stat = os.stat(path)
-    assert load_response(path).entries[0, 0] == 0.9
-    path.write_text(json.dumps(new))
-    # same size and mtime: only the content tells the two files apart
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert os.stat(path).st_size == stat.st_size
-    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
-    assert load_response(path).entries[0, 0] == 0.8
+    save_response(R, path)
+    assert json.loads(path.read_text()) == {"n_qubits": n, "eps01": eps01, "eps10": eps10}
+    loaded = load_response(path)
+    assert np.array_equal(loaded.entries, R.entries)
+    assert loaded.qubit_params == R.qubit_params
 
 
-def test_a_bad_file_fails_on_every_load_until_fixed(tmp_path):
+def test_tensor_model_written_as_entries_loads_to_the_same_matrix(tmp_path):
+    # the form every tensor model was written in before the qubit pairs
+    R = make_response([0.002] * 8, [0.07] * 8)
     path = tmp_path / "cal.json"
-    path.write_text(json.dumps({"n_qubits": 1, "entries": [[0.9, 0.0], [0.0, 1.0]]}))
-    for _ in range(2):
-        with pytest.raises(CalibrationFileError, match="column 0"):
-            load_response(path)
-    path.write_text(json.dumps({"n_qubits": 1, "entries": [[0.9, 0.0], [0.1, 1.0]]}))
-    assert load_response(path).entries[1, 0] == 0.1
+    path.write_text(json.dumps({"n_qubits": 8, "entries": R.entries.tolist()}))
+    loaded = load_response(path)
+    assert np.array_equal(loaded.entries, R.entries)
+    assert loaded.qubit_params is None
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.kron_factors, R.kron_factors))
 
 
-@pytest.mark.parametrize("text", ["not json{", '{"n_qubits": 1, "entries": [[2, 0], [0, 1]]}'])
-def test_a_failure_names_each_path_that_holds_the_bytes(tmp_path, text):
-    for name in ("first.json", "second.json"):
-        path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(CalibrationFileError) as info:
-            load_response(path)
-        assert str(info.value).startswith(f"{path}: ")
+def test_estimated_matrix_is_saved_as_entries(tmp_path, committed_response):
+    estimated = estimate_response(committed_response, shots_per_state=100, seed=3)
+    assert estimated.qubit_params is None
+    path = tmp_path / "cal.json"
+    save_response(estimated, path)
+    assert set(json.loads(path.read_text())) == {"n_qubits", "entries"}
+    assert np.array_equal(load_response(path).entries, estimated.entries)
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"n_qubits": 2, "eps01": [0.01, 0.02]}, "expected keys 'n_qubits', 'eps01' and 'eps10'"),
+        ({"n_qubits": 2, "eps01": [0.01], "eps10": [0.07]}, "each list 2 values"),
+        ({"n_qubits": 2, "eps01": [0.01, 0.02], "eps10": [0.07]}, "each list 2 values"),
+        ({"n_qubits": 1, "eps01": ["0.01"], "eps10": [0.07]}, "numbers"),
+        ({"n_qubits": 1, "eps01": [True], "eps10": [False]}, "numbers"),
+        ({"n_qubits": 1, "eps01": [0.01], "eps10": [1.5]}, r"eps10 = 1.5 outside \[0, 1\]"),
+        ({"n_qubits": 1, "eps01": [float("nan")], "eps10": [0.07]}, "eps01 = nan outside"),
+        ({"n_qubits": 12, "eps01": [0.01] * 12, "eps10": [0.07] * 12}, "dense 12-qubit"),
+    ],
+)
+def test_load_rejects_malformed_qubit_pairs(tmp_path, payload, match):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CalibrationFileError, match=match) as info:
+        load_response(path)
+    assert str(info.value).startswith(f"{path}: ")
