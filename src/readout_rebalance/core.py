@@ -9,7 +9,9 @@ qubit i.  The "base-10 observable" below is then simply the counts-weighted
 mean of the state index.
 """
 
+import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,7 @@ def _check_shots(shots, name, least=1):
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
 
@@ -75,20 +77,34 @@ def _uint32_words(value, name):
     return words
 
 
-def _hash_rows(values, const, mult):
-    """One step of numpy's seed hash on each row of a uint32 array, in order.
+def _chain(init, mult, n):
+    """numpy's running hash constants ``init * mult**i`` for i < n, as uint32 products wrap."""
+    return np.cumprod(np.r_[init, np.full(n - 1, mult)].astype(np.uint32), dtype=np.uint32)
 
-    Row i is hashed with the i-th of the successive constants ``const``,
-    ``const * mult``, ... (mod 2**32); returns the hashed rows and the
-    constant the next step starts from.  uint32 arrays wrap on overflow
-    exactly as numpy's C hash does.
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(n_words):
+    """Read-only ``(pre, post)``: numpy's hash constant before and after each of its steps.
+
+    One ``(4, 1)`` row per ``(4, k)`` array step of the hash of ``n_words``
+    words: the pool's first hash, a mix of each pool word into the other
+    three (its own slot unused), one mix per further word, then
+    ``generate_state``'s two passes over the pool.
     """
-    keys = [const]
-    for _ in range(len(values)):
-        keys.append(keys[-1] * mult & _MASK32)
-    steps = np.array(keys, dtype=np.uint32)[:, None]
-    values = (values ^ steps[:-1]) * steps[1:]
-    return values ^ (values >> 16), keys[-1]
+    dst, src = np.arange(_POOL_SIZE), np.arange(_POOL_SIZE)[:, None]
+    further = np.arange(_POOL_SIZE, n_words)[:, None]
+    at = np.concatenate([dst[None], 4 + 3 * src + dst - (dst > src), 4 * further + dst])
+    a, b = _chain(_INIT_A, _MULT_A, 4 * n_words + 2), _chain(_INIT_B, _MULT_B, 9)
+    pre = np.concatenate([a[at], b[:8].reshape(2, 4)])[..., None]
+    post = np.concatenate([a[at + 1], b[1:].reshape(2, 4)])[..., None]
+    pre.flags.writeable = post.flags.writeable = False
+    return pre, post
+
+
+def _hash(values, pre, post):
+    """numpy's seed-hash step; uint32 arrays wrap on overflow as its C code does."""
+    values = (values ^ pre) * post
+    return values ^ (values >> 16)
 
 
 def _mix(x, y):
@@ -102,41 +118,44 @@ def _state_words(entropy):
 
     ``entropy`` is a ``(words, k)`` uint32 array: each column is the
     assembled entropy of one seed sequence, zero-padded to at least the
-    pool size.  Returns the ``(k, 4)`` uint64 state words.  Where numpy
-    loops over destination pool words, the loop's steps are independent and
-    run as one array step.  This is the package's one seed hash.
+    pool size.  Returns the ``(k, 4)`` uint64 state words.  Each of numpy's
+    loops over pool words is one array step.  This is the package's one seed hash.
     """
-    pool, const = _hash_rows(entropy[:_POOL_SIZE], _INIT_A, _MULT_A)
+    pre, post = _hash_constants(len(entropy))
+    pool = _hash(entropy[:_POOL_SIZE], pre[0], post[0])
     for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        hashed, const = _hash_rows(pool[[src] * len(dst)], const, _MULT_A)
-        pool[dst] = _mix(pool[dst], hashed)
+        mixed = _mix(pool, _hash(pool[src], pre[1 + src], post[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
     # entropy beyond the pool is mixed into every pool word
-    for word in entropy[_POOL_SIZE:]:
-        hashed, const = _hash_rows(np.broadcast_to(word, pool.shape), const, _MULT_A)
-        pool = _mix(pool, hashed)
-    # generate_state cycles through the pool for eight uint32 words
-    state, _ = _hash_rows(np.tile(pool, (2, 1)), _INIT_B, _MULT_B)
+    for row, word in enumerate(entropy[_POOL_SIZE:], 1 + _POOL_SIZE):
+        pool = _mix(pool, _hash(word, pre[row], post[row]))
+    # generate_state cycles twice through the pool for eight uint32 words
+    state = _hash(pool, pre[-2:], post[-2:]).reshape(2 * _POOL_SIZE, -1)
     # pairs of uint32 words read as little-endian uint64, as numpy does
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _seed_states(seed, paths, spawn_key=()):
-    """State words of the seed sequence of ``seed``, each index path and ``spawn_key``.
+def _seed_states(seed, paths, *spawn_keys):
+    """State words of the seed sequence of ``seed``, each index path and each spawn key.
 
     ``paths`` is a ``(k, depth)`` integer array, one index path per row.
-    Row i of the ``(k, 4)`` result is ``generate_state(4, np.uint64)`` of
-    numpy's seed sequence of entropy ``[seed, *paths[i]]`` and this spawn
-    key: the state that seeds a ``PCG64``, whose word 0 is also the
+    Row ``j * k + i`` of the result is numpy's ``generate_state(4, np.uint64)``
+    of entropy ``[seed, *paths[i]]`` and spawn key j (``()`` if none is
+    given): the state that seeds a ``PCG64``, whose word 0 is also the
     integer seed of a child.  This is the package's one entropy assembly,
-    done as numpy does it: the seed's 32-bit words, then one word per path
-    entry, zero-padded to the pool size before a non-empty spawn key.  The
-    seed and the spawn key entries may be any non-negative integers; a path
-    entry must lie between 0 and 2**32 - 1, so that it is one word.
-    Anything else raises ``ValidationError`` before anything is hashed.
+    done as numpy does it: the seed's 32-bit words, one word per path entry,
+    zero-padded to the pool size before a non-empty spawn key.  The seed
+    and key entries may be any non-negative integers, the keys must have
+    the same number of words, and a path entry must fit in one word; else
+    ``ValidationError`` is raised before anything is hashed.
     """
     run = _uint32_words(seed, "rng seed")
-    key = [w for k in spawn_key for w in _uint32_words(k, "spawn key entries")]
+    keys = [[w for e in key for w in _uint32_words(e, "spawn key entries")]
+            for key in spawn_keys or [()]]
+    if len(set(map(len, keys))) > 1:
+        raise ValidationError(f"spawn keys {spawn_keys} differ in their number of 32-bit words")
+    keys = np.array(keys, dtype=np.uint32)
     paths = np.asarray(paths)
     if paths.size and not (
         paths.dtype.kind in "iu" and 0 <= paths.min() <= paths.max() <= _MASK32
@@ -145,14 +164,14 @@ def _seed_states(seed, paths, spawn_key=()):
             f"path entries must be integers between 0 and {_MASK32}, "
             f"got {paths.min()!r} to {paths.max()!r}"
         )
-    k, depth = paths.shape
+    (k, depth), (n_keys, width) = paths.shape, keys.shape
     # the seed's words and the path, then the spawn key after zero padding to the pool
-    start = max(len(run) + depth, _POOL_SIZE) if key else len(run) + depth
-    entropy = np.zeros((max(start + len(key), _POOL_SIZE), k), dtype=np.uint32)
-    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
-    entropy[len(run):len(run) + depth] = paths.T
-    entropy[start:start + len(key)] = np.array(key, dtype=np.uint32).reshape(-1, 1)
-    return _state_words(entropy)
+    start = max(len(run) + depth, _POOL_SIZE) if width else len(run) + depth
+    entropy = np.zeros((max(start + width, _POOL_SIZE), n_keys, k), dtype=np.uint32)
+    entropy[:len(run)] = np.array(run, dtype=np.uint32)[:, None, None]
+    entropy[len(run):len(run) + depth] = paths.T[:, None]
+    entropy[start:start + width] = keys.T[..., None]
+    return _state_words(entropy.reshape(len(entropy), -1))
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -166,12 +185,11 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _streams(seed, paths, spawn_key):
-    """One ``numpy.random.Generator`` per row of ``paths``, seeded by :func:`_seed_states`."""
-    return [
-        np.random.Generator(np.random.PCG64(_StateWords(words)))
-        for words in _seed_states(seed, paths, spawn_key)
-    ]
+def _streams(seed, paths, spawn_keys):
+    """One list per spawn key of one ``numpy.random.Generator`` per row of ``paths``."""
+    streams = [np.random.Generator(np.random.PCG64(_StateWords(words)))
+               for words in _seed_states(seed, paths, *spawn_keys)]
+    return [streams[j * len(paths):(j + 1) * len(paths)] for j in range(len(spawn_keys))]
 
 
 def rng_stream(seed, *path, spawn_key=()):
@@ -187,19 +205,18 @@ def rng_stream(seed, *path, spawn_key=()):
     and ``rng_stream(seed, 0)`` draw alike.  Other paths give independent
     streams.
     """
-    return _streams(seed, [path], spawn_key)[0]
+    return _streams(seed, [path], [spawn_key])[0][0]
 
 
-def rng_streams(seed, repetitions, spawn_key=()):
-    """``[rng_stream(seed, r, spawn_key=spawn_key) for r in repetitions]``, in one pass.
+def rng_streams(seed, repetitions, *spawn_keys):
+    """``[[rng_stream(seed, r, spawn_key=key) for r in repetitions] for key in spawn_keys]``.
 
-    The state words of all repetitions come from one :func:`_seed_states`
-    call, as uint32 arrays, so this costs one hash call plus one ``PCG64``
-    per repetition.  The seed and the indices are checked once per call,
-    before any stream is built: both must be non-negative, and each index
-    must fit in one 32-bit word.
+    The streams of every key cost one :func:`_seed_states` call, that is
+    one seed-hash call, plus one ``PCG64`` each, so the keys must have the
+    same number of 32-bit words, as ``(0,)`` and ``(1,)`` do.  Seed, keys and
+    indices are checked once, before anything is hashed.
     """
-    return _streams(seed, np.asarray(repetitions).reshape(-1, 1), spawn_key)
+    return _streams(seed, np.asarray(repetitions).reshape(-1, 1), spawn_keys)
 
 
 def bit_table(n_qubits):
@@ -237,8 +254,9 @@ class ProbDist:
 class QubitNoiseParams:
     """Asymmetric per-qubit readout error pair.
 
-    eps01 = Pr(measure 1 | true 0), eps10 = Pr(measure 0 | true 1).  Decay
-    during measurement makes eps10 the dominant term on real devices.
+    eps01 = Pr(measure 1 | true 0), eps10 = Pr(measure 0 | true 1), each a
+    real number in [0, 1] (not a string or a bool).  Decay during
+    measurement makes eps10 the dominant term on real devices.
     """
 
     eps01: float
@@ -246,6 +264,9 @@ class QubitNoiseParams:
 
     def __post_init__(self):
         for name, p in (("eps01", self.eps01), ("eps10", self.eps10)):
+            # float() would take "0.01" and True, numpy scalars are Real
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= float(p) <= 1.0:
                 raise ValidationError(f"{name} = {p} outside [0, 1]")
         object.__setattr__(self, "eps01", float(self.eps01))

@@ -184,6 +184,10 @@ class ExperimentConfig:
             if not (optional and value is None or _holds(kind, value)):
                 expected = f"non-empty {kind}" if typing.get_args(kind) else kind.__name__
                 raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
+        # open() refuses a path with a NUL character with a plain ValueError
+        for name in ("calibration_file", "output_dir"):
+            if "\0" in (getattr(self, name) or ""):
+                raise ValidationError(f"{name} must not contain a NUL character")
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"

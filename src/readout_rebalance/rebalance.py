@@ -82,9 +82,9 @@ def run_plan(true_dist, response, plan, repetitions):
     - rebalanced: a pilot of ``plan.pilot_shots`` with key ``(0,)`` chooses
       the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
 
-    The streams of one key are built for all repetitions in one
+    The streams of every key are built for all repetitions in one
     :func:`~readout_rebalance.core.rng_streams` call, that is one call of the
-    package's one seed hash, which the tests hold to numpy's own seed
+    package's one seed hash per run, which the tests hold to numpy's own seed
     sequence word for word.  The seed must be non-negative, and each
     repetition index must lie between 0 and 2**32 - 1, so that it is one
     entropy word; ``ensemble_run`` passes at most 2**16 indices.  Anything
@@ -98,19 +98,17 @@ def run_plan(true_dist, response, plan, repetitions):
     run as an integer array (``None`` for nominal).
     """
     reps, shots = len(repetitions), plan.total_shots
-
-    def streams(*key):
-        return rng_streams(plan.rng_seed, repetitions, spawn_key=key)
-
+    keys = [()] if plan.strategy == "nominal" else [(0,), (1,)]
+    streams = rng_streams(plan.rng_seed, repetitions, *keys)
     if plan.strategy == "nominal":
-        masks, segments = None, [(0, shots, streams())]
+        masks, segments = None, [(0, shots, streams[0])]
     elif plan.strategy == "symmetrized":
         masks = np.full(reps, response.dim - 1)
-        segments = [(0, shots // 2, streams(0)), (masks, shots - shots // 2, streams(1))]
+        segments = [(0, shots // 2, streams[0]), (masks, shots - shots // 2, streams[1])]
     else:
-        pilots = sample_measured(true_dist, response, plan.pilot_shots, streams(0))
+        pilots = sample_measured(true_dist, response, plan.pilot_shots, streams[0])
         masks = choose_flip_mask(pilots)
-        segments = [(masks, shots - plan.pilot_shots, streams(1))]
+        segments = [(masks, shots - plan.pilot_shots, streams[1])]
     counts = np.hstack([sample_measured(true_dist, response, n, s, m) for m, n, s in segments])
     flips = np.concatenate([np.broadcast_to(m, reps) for m, _, _ in segments])
     unflipped = xor_permute(apply_unfold(counts, response, plan.unfold), flips)

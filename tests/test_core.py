@@ -64,6 +64,22 @@ def test_noise_params_validation():
         QubitNoiseParams(0.1, 1.5)
 
 
+@pytest.mark.parametrize("bad", ["0.01", True, np.True_, None, 0.01 + 0j, np.array(0.01)])
+def test_noise_params_refuse_what_is_not_a_real_number(bad):
+    # float() would turn "0.01" into 0.01 and True into a qubit that always reads 0
+    with pytest.raises(ValidationError, match="must be a real number"):
+        QubitNoiseParams(bad, 0.05)
+    with pytest.raises(ValidationError, match="must be a real number"):
+        QubitNoiseParams(0.01, bad)
+
+
+@pytest.mark.parametrize("good", [0, 0.05, np.float64(0.05), np.float32(0.05), np.int64(0)])
+def test_noise_params_take_python_and_numpy_numbers(good):
+    # load_response passes numpy scalars, argparse floats, appendix-a an int 0
+    params = QubitNoiseParams(good, good)
+    assert type(params.eps01) is float and params.eps10 == float(good)
+
+
 def test_xor_permute_identity_mask():
     h = np.arange(8.0)
     out = xor_permute(h, 0)

@@ -128,7 +128,7 @@ def test_rng_streams_match_numpys_seed_sequence(seed, key):
     # numpy's own generator draws; r = 0 ends the path in a zero, which
     # SeedSequence's padding makes vanish for key ()
     indices = [0, 1, 2, 999, 2 ** 32 - 1]
-    streams = rng_streams(seed, indices, spawn_key=key)
+    [streams] = rng_streams(seed, indices, key)
     assert len(streams) == len(indices)
     for r, stream in zip(indices, streams):
         expected = np.random.SeedSequence([seed, r], spawn_key=key).generate_state(4, np.uint64)

@@ -744,3 +744,16 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field", ["calibration_file", "output_dir"])
+def test_a_nul_in_a_config_path_is_a_validation_error(tmp_path, monkeypatch, capsys, field):
+    # open() raises a plain ValueError for such a path; the config check
+    # refuses it first, before any file is read or directory made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({field: "a\u0000b", "shots": 200,
+                                                      "repetitions": 5}))
+    assert main(["run", "--config", "config.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must not contain a NUL character\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

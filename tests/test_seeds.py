@@ -8,6 +8,7 @@ numpy's ``SeedSequence`` appears here only, as the reference.
 
 import hashlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from readout_rebalance import core
 from readout_rebalance.core import ValidationError, rng_stream
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
+from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan
+from readout_rebalance.states import inverted_w_dist
 
 MULTI_WORD_SEED = str(2 ** 96 + 5)
 
@@ -42,6 +45,110 @@ def test_state_words_match_numpys_seed_sequence(seed, depth, key, data):
 
 def unreachable(*args):
     raise AssertionError("a bit generator was built")
+
+
+def of_words(words):
+    """Integers of exactly ``words`` 32-bit words (0 counts as one word)."""
+    return st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1)
+
+
+def key_words(key):
+    return sum(max(1, -(-entry.bit_length() // 32)) for entry in key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # a one-word seed is padded to the pool before the key, longer ones less or not at all
+    seed=st.sampled_from([1, 2, 3, 5]).flatmap(of_words),
+    repetitions=st.lists(st.integers(0, 2 ** 32 - 1), max_size=3),
+    entry_words=st.lists(st.integers(1, 2), max_size=2),
+    n_keys=st.integers(1, 3),
+    ragged=st.booleans(),
+    data=st.data(),
+)
+def test_streams_of_several_keys_are_each_keys_own_streams(seed, repetitions, entry_words,
+                                                          n_keys, ragged, data):
+    # one hash call builds every key's streams: each draws what rng_stream
+    # draws for its key, from numpy's own state words; keys of unequal word
+    # counts cannot share the entropy rows of one call and are refused first
+    keys = [tuple(data.draw(of_words(w)) for w in entry_words) for _ in range(n_keys)]
+    if ragged:
+        keys.insert(data.draw(st.integers(0, n_keys)),
+                    keys[0] + (data.draw(st.integers(0, 2 ** 64)),))
+    hashed = []
+
+    def state_words(entropy):
+        hashed.append(entropy.shape)
+        return real_state_words(entropy)
+
+    real_state_words = core._state_words
+    if len({key_words(key) for key in keys}) > 1:
+        with mock.patch.object(core, "_state_words", unreachable), \
+                mock.patch.object(np.random, "PCG64", unreachable):
+            with pytest.raises(ValidationError, match="number of 32-bit words"):
+                core.rng_streams(seed, repetitions, *keys)
+        return
+    with mock.patch.object(core, "_state_words", state_words):
+        streams = core.rng_streams(seed, repetitions, *keys)
+    assert len(hashed) == 1 and hashed[0][1] == len(keys) * len(repetitions)
+    assert [len(of_key) for of_key in streams] == [len(repetitions)] * len(keys)
+    for key, of_key in zip(keys, streams):
+        for r, stream in zip(repetitions, of_key):
+            expected = np.random.SeedSequence([seed, r], spawn_key=key)
+            words = stream.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert words.tolist() == expected.generate_state(4, np.uint64).tolist()
+            assert np.array_equal(stream.random(4), rng_stream(seed, r, spawn_key=key).random(4))
+
+
+@pytest.mark.parametrize("n_words", [4, 5, 6, 9])
+def test_hash_constants_are_numpys_running_constants(n_words):
+    # the tabulated constants, read in numpy's order (a source pool word's
+    # own slot is skipped), are the chain init * mult**i step by step
+    def chain(init, mult, steps):
+        values = [init]
+        for _ in range(steps):
+            values.append(values[-1] * mult % 2 ** 32)
+        return values
+
+    pre, post = core._hash_constants(n_words)
+    assert pre.dtype == post.dtype == np.uint32 and pre.shape == (n_words + 3, 4, 1)
+    assert not pre.flags.writeable and not post.flags.writeable
+    used = [(row, d) for row in range(n_words + 1) for d in range(4) if row - 1 != d]
+    a = chain(core._INIT_A, core._MULT_A, 4 * n_words)
+    assert [int(pre[row, d, 0]) for row, d in used] == a[:-1]
+    assert [int(post[row, d, 0]) for row, d in used] == a[1:]
+    b = chain(core._INIT_B, core._MULT_B, 8)
+    assert pre[-2:].ravel().tolist() == b[:-1] and post[-2:].ravel().tolist() == b[1:]
+
+
+def count_hash_calls(monkeypatch):
+    calls = []
+    real = core._state_words
+
+    def counted(entropy):
+        calls.append(entropy.shape[1])
+        return real(entropy)
+
+    monkeypatch.setattr(core, "_state_words", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_plan_call_hashes_once(monkeypatch, committed_response, strategy):
+    # nominal streams use key (), rebalanced and symmetrized keys (0,) and (1,)
+    calls = count_hash_calls(monkeypatch)
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy, rng_seed=11)
+    run_plan(inverted_w_dist(5), committed_response, plan, range(7))
+    assert calls == [7 if strategy == "nominal" else 14]
+
+
+def test_a_run_hashes_once_per_cell_and_once_for_the_cell_seeds(monkeypatch):
+    calls = count_hash_calls(monkeypatch)
+    config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
+                              repetitions=4, unfold_method="matrix_inversion")
+    results, _ = run_experiment(config)
+    assert len(results) == 3 * len(STRATEGIES)
+    assert len(calls) == len(results) + 1
 
 
 @pytest.mark.parametrize("seed, path, key", [
