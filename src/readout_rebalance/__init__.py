@@ -49,12 +49,11 @@ from .rebalance import (
 )
 from .analytics import (
     EnsembleResult,
-    OracleResult,
     TwoQubitModel,
+    appendix_a_exact_variances,
     appendix_a_expectations,
     appendix_a_variances,
     ensemble_run,
-    monte_carlo_variance_oracle,
     shots_equivalent_fraction,
     std_err_of_std,
 )

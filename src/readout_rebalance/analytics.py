@@ -1,5 +1,5 @@
 """Ensemble statistics, the shots-equivalent metric, and the analytic
-two-qubit variance formulas with their Monte Carlo oracle.
+two-qubit variance formulas with their exact variances.
 
 The two-qubit machinery quantifies what readout correction does to counting
 noise: inverting the transition matrix restores expectation values but
@@ -10,7 +10,7 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, QubitNoiseParams, ValidationError, _check_shots, rng_stream
+from .core import DimensionError, QubitNoiseParams, ValidationError, _check_shots
 from .noise import build_tensor_response
 from .rebalance import run_plan
 
@@ -121,9 +121,9 @@ def appendix_a_variances(model, variant="as_printed"):
         DeltaVar[11] = (q0 + q1) n11
 
     The two variants for the 10 state exist because the printed second term
-    breaks the 01/10 relabeling symmetry; the Monte Carlo oracle decides
-    which one is right (it sides with the mirror form).  All formulas carry
-    O(q^2) corrections.
+    breaks the 01/10 relabeling symmetry; the exact variances of
+    :func:`appendix_a_exact_variances` decide which one is right (they side
+    with the mirror form).  All formulas carry O(q^2) corrections.
     """
     if variant not in VARIANCE_VARIANTS:
         raise ValidationError(
@@ -131,7 +131,7 @@ def appendix_a_variances(model, variant="as_printed"):
         )
     counts = model.true_counts()
     total = model.total
-    multinomial = counts * (1.0 - counts / total) if total else np.zeros(4)
+    counting = counts * (1.0 - counts / total) if total else np.zeros(4)
     q0, q1 = model.q0, model.q1
     d00 = q0 * model.n10 + q1 * model.n01
     d01 = q0 * model.n11 + q1 * model.n01
@@ -140,46 +140,23 @@ def appendix_a_variances(model, variant="as_printed"):
     else:
         d10 = q1 * model.n11 + q0 * model.n10
     d11 = (q0 + q1) * model.n11
-    return multinomial + np.array([d00, d01, d10, d11])
+    return counting + np.array([d00, d01, d10, d11])
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
-    """Empirical moments of the reconstructed counts from simulation."""
+def appendix_a_exact_variances(model):
+    """Exact variances of the linear-order reconstructed counts.
 
-    variances: np.ndarray
-    variance_std_errors: np.ndarray
-    means: np.ndarray
-    trials: int
-
-
-def monte_carlo_variance_oracle(model, trials, seed):
-    """Simulate the full measure-and-reconstruct pipeline and report variances.
-
-    Each trial draws the measured counts as one multinomial over the exact
-    channel probabilities from ``rng_stream(seed)`` and applies the
-    linear-order reconstruction, so the only gap between these empirical
-    variances and the analytic formulas is the O(q^2) truncation.  Standard
-    errors on the variances come from the fourth-moment formula
-    se(s^2) = sqrt((m4 - s^4) / trials).
+    The reconstructed count of state s is ``a_s . m`` for a fixed row ``a_s``
+    of :func:`linear_order_reconstruct` and measured counts ``m`` of N shots,
+    each landing in a state with the probabilities
+    ``P = appendix_a_expectations / N``, so Var = N (a_s^2 . P - (a_s . P)^2)
+    exactly.  The analytic formulas differ
+    from it only by their O(q^2) truncation.
     """
-    trials = int(trials)
-    # the (trials, 4) int64 draws are held at once, bounded like an ensemble cell
-    if not 100 <= trials <= _MAX_CELL_BYTES // 32:
-        raise ValidationError(
-            f"trials must lie between 100 (for a meaningful variance) and "
-            f"{_MAX_CELL_BYTES // 32} ({_MAX_CELL_BYTES:,} bytes of draws)"
-        )
     total = _check_shots(model.total, "the model's total count")
     probs = appendix_a_expectations(model) / total
-    draws = rng_stream(seed).multinomial(total, probs, size=trials).astype(np.float64)
-    recon = linear_order_reconstruct(draws, model.q0, model.q1)
-    means = recon.mean(axis=0)
-    variances = recon.var(axis=0, ddof=1)
-    centered = recon - means
-    fourth = (centered ** 4).mean(axis=0)
-    std_errors = np.sqrt(np.maximum(fourth - variances ** 2, 0.0) / trials)
-    return OracleResult(variances, std_errors, means, trials)
+    rows = linear_order_reconstruct(np.eye(4), model.q0, model.q1).T
+    return total * (rows ** 2 @ probs - (rows @ probs) ** 2)
 
 
 def shots_equivalent_fraction(sigma_method, sigma_nominal):

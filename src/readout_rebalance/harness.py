@@ -8,16 +8,17 @@ calibrate   build (or finite-shot estimate) a response matrix, write it as
 run         execute a benchmark experiment across strategies and write
             ensemble CSVs, a summary with shots-equivalent fractions, sweep
             curves (gaussian), and a JSON run manifest
-appendix-a  compare the analytic two-qubit variance formulas against the
-            Monte Carlo oracle and write the comparison table
+appendix-a  compare the analytic two-qubit variance formulas with the
+            exact variances and write the comparison table
 
 argparse parses every flag of every subcommand, and the commands receive
 typed values.  Each ``run`` flag is made from the ``ExperimentConfig`` field
 of the same name and parsed by its annotation.  A list flag (a list field's
 ``run`` flag, ``calibrate --eps10`` and ``--eps01``, ``appendix-a --counts``)
-takes comma-separated text, parsed whenever given, empty text included.  Bad
-values are refused before any file is read.  On failure no subcommand leaves
-an output file or a new empty directory behind.
+takes comma-separated text, parsed whenever given, empty text included.  A
+path flag refuses a NUL character.  Bad values are refused before any file is
+read.  On failure no subcommand leaves an output file or a new empty
+directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 3 numerical failure.
@@ -63,9 +64,9 @@ from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
     TwoQubitModel,
     _check_repetitions,
+    appendix_a_exact_variances,
     appendix_a_variances,
     ensemble_run,
-    monte_carlo_variance_oracle,
     shots_equivalent_fraction,
 )
 
@@ -87,6 +88,18 @@ def _list_of(kind):
                 f"expects comma-separated {kind.__name__} values, got {text!r}"
             ) from None
     return parse
+
+
+def _path(text):
+    """The argparse ``type`` of a path flag: open() refuses a NUL character
+    with a plain ValueError, so the flag refuses it first."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"must not contain a NUL character, got {text!r}")
+    return text
+
+
+# the ExperimentConfig fields that name a file or directory
+_PATH_FIELDS = ("calibration_file", "output_dir")
 
 
 # the instances a scalar kind accepts: bool (an int subclass) is refused
@@ -184,8 +197,8 @@ class ExperimentConfig:
             if not (optional and value is None or _holds(kind, value)):
                 expected = f"non-empty {kind}" if typing.get_args(kind) else kind.__name__
                 raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
-        # open() refuses a path with a NUL character with a plain ValueError
-        for name in ("calibration_file", "output_dir"):
+        # as _path refuses it in a flag, for a config file's values
+        for name in _PATH_FIELDS:
             if "\0" in (getattr(self, name) or ""):
                 raise ValidationError(f"{name} must not contain a NUL character")
         if self.experiment not in EXPERIMENTS:
@@ -386,38 +399,22 @@ APPENDIX_A_DEFAULT_SPLITS = (
 )
 
 
-def appendix_a_table(q0, q1, splits, trials, rng_seed):
-    """Analytic-vs-empirical variance comparison rows for ``appendix-a``.
+def appendix_a_table(q0, q1, splits):
+    """Analytic-vs-exact variance comparison rows for ``appendix-a``.
 
     ``splits`` holds ``(name, (n00, n01, n10, n11))`` pairs of true counts.
-
-    Tolerance per row: max(3 * standard error, (q0+q1)^2 * N), the second
-    term covering the linear-order truncation of the analytic formulas.  The
-    standard error is the oracle's fourth-moment estimate for its variance;
-    the ``bootstrap_err`` column holds it, though no bootstrap is drawn.
+    ``gap`` is the analytic variance minus the exact one: the O(q^2)
+    truncation of a formula, or the error of a misprinted term.
     """
+    header = ["split", "state", "variant", "analytic_variance", "exact_variance", "gap"]
     rows = []
-    header = [
-        "split", "state", "variant", "analytic_variance", "empirical_variance",
-        "bootstrap_err", "tolerance", "passes",
-    ]
-    states = ("00", "01", "10", "11")
-    # split i draws from state word 0 of the path (i,)
-    seeds = _seed_states(rng_seed, np.arange(len(splits))[:, None])[:, 0].tolist()
-    for (split_name, counts), seed in zip(splits, seeds):
+    for split_name, counts in splits:
         model = TwoQubitModel(q0, q1, *counts)
-        oracle = monte_carlo_variance_oracle(model, trials, seed)
-        truncation = (q0 + q1) ** 2 * model.total
-        tol = np.maximum(3.0 * oracle.variance_std_errors, truncation)
+        exact = appendix_a_exact_variances(model)
         for variant in ("as_printed", "mirror_symmetric"):
             analytic = appendix_a_variances(model, variant)
-            for s, a, e, b, t in zip(
-                states, analytic, oracle.variances, oracle.variance_std_errors, tol
-            ):
-                rows.append([
-                    split_name, s, variant, float(a), float(e), float(b), float(t),
-                    bool(abs(a - e) <= t),
-                ])
+            for s, a, e in zip(("00", "01", "10", "11"), analytic, exact):
+                rows.append([split_name, s, variant, float(a), float(e), float(a - e)])
     return header, rows
 
 
@@ -460,7 +457,7 @@ def cmd_appendix_a(args):
             (name, [round(f * args.total) for f in fractions])
             for name, fractions in APPENDIX_A_DEFAULT_SPLITS
         ]
-    header, rows = appendix_a_table(args.q0, args.q1, splits, args.trials, args.rng_seed)
+    header, rows = appendix_a_table(args.q0, args.q1, splits)
     with _Outputs(args.output_dir) as out:
         _write_csv(out.path("appendix_a_comparison.csv"), header, rows)
     return out.paths
@@ -489,32 +486,30 @@ def build_parser():
     cal = sub.add_parser("calibrate", help="build or estimate a response matrix")
     cal.add_argument("--eps10", type=_list_of(float), help="comma-separated Pr(1->0) per qubit")
     cal.add_argument("--eps01", type=_list_of(float), help="comma-separated Pr(0->1) per qubit")
-    cal.add_argument("--input", help="existing response matrix JSON to re-estimate")
+    cal.add_argument("--input", type=_path, help="existing response matrix JSON to re-estimate")
     cal.add_argument("--shots-per-state", type=int, default=0,
                      help="finite-shot estimation; 0 keeps the exact matrix")
     cal.add_argument("--rng-seed", type=int, default=0)
-    cal.add_argument("--output-dir", default="results")
-    cal.add_argument("--output-name", default="calibration.json")
+    cal.add_argument("--output-dir", type=_path, default="results")
+    cal.add_argument("--output-name", type=_path, default="calibration.json")
     cal.set_defaults(func=cmd_calibrate)
 
     run = sub.add_parser("run", help="run a benchmark experiment")
-    run.add_argument("--config", help="JSON config file; flags override its fields")
+    run.add_argument("--config", type=_path, help="JSON config file; flags override its fields")
     for f in fields(ExperimentConfig):
         kind = _kind(f.type)[0]
         entry = typing.get_args(kind)
-        parse = _list_of(entry[0]) if entry else kind
+        parse = _list_of(entry[0]) if entry else _path if f.name in _PATH_FIELDS else kind
         run.add_argument("--" + f.name.replace("_", "-"), type=parse, help=f.metadata.get("help"))
     run.set_defaults(func=cmd_run)
 
-    app = sub.add_parser("appendix-a", help="two-qubit analytic vs Monte Carlo variances")
+    app = sub.add_parser("appendix-a", help="two-qubit analytic vs exact variances")
     app.add_argument("--q0", type=float, default=0.05)
     app.add_argument("--q1", type=float, default=0.03)
     app.add_argument("--total", type=int, default=100000)
-    app.add_argument("--trials", type=int, default=10000)
     app.add_argument("--counts", action="append", type=_list_of(int),
                      help="N00,N01,N10,N11 true-count split (repeatable)")
-    app.add_argument("--rng-seed", type=int, default=0)
-    app.add_argument("--output-dir", default="results")
+    app.add_argument("--output-dir", type=_path, default="results")
     app.set_defaults(func=cmd_appendix_a)
     return parser
 

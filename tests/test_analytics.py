@@ -1,14 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from readout_rebalance.analytics import (
     EnsembleResult,
     TwoQubitModel,
+    appendix_a_exact_variances,
     appendix_a_expectations,
     appendix_a_variances,
     ensemble_run,
     linear_order_reconstruct,
-    monte_carlo_variance_oracle,
     shots_equivalent_fraction,
     std_err_of_std,
 )
@@ -98,77 +101,104 @@ def test_linear_reconstruct_inverts_expectations():
     assert np.allclose(recon, model.true_counts(), atol=(0.07) ** 2 * model.total)
 
 
+# the oracle of the analytic formulas is the exact variance of the linear
+# reconstruction, checked here by enumeration and by sampling
+
+def enumerated_variances(model):
+    """Variances of the reconstructed counts over every multinomial outcome."""
+    total = model.total
+    probs = appendix_a_expectations(model) / total
+    outcomes, weights = [], []
+    for c00, c01, c10 in itertools.product(range(total + 1), repeat=3):
+        counts = (c00, c01, c10, total - c00 - c01 - c10)
+        if counts[3] < 0:
+            continue
+        ways = math.factorial(total) // math.prod(math.factorial(c) for c in counts)
+        outcomes.append(counts)
+        weights.append(ways * math.prod(p ** c for p, c in zip(probs, counts)))
+    recon = linear_order_reconstruct(np.array(outcomes, dtype=float), model.q0, model.q1)
+    weights = np.array(weights)
+    centered = recon - weights @ recon
+    return weights @ centered ** 2
+
+
+@pytest.mark.parametrize("q0, q1", [(0.05, 0.03), (0.1, 0.0), (0.2, 0.15), (0.01, 0.3)])
+@pytest.mark.parametrize("counts", [(0, 0, 0, 6), (1, 2, 3, 1), (2, 2, 2, 2), (0, 3, 0, 4)])
+def test_exact_variances_match_every_multinomial_outcome(q0, q1, counts):
+    model = TwoQubitModel(q0, q1, *counts)
+    assert np.allclose(appendix_a_exact_variances(model), enumerated_variances(model),
+                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("q0, q1, counts, seed", [
+    (0.05, 0.03, (25000, 25000, 25000, 25000), 1),
+    (0.1, 0.0, (0, 0, 0, 100000), 2),
+    (0.02, 0.08, (1000, 30000, 9000, 60000), 3),
+])
+def test_exact_variances_agree_with_sampled_reconstructions(q0, q1, counts, seed):
+    # K = 5 standard errors of the sample variance, by its fourth-moment formula
+    model = TwoQubitModel(q0, q1, *counts)
+    probs = appendix_a_expectations(model) / model.total
+    trials = 20_000
+    draws = np.random.default_rng(seed).multinomial(model.total, probs, size=trials)
+    recon = linear_order_reconstruct(draws.astype(float), q0, q1)
+    variances = recon.var(axis=0, ddof=1)
+    fourth = ((recon - recon.mean(axis=0)) ** 4).mean(axis=0)
+    std_errors = np.sqrt((fourth - variances ** 2) / trials)
+    assert np.all(np.abs(variances - appendix_a_exact_variances(model)) <= 5 * std_errors)
+
+
 def test_oracle_noiseless_matches_multinomial():
     model = TwoQubitModel(0.0, 0.0, 25000, 25000, 25000, 25000)
-    oracle = monte_carlo_variance_oracle(model, 10000, 1)
-    expected = appendix_a_variances(model)
-    assert np.all(np.abs(oracle.variances - expected) <= 5 * oracle.variance_std_errors)
+    assert np.allclose(appendix_a_exact_variances(model), appendix_a_variances(model),
+                       rtol=1e-12, atol=0)
 
 
 def test_oracle_pure_excited_decay_variance():
-    N = 100000
-    model = TwoQubitModel(0.02, 0.02, 0, 0, 0, N)
-    oracle = monte_carlo_variance_oracle(model, 10000, 2)
-    target = (0.02 + 0.02) * N
-    assert abs(oracle.variances[3] - target) < 0.1 * target + 3 * oracle.variance_std_errors[3]
+    # Var[(1 + q0 + q1) c11] for c11 ~ Binomial(N, (1 - q0)(1 - q1))
+    N, q0, q1 = 100000, 0.02, 0.02
+    model = TwoQubitModel(q0, q1, 0, 0, 0, N)
+    keep = (1 - q0) * (1 - q1)
+    target = (1 + q0 + q1) ** 2 * N * keep * (1 - keep)
+    assert appendix_a_exact_variances(model)[3] == pytest.approx(target, rel=1e-12)
 
 
 def test_oracle_pure_ground_exact_zero():
     model = TwoQubitModel(0.3, 0.2, 100000, 0, 0, 0)
-    oracle = monte_carlo_variance_oracle(model, 500, 3)
-    assert np.array_equal(oracle.variances, np.zeros(4))
-    assert np.array_equal(oracle.means, [100000.0, 0.0, 0.0, 0.0])
-
-
-def test_oracle_results_compare_and_hash_by_identity():
-    model = TwoQubitModel(0.3, 0.2, 100000, 0, 0, 0)
-    a, b = (monte_carlo_variance_oracle(model, 500, 3) for _ in range(2))
-    assert a == a and a != b
-    assert len({a, b, a}) == 2
-
-
-def test_oracle_requires_enough_trials():
-    model = TwoQubitModel(0.1, 0.1, 0, 0, 0, 1000)
-    with pytest.raises(ValidationError):
-        monte_carlo_variance_oracle(model, 99, 0)
+    assert np.array_equal(appendix_a_exact_variances(model), np.zeros(4))
 
 
 def test_oracle_rejects_a_model_without_counts():
-    # zero true counts give the multinomial NaN probabilities
+    # zero true counts give no measured probabilities
     model = TwoQubitModel(0.05, 0.03, 0, 0, 0, 0)
     with pytest.raises(ValidationError, match="the model's total count must lie between 1 and"):
-        monte_carlo_variance_oracle(model, 1000, 0)
+        appendix_a_exact_variances(model)
 
 
 def test_oracle_agrees_with_mirror_formulas_at_small_q():
-    # |analytic - empirical| <= max(3 * bootstrap error, C * q^2 * N) with
-    # C = 1 and q = q0 + q1 (the linear-order truncation scale)
+    # |analytic - exact| <= (q0 + q1)^2 N, the linear-order truncation scale
     rng = np.random.default_rng(7)
-    C = 1.0
     for case in range(12):
         q0, q1 = rng.uniform(0.0, 0.05, size=2)
         fractions = rng.dirichlet(np.ones(4))
         counts = np.round(fractions * 10 ** 5).astype(int)
         model = TwoQubitModel(q0, q1, *counts)
-        oracle = monte_carlo_variance_oracle(model, 4000, 100 + case)
-        analytic = appendix_a_variances(model, "mirror_symmetric")
-        tol = np.maximum(3 * oracle.variance_std_errors, C * (q0 + q1) ** 2 * model.total)
-        assert np.all(np.abs(analytic - oracle.variances) <= tol), (
-            f"case {case}: q=({q0:.4f},{q1:.4f}) "
-            f"diff={np.abs(analytic - oracle.variances)} tol={tol}"
+        gap = appendix_a_variances(model, "mirror_symmetric") - appendix_a_exact_variances(model)
+        assert np.all(np.abs(gap) <= (q0 + q1) ** 2 * model.total), (
+            f"case {case}: q=({q0:.4f},{q1:.4f}) gap={gap}"
         )
 
 
 def test_oracle_detects_printed_10_row_discrepancy():
     # at q0 = 0.1, q1 = 0 with uniform quarters, the printed 10-row formula
-    # is off by q0 * N10 = 2500, far outside the tolerance band
+    # misses q0 * N10 = 2500, far outside the truncation scale of 1000
     model = TwoQubitModel(0.1, 0.0, 25000, 25000, 25000, 25000)
-    oracle = monte_carlo_variance_oracle(model, 10000, 5)
+    exact = appendix_a_exact_variances(model)
     printed = appendix_a_variances(model, "as_printed")
     mirror = appendix_a_variances(model, "mirror_symmetric")
-    tol = np.maximum(3 * oracle.variance_std_errors, 0.1 ** 2 * model.total)
-    assert abs(printed[2] - oracle.variances[2]) > tol[2]
-    assert abs(mirror[2] - oracle.variances[2]) <= tol[2]
+    bound = 0.1 ** 2 * model.total
+    assert abs(printed[2] - exact[2]) > bound
+    assert abs(mirror[2] - exact[2]) <= bound
 
 
 def test_shots_equivalent_fraction_basics():

@@ -209,7 +209,7 @@ def test_counts_in_state_ideal_grover():
 def test_shot_counts_beyond_int64_are_refused():
     # numpy's multinomial draws at most an int64 of shots; every caller
     # refuses more with the one core check instead of an OverflowError
-    from readout_rebalance.analytics import TwoQubitModel, monte_carlo_variance_oracle
+    from readout_rebalance.analytics import TwoQubitModel, appendix_a_exact_variances
     from readout_rebalance.noise import default_response, estimate_response, sample_measured
     from readout_rebalance.rebalance import MeasurementPlan
 
@@ -220,7 +220,7 @@ def test_shot_counts_beyond_int64_are_refused():
         lambda: estimate_response(R, beyond, 0),
         lambda: TwoQubitModel(0.05, 0.03, 0, 0, 0, beyond),
         # four counts that each fit an int64 but whose total does not
-        lambda: monte_carlo_variance_oracle(TwoQubitModel(0.05, 0.03, *[2 ** 62] * 4), 100, 0),
+        lambda: appendix_a_exact_variances(TwoQubitModel(0.05, 0.03, *[2 ** 62] * 4)),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match=f"between [0-9]+ and {beyond - 1}"):

@@ -1,5 +1,5 @@
-"""The package runs on numpy and the standard library alone, and builds its
-random streams in one place."""
+"""The package runs on numpy and the standard library alone, and builds and
+draws from its random streams in one place each."""
 
 import ast
 import re
@@ -66,6 +66,13 @@ def test_only_core_builds_random_streams():
         for path in MODULES if path != core for name in named(path) if name in STREAM_NAMES
     }
     assert not outside
+
+
+def test_only_noise_draws_multinomial_counts():
+    # the analytics and the harness compute what they report, and sample nothing
+    noise = ROOT / "src" / "readout_rebalance" / "noise.py"
+    drawing = {path.name for path in MODULES if "multinomial" in set(named(path))}
+    assert drawing == {noise.name}
 
 
 def test_no_module_seeds_through_numpys_seed_sequence():

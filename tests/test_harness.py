@@ -313,35 +313,38 @@ def test_failure_removes_only_the_directories_it_created(tmp_path):
 
 def test_appendix_a_cli_default_splits(tmp_path):
     code = main([
-        "appendix-a", "--q0", "0.05", "--q1", "0.03",
-        "--trials", "2000", "--rng-seed", "1",
-        "--output-dir", str(tmp_path),
+        "appendix-a", "--q0", "0.05", "--q1", "0.03", "--output-dir", str(tmp_path),
     ])
     assert code == EXIT_OK
     rows = read_csv(tmp_path / "appendix_a_comparison.csv")
+    assert list(rows[0]) == [
+        "split", "state", "variant", "analytic_variance", "exact_variance", "gap",
+    ]
     # 3 splits x 2 variants x 4 states
     assert len(rows) == 24
+    for r in rows:
+        assert float(r["gap"]) == float(r["analytic_variance"]) - float(r["exact_variance"])
+    # the mirror form lies within the truncation scale (q0 + q1)^2 N everywhere
     mirror_rows = [r for r in rows if r["variant"] == "mirror_symmetric"]
-    assert all(r["passes"] == "True" for r in mirror_rows)
+    assert all(abs(float(r["gap"])) <= 0.08 ** 2 * 100000 for r in mirror_rows)
     pure00 = [r for r in rows if r["split"] == "pure_00"]
-    assert all(float(r["empirical_variance"]) == 0.0 for r in pure00)
+    assert all(float(r["exact_variance"]) == float(r["gap"]) == 0.0 for r in pure00)
 
 
 def test_appendix_a_cli_noiseless_all_pass(tmp_path):
-    code = main([
-        "appendix-a", "--q0", "0", "--q1", "0",
-        "--trials", "2000", "--output-dir", str(tmp_path),
-    ])
+    # without noise both forms are the multinomial variances, exactly
+    code = main(["appendix-a", "--q0", "0", "--q1", "0", "--output-dir", str(tmp_path)])
     assert code == EXIT_OK
     rows = read_csv(tmp_path / "appendix_a_comparison.csv")
-    assert all(r["passes"] == "True" for r in rows)
+    assert all(
+        abs(float(r["gap"])) <= 1e-12 * float(r["exact_variance"]) for r in rows
+    )
 
 
 def test_appendix_a_cli_custom_counts(tmp_path):
     code = main([
         "appendix-a", "--q0", "0.05", "--q1", "0.03",
-        "--counts", "0,0,0,100000", "--trials", "1000",
-        "--output-dir", str(tmp_path),
+        "--counts", "0,0,0,100000", "--output-dir", str(tmp_path),
     ])
     assert code == EXIT_OK
     rows = read_csv(tmp_path / "appendix_a_comparison.csv")
@@ -355,7 +358,7 @@ def test_appendix_a_cli_splits_keep_their_own_counts(tmp_path):
     code = main([
         "appendix-a", "--q0", "0.05", "--q1", "0.03",
         "--counts", "100,0,0,0", "--counts", "1000,1000,1000,1000",
-        "--trials", "1000", "--output-dir", str(tmp_path),
+        "--output-dir", str(tmp_path),
     ])
     assert code == EXIT_OK
     rows = read_csv(tmp_path / "appendix_a_comparison.csv")
@@ -375,8 +378,7 @@ def test_appendix_a_cli_splits_keep_their_own_counts(tmp_path):
         pytest.param(["run", "--experiment", "inverted_w", "--shots", "300",
                       "--repetitions", "5"], "summary.csv", id="run"),
         pytest.param(["calibrate"], "diagnostics_by_zero_count.csv", id="calibrate"),
-        pytest.param(["appendix-a", "--trials", "200"], "appendix_a_comparison.csv",
-                     id="appendix-a"),
+        pytest.param(["appendix-a"], "appendix_a_comparison.csv", id="appendix-a"),
     ],
 )
 def test_failure_partway_through_a_file_leaves_nothing(tmp_path, monkeypatch, argv, name):
@@ -672,9 +674,9 @@ def test_csv_files_newline_terminated(tmp_path):
                      EXIT_VALIDATION, id="calibrate-shots-beyond-int64"),
         pytest.param(["appendix-a", "--total", "100000000000000000000"],
                      EXIT_VALIDATION, id="appendix-a-total-beyond-int64"),
-        # a (10**15, 4) int64 draw array is 32 PB
-        pytest.param(["appendix-a", "--trials", "1000000000000000"],
-                     EXIT_VALIDATION, id="appendix-a-trials-beyond-limit"),
+        # appendix-a computes its variances exactly and draws nothing
+        pytest.param(["appendix-a", "--trials", "200", "--rng-seed", "1"], EXIT_VALIDATION,
+                     id="appendix-a-sampling-flags-unrecognized"),
         pytest.param(["run", "--repetitions", "70000", "--calibration-file", "nope.json"],
                      EXIT_VALIDATION, id="run-repetitions-beyond-limit-before-file"),
         # Gaussians whose density float64 cannot evaluate
@@ -727,6 +729,16 @@ def test_csv_files_newline_terminated(tmp_path):
         # checked like every config field, whether or not a draw uses it
         pytest.param(["calibrate", "--rng-seed", "-1"], EXIT_VALIDATION,
                      id="calibrate-negative-seed-unused"),
+        # open() refuses a NUL with a plain ValueError: every path flag refuses it first
+        pytest.param(["calibrate", "--output-dir", "a\0b"], EXIT_VALIDATION,
+                     id="calibrate-output-dir-nul"),
+        pytest.param(["calibrate", "--input", "a\0b.json"], EXIT_VALIDATION,
+                     id="calibrate-input-nul"),
+        pytest.param(["calibrate", "--output-name", "a\0b.json"], EXIT_VALIDATION,
+                     id="calibrate-output-name-nul"),
+        pytest.param(["run", "--config", "a\0b.json"], EXIT_VALIDATION, id="run-config-nul"),
+        pytest.param(["appendix-a", "--output-dir", "a\0b"], EXIT_VALIDATION,
+                     id="appendix-a-output-dir-nul"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -757,3 +769,24 @@ def test_a_nul_in_a_config_path_is_a_validation_error(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err == f"error: {field} must not contain a NUL character\n"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_a_nul_in_a_path_flag_leaves_no_new_directory(tmp_path, capsys):
+    # the output directory was once made before the NUL name failed, and kept
+    out = tmp_path / "new"
+    argv = ["calibrate", "--output-name", "x\0y.json", "--output-dir", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        "error: argument --output-name: must not contain a NUL character, got 'x\\x00y.json'\n"
+    )
+    assert not out.exists()
+
+
+def test_appendix_a_takes_five_flags_and_no_sampling_flags(tmp_path, capsys):
+    args = build_parser().parse_args(["appendix-a"])
+    assert set(vars(args)) - {"command", "func"} == {"q0", "q1", "total", "counts", "output_dir"}
+    argv = ["appendix-a", "--trials", "200", "--rng-seed", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unrecognized arguments: --trials 200 --rng-seed 1\n"
+    assert not list(tmp_path.iterdir())

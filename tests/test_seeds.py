@@ -1,8 +1,8 @@
 """The package's one seed hash against numpy's own ``SeedSequence``.
 
 Every random number the package draws starts from ``core._state_words``:
-the streams of ``run_plan``, ``estimate_response`` and the Monte Carlo
-oracle, and the integer seeds of ``run`` cells and ``appendix-a`` splits.
+the streams of ``run_plan`` and ``estimate_response``, and the integer
+seeds of ``run`` cells.
 numpy's ``SeedSequence`` appears here only, as the reference.
 """
 
@@ -201,10 +201,6 @@ COMMANDS = {
     ],
     "calibrate": [
         "calibrate", "--shots-per-state", "500", "--rng-seed", MULTI_WORD_SEED,
-        "--output-dir", "out",
-    ],
-    "appendix_a": [
-        "appendix-a", "--total", "1000", "--trials", "500", "--rng-seed", MULTI_WORD_SEED,
         "--output-dir", "out",
     ],
 }
