@@ -267,10 +267,11 @@ def _write_json(path, payload):
 class _Outputs:
     """The output files of one command, written inside a ``with`` block.
 
-    ``path(name)`` records a file's path before the caller opens it.  If the
-    block fails, every recorded path is removed, a partly written file
-    included, then every directory the command created while it is empty,
-    and the error propagates.
+    ``path(name)`` records a file's path before the caller opens it, and
+    refuses a name that one already recorded: a second write would replace
+    the first file.  If the block fails, every recorded path is removed, a
+    partly written file included, then every directory the command created
+    while it is empty, and the error propagates.
     """
 
     def __init__(self, directory):
@@ -286,6 +287,8 @@ class _Outputs:
 
     def path(self, name):
         path = os.path.join(self.directory, name)
+        if os.path.normpath(path) in map(os.path.normpath, self.paths):
+            raise ValidationError(f"{path} would be written twice")
         self.paths.append(path)
         return path
 

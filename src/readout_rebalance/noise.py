@@ -29,19 +29,13 @@ DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
 # Widest register given a dense response matrix: 11 qubits, 8 * 4**11 bytes =
-# 32 MiB.  Building peaks at twice the matrix and looking for its Kronecker
-# factors at three times; each dense solve, SVD and IBU product holds more
-# copies (a factored matrix needs none), while 16 qubits would take 32 GiB per
-# copy.  wide_8q's 8 qubits take 0.5 MiB.
+# 32 MiB.  Building peaks at twice the matrix; each dense solve, SVD and IBU
+# product holds more copies (a factored matrix needs none), while 16 qubits
+# would take 32 GiB per copy.  wide_8q's 8 qubits take 0.5 MiB.
 _MAX_DENSE_QUBITS = 11
 # Narrowest register whose unfolding runs on Kronecker factors: below it a
 # dense 32x32 product is as fast as the two small ones.
 _MIN_FACTORED_QUBITS = 7
-# Entries lie in [0, 1]; factors summed from up to 2**6 entries rebuild them to
-# within about 96 eps at 11 qubits: 7 eps for per-qubit tensor models (300
-# random models at 2 to 11 qubits), up to 48 eps for products of two dense
-# column-stochastic factors.  A finite-shot estimate misses by more than 1e-4.
-_KRON_ATOL = 128 * np.finfo(np.float64).eps
 
 
 def _check_dense(n_qubits):
@@ -61,7 +55,7 @@ class ResponseMatrix:
     entries: np.ndarray
     column_sum_atol: float = COLUMN_SUM_ATOL
     # the per-qubit pairs of a matrix made by build_tensor_response, which
-    # save_response writes in place of the 4**n entries; None for any other
+    # kron_factors builds R's factors from and save_response writes; else None
     qubit_params: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -95,33 +89,21 @@ class ResponseMatrix:
     def kron_factors(self):
         """R's Kronecker factors, outermost first: ``(hi, lo)`` or ``(entries,)``.
 
-        ``hi`` acts on the high ``ceil(n/2)`` qubits and ``lo`` on the low
-        ``floor(n/2)``.  Each is a marginal of the entries: ``hi`` sums the
-        low measured bits of the columns whose low true bits are 0, and
-        ``lo`` the high measured bits of those whose high true bits are 0.
-        The pair is kept only when ``np.kron(hi, lo)`` rebuilds every entry
-        to within ``_KRON_ATOL``, so a tensor-product model has it however
-        it was made or read, and a calibrated estimate does not.  Where that
-        fails, ``lo`` divided by the sum of R's first column is tried, which
-        finds a product whose columns sum to 1 only within the tolerance.
-        Any other matrix, and any below ``_MIN_FACTORED_QUBITS`` qubits,
-        where dense products are as fast, is its own one factor.  Found on
-        first use and kept, like :attr:`condition_number`, and read-only,
-        like the entries.
+        A matrix made by :func:`build_tensor_response` from 7 qubits up has
+        two, each rebuilt from its :attr:`qubit_params`: ``hi`` acts on the
+        high ``ceil(n/2)`` qubits and ``lo`` on the low ``floor(n/2)``.  Any
+        other matrix, and any narrower one, where dense products are as
+        fast, is its own one factor.  Found on first use and kept, like
+        :attr:`condition_number`, and read-only, like the entries.
         """
-        if self.n_qubits >= _MIN_FACTORED_QUBITS:
-            high, low = 2 ** ((self.n_qubits + 1) // 2), 2 ** (self.n_qubits // 2)
-            # indices [measured high, measured low, true high, true low]
-            blocks = self.entries.reshape(high, low, high, low)
-            hi, lo = blocks[:, :, :, 0].sum(axis=1), blocks[:, :, 0, :].sum(axis=0)
-            # each marginal carries the other factor's column-0 sum, so where
-            # the columns miss 1 the product is R times that sum: divide it out
-            for low in (lo, lo / self.entries[:, 0].sum()):
-                if np.abs(np.kron(hi, low) - self.entries).max() <= _KRON_ATOL:
-                    # kept with the matrix: a write would reach every later unfold
-                    hi.flags.writeable = low.flags.writeable = False
-                    return hi, low
-        return (self.entries,)
+        pairs = self.qubit_params
+        if pairs is None or len(pairs) < _MIN_FACTORED_QUBITS:
+            return (self.entries,)
+        half = len(pairs) // 2
+        hi, lo = _kron_channels(pairs[half:]), _kron_channels(pairs[:half])
+        # kept with the matrix: a write would reach every later unfold
+        hi.flags.writeable = lo.flags.writeable = False
+        return hi, lo
 
     @cached_property
     def condition_number(self):
@@ -154,6 +136,11 @@ def single_qubit_channel(params):
     )
 
 
+def _kron_channels(params):
+    """Kronecker product of the qubits' channels, the last qubit outermost."""
+    return reduce(np.kron, [single_qubit_channel(p) for p in reversed(params)])
+
+
 def build_tensor_response(params):
     """Tensor-product response matrix for independent per-qubit errors.
 
@@ -164,8 +151,7 @@ def build_tensor_response(params):
     if not params:
         raise ValidationError("need at least one qubit")
     _check_dense(len(params))
-    mats = [single_qubit_channel(p) for p in params]
-    response = ResponseMatrix(reduce(np.kron, reversed(mats)))
+    response = ResponseMatrix(_kron_channels(params))
     object.__setattr__(response, "qubit_params", tuple(params))
     return response
 

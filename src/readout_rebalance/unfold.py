@@ -8,8 +8,8 @@ the usual choice for actual correction work.
 
 Both act on R through its factor tuple,
 :attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`: the dense
-matrix alone, or, for a tensor-product model from 7 qubits up (however it
-was built or read), a high-qubit and a low-qubit factor.  ``_kron_apply``
+matrix alone, or, for a tensor model from 7 qubits up, a high-qubit and a
+low-qubit factor built from its per-qubit pairs.  ``_kron_apply``
 is the one code that walks the factors: ``R @ x``, ``R.T @ x`` and the
 solve each act on one axis of the counts per factor.  Factoring changes
 results by rounding only.

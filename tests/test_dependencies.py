@@ -113,3 +113,29 @@ def test_no_module_tests_the_factors_against_none():
         path.name for path in MODULES + TESTS if "kron_factors" in set(compared_with_none(path))
     }
     assert not found
+
+
+# kron_factors builds R's factors from qubit_params, not from the entries, so
+# the pairs must be those the entries were built from
+def qubit_params_writers(path):
+    """The function around each place one source file sets ``qubit_params``:
+    an attribute store, a ``qubit_params=`` keyword, or the name as a string,
+    as ``setattr`` and ``object.__setattr__`` take it."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "qubit_params"
+                and isinstance(child.ctx, ast.Store)
+                or isinstance(child, ast.keyword) and child.arg == "qubit_params"
+                or isinstance(child, ast.Constant) and child.value == "qubit_params"
+            ):
+                yield function
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            yield from walk(child, getattr(child, "name", "<lambda>") if inner else function)
+
+    yield from walk(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def test_only_build_tensor_response_sets_qubit_params():
+    writers = {(path.name, f) for path in MODULES for f in qubit_params_writers(path)}
+    assert writers == {("noise.py", "build_tensor_response")}

@@ -254,7 +254,8 @@ def test_exit_code_singular_matrix(tmp_path):
 @pytest.mark.parametrize("method", ["ibu", "matrix_inversion"])
 def test_a_tensor_model_runs_alike_from_either_file_form(tmp_path, method):
     # calibrate --eps10/--eps01 writes the qubit pairs; a file of the same
-    # model's entries, as written before, gives the same outputs
+    # model's entries, as written before, holds no pairs, so it unfolds
+    # densely, and its outputs differ from the factored ones by rounding only
     eps = ["--eps10", ",".join(["0.07"] * 8), "--eps01", ",".join(["0.003"] * 8)]
     assert main(["calibrate", *eps, "--output-dir", str(tmp_path)]) == EXIT_OK
     pairs = tmp_path / "calibration.json"
@@ -263,6 +264,8 @@ def test_a_tensor_model_runs_alike_from_either_file_form(tmp_path, method):
     entries.write_text(json.dumps(
         {"n_qubits": 8, "entries": load_response(pairs).entries.tolist()}
     ))
+    assert len(load_response(pairs).kron_factors) == 2
+    assert len(load_response(entries).kron_factors) == 1
     outputs = []
     for path in (pairs, entries):
         out = tmp_path / f"out-{path.stem}"
@@ -271,8 +274,9 @@ def test_a_tensor_model_runs_alike_from_either_file_form(tmp_path, method):
             "--unfold-method", method, "--shots", "2000", "--repetitions", "4",
             "--output-dir", str(out),
         ]) == EXIT_OK
-        outputs.append([(out / name).read_bytes() for name in ("ensemble.csv", "summary.csv")])
-    assert outputs[0] == outputs[1]
+        rows = read_csv(out / "ensemble.csv")
+        outputs.append(np.array([[float(r["mean"]), float(r["std"])] for r in rows]))
+    np.testing.assert_allclose(outputs[1], outputs[0], rtol=1e-12, atol=0)
 
 
 def test_run_failure_removes_partial_outputs(tmp_path, monkeypatch):
@@ -739,6 +743,11 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--config", "a\0b.json"], EXIT_VALIDATION, id="run-config-nul"),
         pytest.param(["appendix-a", "--output-dir", "a\0b"], EXIT_VALIDATION,
                      id="appendix-a-output-dir-nul"),
+        # the calibration would be replaced by the diagnostics written after it
+        pytest.param(["calibrate", "--output-name", "diagnostics_by_zero_count.csv"],
+                     EXIT_VALIDATION, id="calibrate-output-name-of-diagnostics"),
+        pytest.param(["calibrate", "--output-name", "./diagnostics_by_zero_count.csv"],
+                     EXIT_VALIDATION, id="calibrate-output-name-of-diagnostics-dotted"),
     ],
 )
 @pytest.mark.filterwarnings("error")

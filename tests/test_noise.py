@@ -363,7 +363,8 @@ def test_tensor_model_written_as_entries_loads_to_the_same_matrix(tmp_path):
     loaded = load_response(path)
     assert np.array_equal(loaded.entries, R.entries)
     assert loaded.qubit_params is None
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.kron_factors, R.kron_factors))
+    # with no pairs to build factors from, it unfolds densely
+    assert len(loaded.kron_factors) == 1 and loaded.kron_factors[0] is loaded.entries
 
 
 def test_estimated_matrix_is_saved_as_entries(tmp_path, committed_response):
