@@ -51,14 +51,18 @@ def test_tensor_model_read_back_from_a_file_is_factored(tmp_path, n):
         assert np.array_equal(lo, make_response(EPS01[:low], EPS10[:low]).entries)
 
 
-def test_kron_factors_are_read_only():
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-7])
+def test_kron_factors_are_read_only(scale):
     # the factors are kept with the matrix, so a write into one would reach
-    # every later unfold
+    # every later unfold; a rescaled model has no qubit pairs and is its own
+    # one factor, frozen like its entries
     R = make_response(EPS01[:8], EPS10[:8])
+    if scale != 1.0:
+        R = ResponseMatrix(R.entries * scale, column_sum_atol=1e-6)
     for factor in R.kron_factors:
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 0.5
-    assert len(R.kron_factors) == 2
+    assert len(R.kron_factors) == (2 if scale == 1.0 else 1)
 
 
 def test_matrices_off_the_product_are_not_factored():
