@@ -26,8 +26,8 @@ def show(model):
     expect = appendix_a_expectations(model)
     print("  expected measured counts:", np.round(expect, 1))
     exact = appendix_a_exact_variances(model)
-    printed = appendix_a_variances(model, "as_printed")
-    mirror = appendix_a_variances(model, "mirror_symmetric")
+    analytic = appendix_a_variances(model)
+    printed, mirror = analytic["as_printed"], analytic["mirror_symmetric"]
     print(f"  {'state':5s} {'exact':>12s} {'as_printed':>12s} {'gap':>9s} "
           f"{'mirror':>12s} {'gap':>9s}")
     for i, s in enumerate(STATES):

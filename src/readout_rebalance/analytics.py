@@ -10,11 +10,10 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, QubitNoiseParams, ValidationError, _check_shots
+from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count
 from .noise import build_tensor_response
 from .rebalance import run_plan
 
-VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
 # engine keeps about ten arrays of that size alive at once (IBU's iterate and
 # temporaries, the corrected and un-flipped copies, twice over for symmetrized):
@@ -23,10 +22,10 @@ VARIANCE_VARIANTS = ("as_printed", "mirror_symmetric")
 # times the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell
 # (65536 repetitions) peaks near 0.4 GB.
 _MAX_CELL_BYTES = 2 ** 24
-# Most repetitions of one cell at any width.  While a cell runs each holds one
-# Generator (nominal) or two, about 780 B each by tracemalloc, which the byte
-# bound does not count (it admits 2**20 at one qubit); 2**16 caps them near
-# 2**16 * 2 * 780 B = 102 MB.
+# Most repetitions of one cell at any width (the least is 2, for a standard
+# deviation).  While a cell runs each holds one Generator (nominal) or two,
+# about 780 B each by tracemalloc, which the byte bound does not count (it
+# admits 2**20 at one qubit); 2**16 caps them near 2**16 * 2 * 780 B = 102 MB.
 _MAX_CELL_REPETITIONS = 2 ** 16
 
 
@@ -71,7 +70,7 @@ class TwoQubitModel:
             if not 0.0 <= float(q) < 1.0:
                 raise ValidationError(f"{name} = {q} outside [0, 1)")
         for name, n in (("n00", self.n00), ("n01", self.n01), ("n10", self.n10), ("n11", self.n11)):
-            object.__setattr__(self, name, _check_shots(n, name, least=0))
+            object.__setattr__(self, name, _check_count(n, name, least=0))
 
     @property
     def total(self):
@@ -109,8 +108,9 @@ def linear_order_reconstruct(measured_counts, q0, q1):
     return np.stack([r00, r01, r10, r11], axis=-1)
 
 
-def appendix_a_variances(model, variant="as_printed"):
-    """Linear-order variances of the reconstructed counts.
+def appendix_a_variances(model):
+    """Linear-order variances of the reconstructed counts, in both forms of
+    the 10 row: ``{"as_printed": ..., "mirror_symmetric": ...}``.
 
     Var[N_hat] = N_ij (1 - N_ij / N) + DeltaVar with the excess terms
 
@@ -120,27 +120,22 @@ def appendix_a_variances(model, variant="as_printed"):
                        q1 n11 + q0 n10   ("mirror_symmetric")
         DeltaVar[11] = (q0 + q1) n11
 
-    The two variants for the 10 state exist because the printed second term
+    The two forms of the 10 state exist because the printed second term
     breaks the 01/10 relabeling symmetry; the exact variances of
     :func:`appendix_a_exact_variances` decide which one is right (they side
     with the mirror form).  All formulas carry O(q^2) corrections.
     """
-    if variant not in VARIANCE_VARIANTS:
-        raise ValidationError(
-            f"unknown variant {variant!r}, expected one of {VARIANCE_VARIANTS}"
-        )
     counts = model.true_counts()
     total = model.total
     counting = counts * (1.0 - counts / total) if total else np.zeros(4)
     q0, q1 = model.q0, model.q1
     d00 = q0 * model.n10 + q1 * model.n01
     d01 = q0 * model.n11 + q1 * model.n01
-    if variant == "as_printed":
-        d10 = q1 * model.n11 + q1 * model.n10
-    else:
-        d10 = q1 * model.n11 + q0 * model.n10
     d11 = (q0 + q1) * model.n11
-    return counting + np.array([d00, d01, d10, d11])
+    return {
+        "as_printed": counting + np.array([d00, d01, q1 * model.n11 + q1 * model.n10, d11]),
+        "mirror_symmetric": counting + np.array([d00, d01, q1 * model.n11 + q0 * model.n10, d11]),
+    }
 
 
 def appendix_a_exact_variances(model):
@@ -153,7 +148,7 @@ def appendix_a_exact_variances(model):
     exactly.  The analytic formulas differ
     from it only by their O(q^2) truncation.
     """
-    total = _check_shots(model.total, "the model's total count")
+    total = _check_count(model.total, "the model's total count")
     probs = appendix_a_expectations(model) / total
     rows = linear_order_reconstruct(np.eye(4), model.q0, model.q1).T
     return total * (rows ** 2 @ probs - (rows @ probs) ** 2)
@@ -173,16 +168,11 @@ def shots_equivalent_fraction(sigma_method, sigma_nominal):
 
 def std_err_of_std(std, repetitions):
     """Normal-approximation standard error of a sample standard deviation."""
-    return float(std / np.sqrt(2.0 * (int(repetitions) - 1)))
+    return float(std / np.sqrt(2.0 * (_check_count(repetitions, "repetitions", least=2) - 1)))
 
 
 def _check_repetitions(repetitions):
-    """Refuse a repetition count outside 2 to ``_MAX_CELL_REPETITIONS``."""
-    if not 2 <= repetitions <= _MAX_CELL_REPETITIONS:
-        raise ValidationError(
-            f"repetitions must lie between 2 (for a standard deviation) and "
-            f"{_MAX_CELL_REPETITIONS} (per ensemble cell), got {repetitions}"
-        )
+    return _check_count(repetitions, "repetitions", least=2, most=_MAX_CELL_REPETITIONS)
 
 
 def ensemble_run(
@@ -205,8 +195,7 @@ def ensemble_run(
     run with corrected histogram ``h`` is ``o . h / h.sum()``.  The weights
     are checked once, and every repetition is evaluated in one product.
     """
-    repetitions = int(repetitions)
-    _check_repetitions(repetitions)
+    repetitions = _check_repetitions(repetitions)
     cell_bytes = 8 * true_dist.probs.size * repetitions
     if cell_bytes > _MAX_CELL_BYTES:
         raise ValidationError(

@@ -48,12 +48,16 @@ def _read_json(path):
             raise CalibrationFileError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _check_shots(shots, name, least=1):
-    """``int(shots)``, refused unless between ``least`` and ``_MAX_SHOTS``."""
-    shots = int(shots)
-    if not least <= shots <= _MAX_SHOTS:
-        raise ValidationError(f"{name} must lie between {least} and {_MAX_SHOTS}")
-    return shots
+def _check_count(value, name, least=1, most=_MAX_SHOTS):
+    """``int(value)`` of an integer (not a bool) between ``least`` and ``most``.
+
+    The one rule for every count: shots, true counts, repetitions and iterations.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        raise ValidationError(f"{name} must lie between {least} and {most}")
+    return int(value)
 
 
 # numpy's seed-sequence hash (O'Neill's seed_seq_fe): a pool of four uint32

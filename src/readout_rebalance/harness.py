@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import (
-    CalibrationFileError, NumericalError, ValidationError, _check_shots, _read_json, _seed_states,
+    CalibrationFileError, NumericalError, ValidationError, _check_count, _read_json, _seed_states,
     _uint32_words,
 )
 from .noise import (
@@ -210,7 +210,7 @@ class ExperimentConfig:
             values = getattr(self, name) or ()
             if len(set(values)) < len(values):
                 raise ValidationError(f"{name} must not repeat, got {list(values)}")
-        _check_shots(self.shots, "shots", least=2)
+        _check_count(self.shots, "shots", least=2)
         _check_repetitions(self.repetitions)
         _uint32_words(self.rng_seed, "rng_seed")
         # the state builders' own checks, before any file is read
@@ -220,7 +220,7 @@ class ExperimentConfig:
         _check_noise_source(self.calibration_file, self.eps10, self.eps01)
         unfold = UnfoldConfig(method=self.unfold_method, ibu_iterations=self.ibu_iterations)
         return [
-            MeasurementPlan(int(self.shots), strategy, self.pilot_fraction, unfold)
+            MeasurementPlan(self.shots, strategy, self.pilot_fraction, unfold)
             for strategy in self.strategies
         ]
 
@@ -414,8 +414,7 @@ def appendix_a_table(q0, q1, splits):
     for split_name, counts in splits:
         model = TwoQubitModel(q0, q1, *counts)
         exact = appendix_a_exact_variances(model)
-        for variant in ("as_printed", "mirror_symmetric"):
-            analytic = appendix_a_variances(model, variant)
+        for variant, analytic in appendix_a_variances(model).items():
             for s, a, e in zip(("00", "01", "10", "11"), analytic, exact):
                 rows.append([split_name, s, variant, float(a), float(e), float(a - e)])
     return header, rows
@@ -425,7 +424,7 @@ def cmd_calibrate(args):
     # checked, used or not, before the input file is read
     _uint32_words(args.rng_seed, "rng_seed")
     if args.shots_per_state:
-        _check_shots(args.shots_per_state, "shots_per_state")
+        _check_count(args.shots_per_state, "shots_per_state")
     response = _noise_response(args.input, args.eps10, args.eps01)
     if args.shots_per_state:
         response = estimate_response(response, args.shots_per_state, args.rng_seed)

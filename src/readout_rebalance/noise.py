@@ -11,7 +11,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_shots,
+    CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_count,
     _read_json, _width, bit_table, rng_stream, xor_permute,
 )
 
@@ -164,7 +164,7 @@ def estimate_response(true_response, shots_per_state, seed):
     way calibration circuits estimate R on hardware, drawing from
     ``rng_stream(seed)``.  Columns of the result sum to one by construction.
     """
-    shots = _check_shots(shots_per_state, "shots_per_state")
+    shots = _check_count(shots_per_state, "shots_per_state")
     # row t of p is column t of R: one multinomial draw per prepared state
     p = true_response.entries.T
     draws = rng_stream(seed).multinomial(shots, p / p.sum(axis=1, keepdims=True))
@@ -184,7 +184,7 @@ def sample_measured(true_dist, response, shots, streams, masks=0):
     """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
-    shots = _check_shots(shots, "shots", least=0)
+    shots = _check_count(shots, "shots", least=0)
     masks = np.asarray(masks)
     if masks.shape not in ((), (len(streams),)):
         raise DimensionError(f"flip masks of shape {masks.shape} for {len(streams)} streams")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _check_shots, qubit_marginals, rng_streams, xor_permute
+from .core import ValidationError, _check_count, qubit_marginals, rng_streams, xor_permute
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
@@ -34,7 +34,7 @@ class MeasurementPlan:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "total_shots", _check_shots(self.total_shots, "total_shots"))
+        object.__setattr__(self, "total_shots", _check_count(self.total_shots, "total_shots"))
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .core import DimensionError, ProbDist, ValidationError
+from .core import DimensionError, ProbDist, ValidationError, _check_count
 
 
 def inverted_w_dist(n):
@@ -32,8 +32,7 @@ _MAX_GROVER_ITERATIONS = 10 ** 4
 
 
 def _check_grover_iterations(iterations):
-    if not 0 <= int(iterations) <= _MAX_GROVER_ITERATIONS:
-        raise ValidationError(f"iterations must lie between 0 and {_MAX_GROVER_ITERATIONS}")
+    return _check_count(iterations, "iterations", least=0, most=_MAX_GROVER_ITERATIONS)
 
 
 def grover_dist(n, target, iterations):
@@ -46,13 +45,13 @@ def grover_dist(n, target, iterations):
     n = int(n)
     if n < 1:
         raise ValidationError("need at least 1 qubit")
-    _check_grover_iterations(iterations)
+    iterations = _check_grover_iterations(iterations)
     target = int(target)
     dim = 2 ** n
     if not 0 <= target < dim:
         raise DimensionError(f"target state {target} out of range for {n} qubits")
     theta = np.arcsin(1.0 / np.sqrt(dim))
-    p_target = np.sin((2 * int(iterations) + 1) * theta) ** 2
+    p_target = np.sin((2 * iterations + 1) * theta) ** 2
     probs = np.full(dim, (1.0 - p_target) / (dim - 1))
     probs[target] = p_target
     return ProbDist(probs)

@@ -19,7 +19,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import partial
 
-from .core import DimensionError, NumericalError, ValidationError, _counts, _totals
+from .core import DimensionError, NumericalError, ValidationError, _check_count, _counts, _totals
 
 DEFAULT_IBU_ITERATIONS = 100
 # Most IBU iterations: 10**5 take about 30 s on a 5-qubit, 1000-repetition cell
@@ -28,16 +28,14 @@ _MAX_IBU_ITERATIONS = 10 ** 5
 # refuse inversion beyond this condition number; far above anything a
 # readout matrix should reach
 DEFAULT_MAX_CONDITION = 1e12
+# IBU's floor under a folded bin: only an empty bin's fold can fall below it
+_FLOOR = np.finfo(np.float64).smallest_subnormal
 
 _METHODS = ("matrix_inversion", "ibu")
 
 
 def _check_ibu_iterations(iterations):
-    """``int(iterations)``, refused unless between 1 and ``_MAX_IBU_ITERATIONS``."""
-    iterations = int(iterations)
-    if not 1 <= iterations <= _MAX_IBU_ITERATIONS:
-        raise ValidationError(f"ibu_iterations must lie between 1 and {_MAX_IBU_ITERATIONS}")
-    return iterations
+    return _check_count(iterations, "ibu_iterations", most=_MAX_IBU_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     ------
     ValidationError
         For negative, non-finite or zero-total input histograms, or
-        iterations outside 1 to 10**5.
+        iterations that are not an integer from 1 to 10**5.
     NumericalError
         If some measured bin has counts but zero folded support, so no
         redistribution can explain it.
@@ -156,23 +154,18 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
     fold, back = _products(response.kron_factors)
-    # One mask and one ratio array for the whole loop.  An empty bin's ratio
-    # stays 0, as 0 / folded would give.  An occupied bin with folded support
-    # keeps it at every later step: R, t and the counts are nonnegative, and
-    # the largest term R[j, k] t[k] of its fold leaves t'[k] >= counts[j] / dim.
-    # So only the first fold can fail, and no later division meets a zero.
-    occupied = counts > 0
-    ratio = np.zeros_like(t)
     for i in range(iterations):
         folded = fold(t)
-        if i == 0 and np.any(occupied & (folded <= 0.0)):
-            j = int(np.argwhere(occupied & (folded <= 0.0))[0][0])
+        # Only the first fold can fail: R, t and the counts are nonnegative, so an
+        # occupied bin's largest term R[j, k] t[k] leaves t'[k] >= counts[j] / dim
+        # and its fold positive.  The floor then changes only an empty bin's 0 / 0.
+        if i == 0 and np.any((counts > 0) & (folded <= 0.0)):
+            j = int(np.argwhere((counts > 0) & (folded <= 0.0))[0][0])
             raise NumericalError(
                 f"measured bin {j} has counts but zero folded support; "
                 "degenerate response/prior combination"
             )
-        np.divide(counts, folded, out=ratio, where=occupied)
-        t = t * back(ratio)
+        t = t * back(counts / np.maximum(folded, _FLOOR))
     return t
 
 

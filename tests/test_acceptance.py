@@ -150,7 +150,7 @@ def test_criterion1_appendix_oracle_equivalence():
             model = TwoQubitModel(q0, q1, *counts)
             exact = appendix_a_exact_variances(model)
             for variant in ("mirror_symmetric", "as_printed"):
-                gap = appendix_a_variances(model, variant) - exact
+                gap = appendix_a_variances(model)[variant] - exact
                 ok = bool(np.all(np.abs(gap) <= bound))
                 verdicts.append(
                     f"  q=({q0},{q1}) {split:8s} {variant:16s} "

@@ -64,7 +64,7 @@ def test_variances_pure_excited():
     q0, q1 = 0.05, 0.03
     model = TwoQubitModel(q0, q1, 0, 0, 0, N)
     for variant in ("as_printed", "mirror_symmetric"):
-        var = appendix_a_variances(model, variant)
+        var = appendix_a_variances(model)[variant]
         assert var[0] == 0.0
         assert var[3] == pytest.approx((q0 + q1) * N, rel=1e-12)
 
@@ -72,24 +72,24 @@ def test_variances_pure_excited():
 def test_variances_pure_ground_all_zero():
     model = TwoQubitModel(0.1, 0.2, 100000, 0, 0, 0)
     for variant in ("as_printed", "mirror_symmetric"):
-        assert np.allclose(appendix_a_variances(model, variant), 0.0)
+        assert np.allclose(appendix_a_variances(model)[variant], 0.0)
 
 
 def test_variances_noiseless_reduce_to_multinomial():
     model = TwoQubitModel(0.0, 0.0, 100, 200, 300, 400)
     N = model.total
     expected = [n * (1 - n / N) for n in (100, 200, 300, 400)]
-    assert np.allclose(appendix_a_variances(model), expected)
+    for variance in appendix_a_variances(model).values():
+        assert np.allclose(variance, expected)
 
 
 def test_variance_variants_differ_only_in_10_row():
     model = TwoQubitModel(0.08, 0.02, 100, 200, 300, 400)
-    printed = appendix_a_variances(model, "as_printed")
-    mirror = appendix_a_variances(model, "mirror_symmetric")
+    variances = appendix_a_variances(model)
+    assert list(variances) == ["as_printed", "mirror_symmetric"]
+    printed, mirror = variances["as_printed"], variances["mirror_symmetric"]
     assert np.allclose(printed[[0, 1, 3]], mirror[[0, 1, 3]])
     assert mirror[2] - printed[2] == pytest.approx((0.08 - 0.02) * 300, rel=1e-12)
-    with pytest.raises(ValidationError):
-        appendix_a_variances(model, "typo")
 
 
 def test_linear_reconstruct_inverts_expectations():
@@ -150,8 +150,9 @@ def test_exact_variances_agree_with_sampled_reconstructions(q0, q1, counts, seed
 
 def test_oracle_noiseless_matches_multinomial():
     model = TwoQubitModel(0.0, 0.0, 25000, 25000, 25000, 25000)
-    assert np.allclose(appendix_a_exact_variances(model), appendix_a_variances(model),
-                       rtol=1e-12, atol=0)
+    exact = appendix_a_exact_variances(model)
+    for variance in appendix_a_variances(model).values():
+        assert np.allclose(exact, variance, rtol=1e-12, atol=0)
 
 
 def test_oracle_pure_excited_decay_variance():
@@ -183,7 +184,7 @@ def test_oracle_agrees_with_mirror_formulas_at_small_q():
         fractions = rng.dirichlet(np.ones(4))
         counts = np.round(fractions * 10 ** 5).astype(int)
         model = TwoQubitModel(q0, q1, *counts)
-        gap = appendix_a_variances(model, "mirror_symmetric") - appendix_a_exact_variances(model)
+        gap = appendix_a_variances(model)["mirror_symmetric"] - appendix_a_exact_variances(model)
         assert np.all(np.abs(gap) <= (q0 + q1) ** 2 * model.total), (
             f"case {case}: q=({q0:.4f},{q1:.4f}) gap={gap}"
         )
@@ -194,8 +195,8 @@ def test_oracle_detects_printed_10_row_discrepancy():
     # misses q0 * N10 = 2500, far outside the truncation scale of 1000
     model = TwoQubitModel(0.1, 0.0, 25000, 25000, 25000, 25000)
     exact = appendix_a_exact_variances(model)
-    printed = appendix_a_variances(model, "as_printed")
-    mirror = appendix_a_variances(model, "mirror_symmetric")
+    variances = appendix_a_variances(model)
+    printed, mirror = variances["as_printed"], variances["mirror_symmetric"]
     bound = 0.1 ** 2 * model.total
     assert abs(printed[2] - exact[2]) > bound
     assert abs(mirror[2] - exact[2]) <= bound
@@ -225,6 +226,11 @@ def test_shots_equivalent_fraction_reported_ratios():
 
 def test_std_err_of_std_formula():
     assert std_err_of_std(2.0, 1000) == pytest.approx(2.0 / np.sqrt(2 * 999))
+    # the one count rule: at least 2 repetitions, integers only
+    for repetitions, message in ((1, "lie between 2 and"), (0, "lie between 2 and"),
+                                 (2.9, "be an integer"), (True, "be an integer")):
+        with pytest.raises(ValidationError, match=f"repetitions must {message}"):
+            std_err_of_std(2.0, repetitions)
 
 
 def test_ensemble_point_mass_zero_std():
@@ -286,8 +292,12 @@ def test_ensemble_rejects_bad_repetitions(committed_response):
 
     t = inverted_w_dist(5)
     plan = MeasurementPlan(total_shots=500)
-    with pytest.raises(ValidationError):
-        ensemble_run(t, committed_response, plan, BASE10, 1)
+    for repetitions in (1, 2 ** 16 + 1):
+        with pytest.raises(ValidationError, match="repetitions must lie between 2 and 65536"):
+            ensemble_run(t, committed_response, plan, BASE10, repetitions)
+    for repetitions in (2.9, True):
+        with pytest.raises(ValidationError, match="repetitions must be an integer"):
+            ensemble_run(t, committed_response, plan, BASE10, repetitions)
 
 
 def test_ensemble_counts_negative_runs(committed_response):

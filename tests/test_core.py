@@ -214,14 +214,21 @@ def test_shot_counts_beyond_int64_are_refused():
     from readout_rebalance.rebalance import MeasurementPlan
 
     R, beyond = default_response(), 2 ** 63
-    calls = [
-        lambda: MeasurementPlan(beyond),
-        lambda: sample_measured(ProbDist(np.full(32, 1 / 32)), R, beyond, [rng_stream(0)]),
-        lambda: estimate_response(R, beyond, 0),
-        lambda: TwoQubitModel(0.05, 0.03, 0, 0, 0, beyond),
+    callers = [
+        lambda n: MeasurementPlan(n),
+        lambda n: sample_measured(ProbDist(np.full(32, 1 / 32)), R, n, [rng_stream(0)]),
+        lambda n: estimate_response(R, n, 0),
+        lambda n: TwoQubitModel(0.05, 0.03, 0, 0, 0, n),
         # four counts that each fit an int64 but whose total does not
-        lambda: appendix_a_exact_variances(TwoQubitModel(0.05, 0.03, *[2 ** 62] * 4)),
+        lambda n: appendix_a_exact_variances(TwoQubitModel(0.05, 0.03, *[n // 2] * 4)),
     ]
-    for call in calls:
+    for call in callers:
         with pytest.raises(ValidationError, match=f"between [0-9]+ and {beyond - 1}"):
-            call()
+            call(beyond)
+    # integers only, as in a config file: no bool, text or fraction is coerced
+    for call in callers[:-1]:
+        for bad in (True, "100", 100.9):
+            with pytest.raises(ValidationError, match=f"must be an integer, got {bad!r}"):
+                call(bad)
+    # numpy integers pass, as Python ints
+    assert type(MeasurementPlan(np.int64(100)).total_shots) is int

@@ -373,7 +373,7 @@ def test_appendix_a_cli_splits_keep_their_own_counts(tmp_path):
                 float(r["analytic_variance"])
                 for r in rows if r["split"] == name and r["variant"] == variant
             ]
-            assert analytic == list(appendix_a_variances(model, variant))
+            assert analytic == list(appendix_a_variances(model)[variant])
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,9 @@ def test_grover_iterations_bounded_where_the_angle_stays_accurate():
     for k in (-1, 10 ** 4 + 1, 10 ** 400):
         with pytest.raises(ValidationError, match="iterations must lie between 0 and 10000"):
             grover_dist(5, 31, k)
+    for k in (1.5, 1.9):
+        with pytest.raises(ValidationError, match="iterations must be an integer"):
+            grover_dist(5, 31, k)
 
 
 def test_gaussian_grid_endpoints():

@@ -91,11 +91,13 @@ def test_inversion_condition_bound():
 
 
 def test_ibu_identity_fixed_point():
+    # in [5, 0, 1, 3] the empty bin folds to exactly 0 from the second step on
     R = make_response([0, 0], [0, 0])
-    m = np.array([5.0, 7.0, 1.0, 3.0])
-    for iterations in (1, 17, 100):
-        out = ibu_unfold(m, R, iterations=iterations)
-        assert np.allclose(out, m, atol=1e-9)
+    for m in (np.array([5.0, 7.0, 1.0, 3.0]), np.array([5.0, 0.0, 1.0, 3.0])):
+        for iterations in (1, 17, 100):
+            out = ibu_unfold(m, R, iterations=iterations)
+            assert np.allclose(out, m, atol=1e-9)
+            assert np.all(out[m == 0] == 0.0)
 
 
 def test_ibu_uniform_fixed_point_symmetric_channel():
@@ -150,7 +152,7 @@ def test_ibu_degenerate_support():
 
 def guarded_ibu(counts, R, iterations):
     """Dense IBU that rebuilds its zero-support guard on every iteration: the
-    reference that ``ibu_unfold``'s fixed mask must match bit for bit."""
+    reference that ``ibu_unfold``'s floored fold must match bit for bit."""
     t = np.ones_like(counts) * (counts.sum(axis=0) / R.dim)
     for i in range(iterations):
         folded = R.entries @ t
@@ -169,8 +171,7 @@ def guarded_ibu(counts, R, iterations):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(n=st.integers(1, 3), columns=st.integers(0, 3), iterations=st.integers(1, 59),
        data=st.data())
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ibu_fixed_mask_matches_the_guard_rebuilt_each_iteration(n, columns, iterations, data):
+def test_ibu_matches_the_guard_rebuilt_each_iteration(n, columns, iterations, data):
     # bit-identical results and the same refusals, on sparse R and counts
     # with empty bins; columns == 0 draws one histogram of shape (dim,)
     dim = 2 ** n
@@ -212,13 +213,14 @@ def test_ibu_input_validation(committed_response):
 def test_ibu_iterations_bounded_with_one_message(committed_response):
     # refused before the first iteration, by the same rule as the config's
     counts = np.ones(32)
-    for iterations in (0, 10 ** 5 + 1, 10 ** 10):
+    for iterations in (0, 10 ** 5 + 1, 10 ** 10, 2.5, True):
         with pytest.raises(ValidationError) as from_function:
             ibu_unfold(counts, committed_response, iterations=iterations)
         with pytest.raises(ValidationError) as from_config:
             UnfoldConfig(ibu_iterations=iterations)
         assert str(from_function.value) == str(from_config.value)
-        assert "between 1 and 100000" in str(from_function.value)
+        expected = "between 1 and 100000" if type(iterations) is int else "must be an integer"
+        assert expected in str(from_function.value)
 
 
 def test_condition_identity():
