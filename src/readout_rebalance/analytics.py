@@ -10,7 +10,7 @@ which is the whole motivation for rebalancing toward the ground state.
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count
+from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count, _check_real
 from .noise import build_tensor_response
 from .rebalance import run_plan
 
@@ -67,7 +67,7 @@ class TwoQubitModel:
 
     def __post_init__(self):
         for name, q in (("q0", self.q0), ("q1", self.q1)):
-            if not 0.0 <= float(q) < 1.0:
+            if not 0.0 <= _check_real(q, name) < 1.0:
                 raise ValidationError(f"{name} = {q} outside [0, 1)")
         for name, n in (("n00", self.n00), ("n01", self.n01), ("n10", self.n10), ("n11", self.n11)):
             object.__setattr__(self, name, _check_count(n, name, least=0))
@@ -160,7 +160,7 @@ def shots_equivalent_fraction(sigma_method, sigma_nominal):
     (sigma_method / sigma_nominal)^2: below one means the method reaches the
     nominal precision with proportionally fewer shots.
     """
-    sm, sn = float(sigma_method), float(sigma_nominal)
+    sm, sn = _check_real(sigma_method, "sigma_method"), _check_real(sigma_nominal, "sigma_nominal")
     if sm <= 0 or sn <= 0:
         raise ValidationError("standard deviations must be positive")
     return (sm / sn) ** 2
@@ -168,6 +168,7 @@ def shots_equivalent_fraction(sigma_method, sigma_nominal):
 
 def std_err_of_std(std, repetitions):
     """Normal-approximation standard error of a sample standard deviation."""
+    std = _check_real(std, "std")
     return float(std / np.sqrt(2.0 * (_check_count(repetitions, "repetitions", least=2) - 1)))
 
 

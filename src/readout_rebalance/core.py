@@ -11,6 +11,7 @@ mean of the state index.
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -21,6 +22,11 @@ import numpy as np
 PROB_SUM_ATOL = 1e-12
 # the largest shot count numpy draws a multinomial sample of (an int64)
 _MAX_SHOTS = np.iinfo(np.int64).max
+# Widest register of a state or a dense response matrix: 11 qubits, 8 * 4**11
+# bytes = 32 MiB.  Building peaks at twice the matrix; each dense solve, SVD and
+# IBU product holds more copies (a factored matrix needs none), while 16 qubits
+# would take 32 GiB per copy.  wide_8q's 8 qubits take 0.5 MiB.
+_MAX_QUBITS = 11
 
 
 class ValidationError(ValueError):
@@ -51,13 +57,20 @@ def _read_json(path):
 def _check_count(value, name, least=1, most=_MAX_SHOTS):
     """``int(value)`` of an integer (not a bool) between ``least`` and ``most``.
 
-    The one rule for every count: shots, true counts, repetitions and iterations.
+    The one rule for every integer: counts, iterations, widths, state indices and seeds.
     """
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not least <= value <= most:
         raise ValidationError(f"{name} must lie between {least} and {most}")
     return int(value)
+
+
+def _check_real(value, name):
+    """``value`` itself if a real number (not a bool); ``float()`` would overflow on a huge int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 # numpy's seed-sequence hash (O'Neill's seed_seq_fe): a pool of four uint32
@@ -71,14 +84,8 @@ _MASK32 = 0xFFFFFFFF
 
 def _uint32_words(value, name):
     """The 32-bit words of a non-negative integer, least significant first (0 is one word)."""
-    value = int(value)
-    if value < 0:
-        raise ValidationError(f"{name} must be non-negative, got {value}")
-    words = [value & _MASK32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    value = _check_count(value, name, least=0, most=math.inf)
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _chain(init, mult, n):
@@ -268,13 +275,9 @@ class QubitNoiseParams:
 
     def __post_init__(self):
         for name, p in (("eps01", self.eps01), ("eps10", self.eps10)):
-            # float() would take "0.01" and True, numpy scalars are Real
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {p!r}")
-            if not 0.0 <= float(p) <= 1.0:
+            if not 0.0 <= _check_real(p, name) <= 1.0:
                 raise ValidationError(f"{name} = {p} outside [0, 1]")
-        object.__setattr__(self, "eps01", float(self.eps01))
-        object.__setattr__(self, "eps10", float(self.eps10))
+            object.__setattr__(self, name, float(p))
 
 
 def _width(counts, name="counts"):
@@ -359,7 +362,7 @@ def observable_base10(counts):
 def counts_in_state(counts, state):
     """Counts (or probability) recorded for one basis state, per column."""
     counts, n = _width(counts)
-    state = int(state)
-    if not 0 <= state < 2 ** n:
+    state = _check_count(state, "state", least=0, most=math.inf)
+    if state >= 2 ** n:
         raise DimensionError(f"state index {state} out of range for {n} qubits")
     return counts[state]

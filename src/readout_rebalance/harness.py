@@ -317,7 +317,7 @@ def _experiment_rows(config, response):
         dist = grover_dist(n, target, config.grover_iterations)
         # target counts scaled to the full budget, so strategies with
         # different kept totals estimate the same quantity
-        weights = int(config.shots) * (states == target)
+        weights = config.shots * (states == target)
         return [("grover", None, dist, weights, "target_counts_per_budget")]
     rows = []
     for mu in _sweep_mus(config):
@@ -342,7 +342,7 @@ def run_experiment(config):
         for plan in plans:
             seeded = replace(plan, rng_seed=next(seeds))
             res = ensemble_run(
-                dist, response, seeded, observable, int(config.repetitions),
+                dist, response, seeded, observable, config.repetitions,
                 observable_label=obs_label,
             )
             results.append((label, mu, res))
@@ -350,7 +350,7 @@ def run_experiment(config):
             negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
 
     manifest = {
-        "rng_seed": int(config.rng_seed),
+        "rng_seed": config.rng_seed,
         "config_hash": config.config_hash(),
         "config": asdict(config),
         "negative_run_counts": negative_flags,

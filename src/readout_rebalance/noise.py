@@ -11,8 +11,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _check_count,
-    _read_json, _width, bit_table, rng_stream, xor_permute,
+    CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _MAX_QUBITS,
+    _check_count, _check_real, _read_json, _width, bit_table, rng_stream, xor_permute,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -28,23 +28,17 @@ LOAD_COLUMN_SUM_ATOL = 1e-6
 DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
-# Widest register given a dense response matrix: 11 qubits, 8 * 4**11 bytes =
-# 32 MiB.  Building peaks at twice the matrix; each dense solve, SVD and IBU
-# product holds more copies (a factored matrix needs none), while 16 qubits
-# would take 32 GiB per copy.  wide_8q's 8 qubits take 0.5 MiB.
-_MAX_DENSE_QUBITS = 11
 # Narrowest register whose unfolding runs on Kronecker factors: below it a
 # dense 32x32 product is as fast as the two small ones.
 _MIN_FACTORED_QUBITS = 7
 
 
 def _check_dense(n_qubits):
-    """Refuse a width above ``_MAX_DENSE_QUBITS``, before any matrix or ``2**n``
-    is made: a width read from a file may be any integer."""
-    if n_qubits > _MAX_DENSE_QUBITS:
+    """Refuse a width above ``_MAX_QUBITS`` before any matrix or ``2**n`` is made."""
+    if n_qubits > _MAX_QUBITS:
         raise ValidationError(
             f"a dense {n_qubits}-qubit response matrix exceeds the limit of "
-            f"{_MAX_DENSE_QUBITS} qubits (32 MiB)"
+            f"{_MAX_QUBITS} qubits (32 MiB)"
         )
 
 
@@ -71,7 +65,7 @@ class ResponseMatrix:
                 f"entry at row {m}, column {t} is {entries[m, t]!r}, outside [0, 1]"
             )
         # written so that NaN fails the test as well
-        if not 0.0 <= self.column_sum_atol < np.inf:
+        if not 0.0 <= _check_real(self.column_sum_atol, "column_sum_atol") < np.inf:
             raise ValidationError(
                 f"column_sum_atol must be finite and non-negative, got {self.column_sum_atol!r}"
             )
@@ -248,10 +242,8 @@ def load_response(path):
     if not isinstance(payload, dict) or any(k not in payload for k in keys):
         expected = "'n_qubits', 'eps01' and 'eps10'" if tensor else "'n_qubits' and 'entries'"
         raise CalibrationFileError(f"{path}: expected keys {expected}")
-    n = payload["n_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise CalibrationFileError(f"{path}: n_qubits must be a positive integer")
     try:
+        n = _check_count(payload["n_qubits"], "n_qubits")
         _check_dense(n)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _check_count, qubit_marginals, rng_streams, xor_permute
+from .core import (
+    ValidationError, _check_count, _check_real, _uint32_words, qubit_marginals, rng_streams,
+    xor_permute,
+)
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
@@ -39,8 +42,8 @@ class MeasurementPlan:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        # compared without float(), which overflows on a huge integer
-        if not 0.0 < self.pilot_fraction < 1.0:
+        _uint32_words(self.rng_seed, "rng_seed")
+        if not 0.0 < _check_real(self.pilot_fraction, "pilot_fraction") < 1.0:
             raise ValidationError("pilot_fraction must lie strictly between 0 and 1")
         if self.strategy == "rebalanced" and not 1 <= self.pilot_shots < self.total_shots:
             raise ValidationError(
@@ -85,9 +88,9 @@ def run_plan(true_dist, response, plan, repetitions):
     The streams of every key are built for all repetitions in one
     :func:`~readout_rebalance.core.rng_streams` call, that is one call of the
     package's one seed hash per run, which the tests hold to numpy's own seed
-    sequence word for word.  The seed must be non-negative, and each
-    repetition index must lie between 0 and 2**32 - 1, so that it is one
-    entropy word; ``ensemble_run`` passes at most 2**16 indices.  Anything
+    sequence word for word.  The plan checked its seed when it was made;
+    each repetition index must lie between 0 and 2**32 - 1, so that it is one
+    entropy word, and ``ensemble_run`` passes at most 2**16 indices.  Anything
     else raises ``ValidationError`` before a stream is built.
 
     Each segment of every run is one :func:`sample_measured` call.  The

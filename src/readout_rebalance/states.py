@@ -4,11 +4,12 @@ Outcome statistics are all that matter for readout studies, so the circuits
 are replaced by their exact output distributions: no gate-level simulation.
 """
 
+import math
 import sys
 
 import numpy as np
 
-from .core import DimensionError, ProbDist, ValidationError, _check_count
+from .core import DimensionError, ProbDist, ValidationError, _MAX_QUBITS, _check_count, _check_real
 
 
 def inverted_w_dist(n):
@@ -16,9 +17,7 @@ def inverted_w_dist(n):
 
     Probability 1/n on each of |011..1>, |101..1>, ..., |11..10>.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError("inverted W state needs at least 2 qubits")
+    n = _check_count(n, "n", least=2, most=_MAX_QUBITS)
     probs = np.zeros(2 ** n)
     ones = 2 ** n - 1
     for i in range(n):
@@ -42,13 +41,11 @@ def grover_dist(n, target, iterations):
     marked state with amplitude sin((2k+1) * theta) where sin(theta) =
     1/sqrt(2^n); the remaining mass is split evenly over the other states.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError("need at least 1 qubit")
+    n = _check_count(n, "n", most=_MAX_QUBITS)
     iterations = _check_grover_iterations(iterations)
-    target = int(target)
+    target = _check_count(target, "target", least=0, most=math.inf)
     dim = 2 ** n
-    if not 0 <= target < dim:
+    if target >= dim:
         raise DimensionError(f"target state {target} out of range for {n} qubits")
     theta = np.arcsin(1.0 / np.sqrt(dim))
     p_target = np.sin((2 * iterations + 1) * theta) ** 2
@@ -59,29 +56,30 @@ def grover_dist(n, target, iterations):
 
 def gaussian_grid(n_bits):
     """Uniform digitization grid on [-1, 1]: x_s = -1 + 2 s / (2^n - 1)."""
-    n_bits = int(n_bits)
-    if n_bits < 1:
-        raise ValidationError("need at least 1 bit")
+    n_bits = _check_count(n_bits, "n_bits", most=_MAX_QUBITS)
     dim = 2 ** n_bits
     return -1.0 + 2.0 * np.arange(dim) / (dim - 1)
 
 
 def _check_gaussian(mu, sigma):
-    # compared with a Python float, exact for an integer beyond the float
-    # range where float() overflows, and written so that NaN fails as well
+    """``(mu, 2 sigma**2)`` in float64, as the density uses them."""
+    # compared with a Python float, exact for an integer beyond float range and
+    # failing NaN; a float32 compares as float32, where largest overflows to inf
     largest = sys.float_info.max
-    if not -largest <= mu <= largest:
-        raise ValidationError(f"mu must be finite, got {mu!r}")
-    if not 0.0 < sigma <= largest:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
-    # gaussian_dist's exponent, largest at the grid end x = -1 or +1 farthest
-    # from mu, computed as there (an array's ** 2 is np.square, a float's is
-    # pow): float64 evaluates it at every grid point when it and sigma**2 are finite
     with np.errstate(all="ignore"):
+        if not -largest <= _check_real(mu, "mu") <= largest:
+            raise ValidationError(f"mu must be finite, got {mu!r}")
+        if not 0.0 < _check_real(sigma, "sigma") <= largest:
+            raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+        # gaussian_dist's exponent, largest at the grid end x = -1 or +1 farthest
+        # from mu, computed as there (an array's ** 2 is np.square, a float's is
+        # pow): float64 evaluates it at every grid point when it and sigma**2 are finite
         square = np.float64(sigma) ** 2
-        far = np.square(1.0 + abs(np.float64(mu))) / (2.0 * square)
+        spread = 2.0 * square
+        far = np.square(1.0 + abs(np.float64(mu))) / spread
     if not (np.isfinite(square) and np.isfinite(far)):
         raise ValidationError(f"float64 cannot hold the density of mu = {mu!r}, sigma = {sigma!r}")
+    return np.float64(mu), spread
 
 
 def gaussian_dist(mu, sigma, n_bits):
@@ -90,9 +88,9 @@ def gaussian_dist(mu, sigma, n_bits):
     The density is evaluated at the grid points and renormalized, so the
     tails are truncated rather than reflected.
     """
-    _check_gaussian(mu, sigma)
+    mu64, spread = _check_gaussian(mu, sigma)
     x = gaussian_grid(n_bits)
-    weights = np.exp(-((x - float(mu)) ** 2) / (2.0 * float(sigma) ** 2))
+    weights = np.exp(-((x - mu64) ** 2) / spread)
     total = weights.sum()
     if not total > 0.0:
         raise ValidationError(

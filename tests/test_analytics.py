@@ -31,6 +31,10 @@ def test_two_qubit_model_validation():
         TwoQubitModel(1.0, 0.0, 10, 0, 0, 90)
     with pytest.raises(ValidationError):
         TwoQubitModel(0.1, 0.0, -1, 0, 0, 90)
+    # float() would take "0.05" and read False as q0 = 0
+    for q0 in ("0.05", False):
+        with pytest.raises(ValidationError, match="q0 must be a real number"):
+            TwoQubitModel(q0, 0.0, 10, 0, 0, 90)
 
 
 def test_expectations_noiseless_identity():
@@ -216,6 +220,12 @@ def test_shots_equivalent_fraction_basics():
         shots_equivalent_fraction(0.0, 1.0)
     with pytest.raises(ValidationError):
         shots_equivalent_fraction(1.0, -1.0)
+    with pytest.raises(ValidationError, match="sigma_method must be a real number"):
+        shots_equivalent_fraction("1", 2)
+    with pytest.raises(ValidationError, match="sigma_nominal must be a real number"):
+        shots_equivalent_fraction(1.0, True)
+    # a failed cell's NaN std still gives a NaN fraction, not an error
+    assert math.isnan(shots_equivalent_fraction(float("nan"), 2.0))
 
 
 def test_shots_equivalent_fraction_reported_ratios():
@@ -231,6 +241,8 @@ def test_std_err_of_std_formula():
                                  (2.9, "be an integer"), (True, "be an integer")):
         with pytest.raises(ValidationError, match=f"repetitions must {message}"):
             std_err_of_std(2.0, repetitions)
+    with pytest.raises(ValidationError, match="std must be a real number"):
+        std_err_of_std(True, 10)
 
 
 def test_ensemble_point_mass_zero_std():

@@ -192,6 +192,10 @@ def test_counts_in_state_basics():
     assert counts_in_state(h, 0) == 0
     with pytest.raises(DimensionError):
         counts_in_state(h, 32)
+    # a state index is an integer: int() would read 7.9 as state 7 and True as 1
+    for state in (7.9, True):
+        with pytest.raises(ValidationError, match="state must be an integer"):
+            counts_in_state(h, state)
 
 
 def test_counts_in_state_ideal_grover():

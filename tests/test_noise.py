@@ -59,9 +59,10 @@ def test_column_stochastic_validation():
         ResponseMatrix([[1.2, 0.0], [-0.2, 1.0]])
 
 
-@pytest.mark.parametrize("atol", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -1e-9, "1e-9"])
 def test_column_sum_tolerance_must_be_finite_and_non_negative(atol):
-    with pytest.raises(ValidationError, match="column_sum_atol must be finite and non-negative"):
+    message = "a real number" if isinstance(atol, str) else "finite and non-negative"
+    with pytest.raises(ValidationError, match=f"column_sum_atol must be {message}"):
         ResponseMatrix(np.full((4, 4), 0.5), column_sum_atol=atol)
     with pytest.raises(ValidationError, match="column_sum_atol"):
         ResponseMatrix(np.eye(4), column_sum_atol=atol)

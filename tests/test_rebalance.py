@@ -61,6 +61,13 @@ def test_plan_validation():
         MeasurementPlan(total_shots=100, pilot_fraction=10 ** 400)
     with pytest.raises(ValidationError):
         MeasurementPlan(total_shots=1, strategy="symmetrized")
+    with pytest.raises(ValidationError, match="pilot_fraction must be a real number"):
+        MeasurementPlan(total_shots=100, strategy="rebalanced", pilot_fraction="0.1")
+    # the seed is checked where the plan is made, not at its first run
+    with pytest.raises(ValidationError, match="rng_seed must lie between 0 and"):
+        MeasurementPlan(total_shots=100, rng_seed=-1)
+    with pytest.raises(ValidationError, match="rng_seed must be an integer"):
+        MeasurementPlan(total_shots=100, rng_seed=2.5)
 
 
 def test_choose_flip_mask_point_masses():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from readout_rebalance import core
 from readout_rebalance.core import ValidationError, rng_stream
+from readout_rebalance.noise import default_response, estimate_response
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
 from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan
 from readout_rebalance.states import inverted_w_dist
@@ -159,6 +160,9 @@ def test_a_run_hashes_once_per_cell_and_once_for_the_cell_seeds(monkeypatch):
     (0, (1, 2 ** 70), ()),
     (0, (1.5,), ()),
     (0, (), (-1,)),
+    (1.5, (), ()),
+    (True, (), ()),
+    (0, (), (1.5,)),
 ])
 def test_streams_it_cannot_derive_are_refused_first(monkeypatch, seed, path, key):
     # a negative seed, path entry or key entry would wrap in a uint32 cast, and
@@ -168,6 +172,14 @@ def test_streams_it_cannot_derive_are_refused_first(monkeypatch, seed, path, key
         rng_stream(seed, *path, spawn_key=key)
     with pytest.raises(ValidationError):
         core._seed_states(seed, [path], key)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_calibration_draws_refuse_a_seed_first(monkeypatch, seed):
+    # int() would draw seed 2.5 as seed 2
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    with pytest.raises(ValidationError, match="rng seed must"):
+        estimate_response(default_response(), 100, seed)
 
 
 def test_no_paths_hash_to_no_state_words():

@@ -37,6 +37,30 @@ def test_inverted_w_marginals():
 def test_inverted_w_needs_two_qubits():
     with pytest.raises(ValidationError):
         inverted_w_dist(1)
+    # int() would build 5 qubits of 5.7 or "5"; 12 or more is past the widest
+    # register, and 10**12 would never finish 2**n
+    for n, message in ((5.7, "be an integer"), ("5", "be an integer"),
+                       (12, "lie between 2 and 11"), (64, "lie between 2 and 11"),
+                       (10 ** 12, "lie between 2 and 11")):
+        with pytest.raises(ValidationError, match=f"n must {message}"):
+            inverted_w_dist(n)
+
+
+WIDTH_REFUSALS = [(5.7, "be an integer"), ("5", "be an integer"), (True, "be an integer"),
+                  (0, "lie between 1 and 11"), (12, "lie between 1 and 11"),
+                  (64, "lie between 1 and 11"), (10 ** 12, "lie between 1 and 11")]
+
+
+@pytest.mark.parametrize("n, message", WIDTH_REFUSALS)
+def test_builders_take_widths_of_one_to_eleven_integers(n, message):
+    with pytest.raises(ValidationError, match=f"^n must {message}"):
+        grover_dist(n, 0, 1)
+    with pytest.raises(ValidationError, match=f"^n_bits must {message}"):
+        gaussian_grid(n)
+    with pytest.raises(ValidationError, match=f"^n_bits must {message}"):
+        gaussian_dist(0.0, 0.1, n)
+    # the widest register is built
+    assert gaussian_grid(11).shape == grover_dist(11, 0, 1).probs.shape == (2048,)
 
 
 def test_grover_zero_iterations_uniform():
@@ -69,6 +93,12 @@ def test_grover_off_target_mass_split_evenly():
 def test_grover_target_out_of_range():
     with pytest.raises(DimensionError):
         grover_dist(3, 8, 1)
+    with pytest.raises(DimensionError):
+        grover_dist(3, 2 ** 70, 1)
+    # int() would mark state 2 for a target of 2.9, and state 1 for True
+    for target in (2.9, True, -1):
+        with pytest.raises(ValidationError, match="target must"):
+            grover_dist(3, target, 1)
 
 
 def test_grover_iterations_bounded_where_the_angle_stays_accurate():
@@ -133,9 +163,14 @@ def test_gaussian_rejects_bad_sigma():
     for mu in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValidationError, match="mu"):
             gaussian_dist(mu, 0.1, 5)
+    # a string would raise TypeError, and True would run as sigma = 1
+    for value in ("0.1", True):
+        with pytest.raises(ValidationError, match="mu must be a real number"):
+            gaussian_dist(value, 0.1, 5)
+        with pytest.raises(ValidationError, match="sigma must be a real number"):
+            gaussian_dist(0.0, value, 5)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu, sigma", [(40.0, 0.01), (0.0, 1e-5)])
 def test_gaussian_refuses_all_weights_underflowing(mu, sigma):
     # no 5-bit grid point lies within about 38.6 sigma of mu: refused before
@@ -144,7 +179,6 @@ def test_gaussian_refuses_all_weights_underflowing(mu, sigma):
         gaussian_dist(mu, sigma, 5)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "mu, sigma",
     [(0.0, 1e200), (1e200, 0.1), (-1.0, 1e-200), (-1.0, 1e-160)],
@@ -156,12 +190,16 @@ def test_gaussian_refuses_a_density_float64_cannot_evaluate(mu, sigma):
         gaussian_dist(mu, sigma, 5)
 
 
-@pytest.mark.filterwarnings("error")
 def test_gaussian_accepts_the_extremes_float64_evaluates():
     # 2 sigma**2 overflows to inf, not sigma**2: every exponent is 0
     assert np.array_equal(gaussian_dist(0.0, 1.3e154, 5).probs, np.full(32, 1 / 32))
     # the grid point at mu keeps all the mass; the others underflow to 0
     assert np.array_equal(gaussian_dist(-1.0, 1e-150, 5).probs, np.eye(32)[0])
+    # float32 arguments are evaluated in float64, and their range check
+    # against the float64 maximum raises no overflow warning
+    mu, sigma = np.float32(0.25), np.float32(0.1)
+    assert np.array_equal(gaussian_dist(mu, sigma, 5).probs,
+                          gaussian_dist(float(mu), float(sigma), 5).probs)
 
 
 def test_distributions_normalized():
