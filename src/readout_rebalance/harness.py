@@ -27,7 +27,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O or file-format error,
 import argparse
 import hashlib
 import json
-import numbers
 import os
 import re
 import sys
@@ -102,9 +101,10 @@ def _path(text):
 _PATH_FIELDS = ("calibration_file", "output_dir")
 
 
-# the instances a scalar kind accepts: bool (an int subclass) is refused
+# the instances a scalar kind accepts, the kinds JSON holds, since the
+# manifest records the config as JSON: bool (an int subclass) is refused
 # apart, int() would truncate 300.9 to 300, and "0.1" is not a number
-_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str}
+_SCALARS = {int: int, float: (int, float), str: str}
 
 
 def _kind(annotation):

@@ -1,4 +1,5 @@
-"""Response matrices: construction, calibration-style estimation, sampling, I/O.
+"""Response matrices: construction, application, calibration-style
+estimation, sampling, I/O.
 
 The response matrix R is column-stochastic with R[m][t] = Pr(measured = m |
 true = t).  A measured distribution is R @ t for a true distribution t.
@@ -28,8 +29,8 @@ LOAD_COLUMN_SUM_ATOL = 1e-6
 DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
-# Narrowest register whose unfolding runs on Kronecker factors: below it a
-# dense 32x32 product is as fast as the two small ones.
+# Narrowest register whose products with R run on Kronecker factors: below it
+# a dense 32x32 product is as fast as the two small ones.
 _MIN_FACTORED_QUBITS = 7
 
 
@@ -87,7 +88,8 @@ class ResponseMatrix:
         two, each rebuilt from its :attr:`qubit_params`: ``hi`` acts on the
         high ``ceil(n/2)`` qubits and ``lo`` on the low ``floor(n/2)``.  Any
         other matrix, and any narrower one, where dense products are as
-        fast, is its own one factor.  Found on first use and kept, like
+        fast, is its own one factor.  :func:`_kron_apply` applies them, for
+        sampling and unfolding alike.  Found on first use and kept, like
         :attr:`condition_number`, and read-only, like the entries.
         """
         pairs = self.qubit_params
@@ -128,6 +130,22 @@ def single_qubit_channel(params):
             [params.eps01, 1.0 - params.eps10],
         ]
     )
+
+
+def _kron_apply(op, factors, x):
+    """``op(np.kron(*factors), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
+
+    ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(f0), len(f1), ..., k)``,
+    each factor acts, broadcast, on its own axis, outermost first, as
+    :attr:`ResponseMatrix.kron_factors` orders them.
+    """
+    if len(factors) == 1:
+        return op(factors[0], x)
+    y, lead = x, 1
+    for f in factors:
+        y = op(f, y.reshape(lead, len(f), -1))
+        lead *= len(f)
+    return y.reshape(x.shape)
 
 
 def _kron_channels(params):
@@ -172,9 +190,10 @@ def sample_measured(true_dist, response, shots, streams, masks=0):
     ``shots`` draws made with ``streams[j]`` from ``R @ p[s ^ masks[j]]``:
     the truth read out after X gates on the qubits of its flip mask.
     ``masks`` is one integer for every column or one per stream, and each
-    distinct mask is folded once.  Zero shots draw zeros and leave the
-    streams untouched.  Works for arbitrary (non-tensor) response matrices,
-    and fixed seeds give bit-reproducible histograms.
+    distinct mask is folded once, through R's :attr:`~ResponseMatrix.kron_factors`.
+    Zero shots draw zeros and leave the streams untouched.  Works for
+    arbitrary (non-tensor) response matrices, and fixed seeds give
+    bit-reproducible histograms.
     """
     if true_dist.n_qubits != response.n_qubits:
         raise DimensionError("distribution width does not match response matrix")
@@ -183,7 +202,10 @@ def sample_measured(true_dist, response, shots, streams, masks=0):
     if masks.shape not in ((), (len(streams),)):
         raise DimensionError(f"flip masks of shape {masks.shape} for {len(streams)} streams")
     masks = np.broadcast_to(masks, len(streams)).tolist()
-    folded = {m: response.entries @ xor_permute(true_dist.probs, m) for m in set(masks)}
+    folded = {
+        m: _kron_apply(np.matmul, response.kron_factors, xor_permute(true_dist.probs, m))
+        for m in set(masks)
+    }
     measured = {m: f / f.sum() for m, f in folded.items()}
     counts = np.empty((response.dim, len(streams)))
     for j, (stream, mask) in enumerate(zip(streams, masks)):

@@ -6,20 +6,15 @@ true histograms at the same totals.  Matrix inversion is exactly unbiased
 for linear observables but can go negative; IBU stays nonnegative and is
 the usual choice for actual correction work.
 
-Both act on R through its factor tuple,
-:attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`: the dense
-matrix alone, or, for a tensor model from 7 qubits up, a high-qubit and a
-low-qubit factor built from its per-qubit pairs.  ``_kron_apply``
-is the one code that walks the factors: ``R @ x``, ``R.T @ x`` and the
-solve each act on one axis of the counts per factor.  Factoring changes
-results by rounding only.
+Both apply R through :func:`~readout_rebalance.noise._kron_apply` on its
+:attr:`~readout_rebalance.noise.ResponseMatrix.kron_factors`.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from functools import partial
 
 from .core import DimensionError, NumericalError, ValidationError, _check_count, _counts, _totals
+from .noise import _kron_apply
 
 DEFAULT_IBU_ITERATIONS = 100
 # Most IBU iterations: 10**5 take about 30 s on a 5-qubit, 1000-repetition cell
@@ -66,28 +61,6 @@ def _check_counts(counts, response):
             f"counts of shape {counts.shape} do not match a {response.dim}-state response matrix"
         )
     return counts
-
-
-def _kron_apply(op, factors, x):
-    """``op(np.kron(*factors), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
-
-    ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(f0), len(f1), ..., k)``,
-    each factor acts, broadcast, on its own axis, outermost first.
-    """
-    y, lead = x, 1
-    for f in factors:
-        y = op(f, y.reshape(lead, len(f), -1))
-        lead *= len(f)
-    return y.reshape(x.shape)
-
-
-def _products(factors):
-    """``R @ x`` and ``R.T @ x`` as callables; a lone factor's own ``@`` saves
-    the 2 us a ``_kron_apply`` call adds to each 7 us 32x32 product."""
-    transposed = tuple(f.T for f in factors)
-    if len(factors) == 1:
-        return factors[0].__matmul__, transposed[0].__matmul__
-    return partial(_kron_apply, np.matmul, factors), partial(_kron_apply, np.matmul, transposed)
 
 
 def matrix_inverse_unfold(counts, response):
@@ -153,9 +126,10 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
         raise ValidationError("IBU requires a nonnegative measured histogram")
     t = np.ones_like(counts) * (_totals(counts, "IBU") / response.dim)
 
-    fold, back = _products(response.kron_factors)
+    factors = response.kron_factors
+    transposed = tuple(f.T for f in factors)
     for i in range(iterations):
-        folded = fold(t)
+        folded = _kron_apply(np.matmul, factors, t)
         # Only the first fold can fail: R, t and the counts are nonnegative, so an
         # occupied bin's largest term R[j, k] t[k] leaves t'[k] >= counts[j] / dim
         # and its fold positive.  The floor then changes only an empty bin's 0 / 0.
@@ -165,7 +139,7 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
                 f"measured bin {j} has counts but zero folded support; "
                 "degenerate response/prior combination"
             )
-        t = t * back(counts / np.maximum(folded, _FLOOR))
+        t = t * _kron_apply(np.matmul, transposed, counts / np.maximum(folded, _FLOOR))
     return t
 
 

@@ -46,10 +46,12 @@ STREAM_NAMES = {"default_rng", "SeedSequence", "Generator", "PCG64", "ISeedSeque
 NUMPY_SEEDING = {"default_rng", "SeedSequence"}
 
 
-def named(path):
-    """Every name and attribute the code of one source file uses; docstrings and
-    comments are not code and do not count."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def named(source):
+    """Every name and attribute the code of one source file, or of one parsed
+    node, uses; docstrings and comments are not code and do not count."""
+    if not isinstance(source, ast.AST):
+        source = ast.parse(source.read_text(), filename=str(source))
+    for node in ast.walk(source):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -84,8 +86,10 @@ def test_no_module_seeds_through_numpys_seed_sequence():
 
 
 # ResponseMatrix.kron_factors is the one place that decides between R's dense
-# entries and its Kronecker factors; the unfolders take whatever tuple it gives
-UNFOLD = ROOT / "src" / "readout_rebalance" / "unfold.py"
+# entries and its Kronecker factors, and noise._kron_apply the one function
+# that applies R: the engine takes whatever tuple kron_factors gives
+NOISE = ROOT / "src" / "readout_rebalance" / "noise.py"
+ENGINE = [ROOT / "src" / "readout_rebalance" / name for name in ("unfold.py", "rebalance.py")]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -103,8 +107,24 @@ def compared_with_none(path):
 
 
 def test_unfold_reads_no_dense_entries():
-    assert UNFOLD in MODULES
-    assert "entries" not in set(named(UNFOLD))
+    # nor does the rebalancing engine that drives the unfolders
+    assert set(ENGINE) <= set(MODULES)
+    assert not {path.name for path in ENGINE if "entries" in set(named(path))}
+
+
+def functions(path):
+    """``(name, node)`` of every function one source file defines."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def test_r_is_applied_in_one_place():
+    defined = [path.name for path in MODULES for name, _ in functions(path) if name == "_kron_apply"]
+    assert defined == [NOISE.name]
+    # sampling folds through the factors, never through a dense matrix
+    (sample,) = [node for name, node in functions(NOISE) if name == "sample_measured"]
+    assert "entries" not in {name for stmt in sample.body for name in named(stmt)}
 
 
 def test_no_module_tests_the_factors_against_none():

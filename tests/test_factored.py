@@ -3,7 +3,7 @@
 From 7 qubits a tensor model, a matrix built from its per-qubit pairs, is
 unfolded through a high-qubit and a low-qubit factor built from those pairs.
 Its results are held to dense references written here, not to the package's
-dense path.
+dense path; its draws are held to those of the dense fold ``R @ p``.
 """
 
 import numpy as np
@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from readout_rebalance.core import NumericalError
+from readout_rebalance.core import NumericalError, ProbDist, rng_stream, xor_permute
 from readout_rebalance.noise import (
-    ResponseMatrix, estimate_response, load_response, save_response,
+    ResponseMatrix, _kron_apply, estimate_response, load_response, sample_measured,
+    save_response,
 )
-from readout_rebalance.unfold import (
-    _kron_apply, condition_report, ibu_unfold, matrix_inverse_unfold,
-)
+from readout_rebalance.states import inverted_w_dist
+from readout_rebalance.unfold import condition_report, ibu_unfold, matrix_inverse_unfold
 
 from conftest import make_response
 
@@ -145,3 +145,26 @@ def test_kron_apply_walks_any_number_of_factors(op, k):
     actual = _kron_apply(op, factors, x)
     assert actual.shape == x.shape
     assert_close(actual, reference)
+    # a lone factor is the plain numpy call, bit for bit
+    A = rng.random((24, 24)) + 24 * np.eye(24)
+    assert np.array_equal(_kron_apply(op, (A,), x), op(A, x))
+
+
+@pytest.mark.parametrize("model", ["wide_8q", 7, 9])
+def test_factored_sampling_draws_what_the_dense_fold_draws(model):
+    # the 8-qubit model of the wide benchmark workload, and two from EPS01/EPS10
+    if model == "wide_8q":
+        R = make_response(np.linspace(0.0020, 0.0036, 8), np.linspace(0.065, 0.080, 8))
+    else:
+        R = make_response(EPS01[:model], EPS10[:model])
+    assert len(R.kron_factors) == 2
+    n, dim, shots, k = R.n_qubits, R.dim, 100_000, 6
+    rng = np.random.default_rng(11)
+    truths = [inverted_w_dist(n), ProbDist(rng.dirichlet(np.full(dim, 0.3)))]
+    for truth in truths:
+        for masks in (0, dim - 1, [0, dim - 1, 5, 5, dim // 3, 0]):
+            drawn = sample_measured(truth, R, shots, [rng_stream(3, j) for j in range(k)], masks)
+            for j, mask in enumerate(np.broadcast_to(masks, k)):
+                q = R.entries @ xor_permute(truth.probs, int(mask))
+                expected = rng_stream(3, j).multinomial(shots, q / q.sum())
+                assert np.array_equal(drawn[:, j], expected)

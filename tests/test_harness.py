@@ -2,6 +2,7 @@ import json
 import types
 import typing
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,6 +469,16 @@ def test_experiment_config_validation():
     # appendix-a is its own subcommand, not a run experiment
     with pytest.raises(ValidationError):
         run_experiment(ExperimentConfig(experiment="appendix_a"))
+    # a field holds JSON's kinds only, as the manifest records it: a value
+    # json.dumps cannot write is refused here, not by config_hash later
+    for name, value in [("rng_seed", np.int64(3)), ("shots", np.int64(100)),
+                        ("sigma", np.float32(0.1)), ("pilot_fraction", Fraction(1, 10))]:
+        with pytest.raises(ValidationError, match=name):
+            ExperimentConfig(**{name: value}).validate()
+    # np.float64 is a float
+    config = ExperimentConfig(mus=[np.float64(0.1)])
+    config.validate()
+    assert config.config_hash() == ExperimentConfig(mus=[0.1]).config_hash()
 
 
 JSON_VALUES = st.recursive(
@@ -504,11 +515,14 @@ CONFIGS = st.lists(st.sampled_from(fields(ExperimentConfig)), max_size=4, unique
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(CONFIGS)
 def test_any_json_config_validates_or_raises_validation_error(settings_):
-    # a config file can hold any JSON value in any field
+    # a config file can hold any JSON value in any field; one that validates
+    # can be hashed for the manifest
+    config = ExperimentConfig(**settings_)
     try:
-        ExperimentConfig(**settings_).validate()
+        config.validate()
     except ValidationError:
-        pass
+        return
+    assert len(config.config_hash()) == 64
 
 
 def test_module_entry_point(tmp_path):
