@@ -23,9 +23,10 @@ PROB_SUM_ATOL = 1e-12
 # the largest shot count numpy draws a multinomial sample of (an int64)
 _MAX_SHOTS = np.iinfo(np.int64).max
 # Widest register of a state or a dense response matrix: 11 qubits, 8 * 4**11
-# bytes = 32 MiB.  Building peaks at twice the matrix; each dense solve, SVD and
-# IBU product holds more copies (a factored matrix needs none), while 16 qubits
-# would take 32 GiB per copy.  wide_8q's 8 qubits take 0.5 MiB.
+# bytes = 32 MiB.  Building peaks at twice the matrix; an inverted matrix keeps
+# its 32 MiB inverse, and each SVD, inversion and IBU product holds more copies
+# (a factored matrix needs none), while 16 qubits would take 32 GiB per copy.
+# wide_8q's 8 qubits take 0.5 MiB.
 _MAX_QUBITS = 11
 
 

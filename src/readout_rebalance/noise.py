@@ -113,6 +113,21 @@ class ResponseMatrix:
         """
         return float(np.prod([np.linalg.cond(f) for f in self.kron_factors]))
 
+    @cached_property
+    def inverse_factors(self):
+        """The inverses of :attr:`kron_factors`, in their order.
+
+        R^-1 is the Kronecker product of its factors' inverses, so
+        :func:`_kron_apply` applies it as it applies R.  Found on first use
+        and kept, like :attr:`condition_number`, and read-only, like the
+        factors.  Raises ``np.linalg.LinAlgError`` for a singular factor.
+        """
+        inverses = tuple(np.linalg.inv(f) for f in self.kron_factors)
+        for inverse in inverses:
+            # kept with the matrix: a write would reach every later unfold
+            inverse.flags.writeable = False
+        return inverses
+
     @property
     def dim(self):
         return len(self.entries)
@@ -132,18 +147,18 @@ def single_qubit_channel(params):
     )
 
 
-def _kron_apply(op, factors, x):
-    """``op(np.kron(*factors), x)`` for ``op`` ``np.matmul`` or ``np.linalg.solve``.
+def _kron_apply(factors, x):
+    """``np.kron(*factors) @ x``, without forming the Kronecker product.
 
     ``x`` is ``(dim,)`` or ``(dim, k)``; viewed as ``(len(f0), len(f1), ..., k)``,
     each factor acts, broadcast, on its own axis, outermost first, as
     :attr:`ResponseMatrix.kron_factors` orders them.
     """
     if len(factors) == 1:
-        return op(factors[0], x)
+        return factors[0] @ x
     y, lead = x, 1
     for f in factors:
-        y = op(f, y.reshape(lead, len(f), -1))
+        y = f @ y.reshape(lead, len(f), -1)
         lead *= len(f)
     return y.reshape(x.shape)
 
@@ -203,7 +218,7 @@ def sample_measured(true_dist, response, shots, streams, masks=0):
         raise DimensionError(f"flip masks of shape {masks.shape} for {len(streams)} streams")
     masks = np.broadcast_to(masks, len(streams)).tolist()
     folded = {
-        m: _kron_apply(np.matmul, response.kron_factors, xor_permute(true_dist.probs, m))
+        m: _kron_apply(response.kron_factors, xor_permute(true_dist.probs, m))
         for m in set(masks)
     }
     measured = {m: f / f.sum() for m, f in folded.items()}

@@ -127,6 +127,17 @@ def test_r_is_applied_in_one_place():
     assert "entries" not in {name for stmt in sample.body for name in named(stmt)}
 
 
+def test_inversion_multiplies_by_kept_inverse_factors():
+    # unfold solves nothing itself, and R's factors are inverted in one place:
+    # ResponseMatrix.inverse_factors, found once per matrix
+    unfold = ROOT / "src" / "readout_rebalance" / "unfold.py"
+    assert not {name for name in named(unfold) if "solve" in name}
+    uses = {path.name: list(named(path)).count("inv") for path in MODULES}
+    assert uses == {path.name: int(path == NOISE) for path in MODULES}
+    (inverse,) = [node for name, node in functions(NOISE) if name == "inverse_factors"]
+    assert "inv" in set(named(inverse))
+
+
 def test_no_module_tests_the_factors_against_none():
     assert TESTS
     found = {

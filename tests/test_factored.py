@@ -59,10 +59,11 @@ def test_kron_factors_are_read_only(scale):
     R = make_response(EPS01[:8], EPS10[:8])
     if scale != 1.0:
         R = ResponseMatrix(R.entries * scale, column_sum_atol=1e-6)
-    for factor in R.kron_factors:
+    # so are the factors' kept inverses
+    assert len(R.inverse_factors) == len(R.kron_factors) == (2 if scale == 1.0 else 1)
+    for factor in R.kron_factors + R.inverse_factors:
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 0.5
-    assert len(R.kron_factors) == (2 if scale == 1.0 else 1)
 
 
 def test_matrices_off_the_product_are_not_factored():
@@ -100,6 +101,23 @@ def test_factored_inversion_refuses_a_singular_qubit():
         matrix_inverse_unfold(np.ones((256, 2)), R)
 
 
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("n", [5, 8])
+def test_inversion_near_the_condition_bound_stays_accurate(n, cond):
+    # qubits read out nearly at random, dense at 5 qubits and factored at 8:
+    # a product with the kept inverse factors errs like a solve, by about
+    # cond(R) times machine epsilon, in the residual and in each column total
+    eps = (1 - cond ** (-1 / n)) / 2 * np.linspace(0.9, 1.1, n)
+    R = make_response(eps, eps[::-1])
+    assert len(R.kron_factors) == (1 if n == 5 else 2)
+    assert cond / 2 < condition_report(R) < 2 * cond
+    m = np.random.default_rng(n).integers(0, 10 ** 5, (2 ** n, 3)).astype(float)
+    x = matrix_inverse_unfold(m, R)
+    bound = condition_report(R) * 1e-15
+    assert np.linalg.norm(R.entries @ x - m) / np.linalg.norm(m) < bound
+    assert np.all(np.abs(x.sum(axis=0) - m.sum(axis=0)) / m.sum(axis=0) < bound)
+
+
 def dense_ibu(R, counts, iterations):
     t = np.ones_like(counts) * (counts.sum(axis=0) / len(counts))
     for _ in range(iterations):
@@ -134,20 +152,24 @@ def test_factored_paths_match_dense_references(case):
     assert_close(ibu_unfold(counts, R, 30), dense_ibu(R.entries, counts, 30))
 
 
-@pytest.mark.parametrize("op", [np.matmul, np.linalg.solve])
+@pytest.mark.parametrize("oracle", [np.matmul, np.linalg.solve])
 @pytest.mark.parametrize("k", [None, 1, 4])
-def test_kron_apply_walks_any_number_of_factors(op, k):
+def test_kron_apply_walks_any_number_of_factors(oracle, k):
     rng = np.random.default_rng(7)
     # three factors of unequal sizes, each diagonally dominant
     factors = tuple(rng.random((d, d)) + d * np.eye(d) for d in (2, 4, 3))
     x = rng.random(24 if k is None else (24, k))
-    reference = op(np.kron(np.kron(*factors[:2]), factors[2]), x)
-    actual = _kron_apply(op, factors, x)
+    reference = oracle(np.kron(np.kron(*factors[:2]), factors[2]), x)
+    # the inverse of a Kronecker product is the product of the factors'
+    # inverses, so walking those solves with the dense product
+    if oracle is np.linalg.solve:
+        factors = tuple(np.linalg.inv(f) for f in factors)
+    actual = _kron_apply(factors, x)
     assert actual.shape == x.shape
     assert_close(actual, reference)
-    # a lone factor is the plain numpy call, bit for bit
+    # a lone factor is the plain product, bit for bit
     A = rng.random((24, 24)) + 24 * np.eye(24)
-    assert np.array_equal(_kron_apply(op, (A,), x), op(A, x))
+    assert np.array_equal(_kron_apply((A,), x), A @ x)
 
 
 @pytest.mark.parametrize("model", ["wide_8q", 7, 9])

@@ -281,3 +281,26 @@ def test_condition_number_computed_once_per_matrix(monkeypatch):
     # a fresh matrix computes its own value
     condition_report(make_response([0.01, 0.02], [0.05, 0.07]))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_inverse_factors_computed_once_per_matrix(monkeypatch, n):
+    # dense at 2 qubits, two factors at 8: each factor is inverted once, by
+    # the first inversion, and later ones multiply by the kept inverses
+    eps01, eps10 = np.linspace(0.002, 0.004, n), np.linspace(0.06, 0.08, n)
+    R = make_response(eps01, eps10)
+    calls = []
+    lu_inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(1)
+        return lu_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    m = np.arange(1.0, 2 ** n + 1)
+    first, *rest = [matrix_inverse_unfold(m, R) for _ in range(3)]
+    assert all(np.array_equal(first, again) for again in rest)
+    assert len(calls) == len(R.kron_factors) == (1 if n == 2 else 2)
+    # a fresh matrix inverts its own factors
+    matrix_inverse_unfold(m, make_response(eps01, eps10))
+    assert len(calls) == 2 * len(R.kron_factors)
