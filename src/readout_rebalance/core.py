@@ -23,10 +23,11 @@ PROB_SUM_ATOL = 1e-12
 # the largest shot count numpy draws a multinomial sample of (an int64)
 _MAX_SHOTS = np.iinfo(np.int64).max
 # Widest register of a state or a dense response matrix: 11 qubits, 8 * 4**11
-# bytes = 32 MiB.  Building peaks at twice the matrix; an inverted matrix keeps
-# its 32 MiB inverse, and each SVD, inversion and IBU product holds more copies
-# (a factored matrix needs none), while 16 qubits would take 32 GiB per copy.
-# wide_8q's 8 qubits take 0.5 MiB.
+# bytes = 32 MiB.  Checking a dense matrix peaks at twice that; an inverted one
+# keeps its 32 MiB inverse, and each SVD, inversion and IBU product holds more
+# copies, while 16 qubits would take 32 GiB per copy.  A tensor model keeps
+# only its factors (two 16x16 ones at wide_8q's 8 qubits, 4 KiB) and forms the
+# dense matrix only if its entries are read.
 _MAX_QUBITS = 11
 
 

@@ -6,7 +6,7 @@ true = t).  A measured distribution is R @ t for a true distribution t.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
 from functools import cached_property, reduce
 
 import numpy as np
@@ -43,18 +43,23 @@ def _check_dense(n_qubits):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class ResponseMatrix:
-    """2^n x 2^n column-stochastic readout transition matrix, n read from len(entries)."""
+    """2^n x 2^n column-stochastic readout transition matrix R.
 
-    entries: np.ndarray
-    column_sum_atol: float = COLUMN_SUM_ATOL
-    # the per-qubit pairs of a matrix made by build_tensor_response, which
-    # kron_factors builds R's factors from and save_response writes; else None
-    qubit_params: tuple | None = field(default=None, init=False, repr=False)
+    ``ResponseMatrix(entries, column_sum_atol)`` checks and keeps a dense
+    matrix, n read from ``len(entries)``.  A tensor model, which only
+    :func:`build_tensor_response` makes, keeps its per-qubit pairs and the
+    :attr:`kron_factors` built from them, and forms its dense
+    :attr:`entries` only when something reads them.  Either kind is
+    read-only and compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.float64)
+    # the per-qubit pairs of a tensor model, which its factors and entries
+    # are built from and save_response writes; None for a dense matrix
+    qubit_params = None
+
+    def __init__(self, entries, column_sum_atol=COLUMN_SUM_ATOL):
+        entries = np.array(entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError(f"entries must be a square matrix, got shape {entries.shape}")
         _width(entries, "entries")
@@ -66,40 +71,66 @@ class ResponseMatrix:
                 f"entry at row {m}, column {t} is {entries[m, t]!r}, outside [0, 1]"
             )
         # written so that NaN fails the test as well
-        if not 0.0 <= _check_real(self.column_sum_atol, "column_sum_atol") < np.inf:
+        if not 0.0 <= _check_real(column_sum_atol, "column_sum_atol") < np.inf:
             raise ValidationError(
-                f"column_sum_atol must be finite and non-negative, got {self.column_sum_atol!r}"
+                f"column_sum_atol must be finite and non-negative, got {column_sum_atol!r}"
             )
         sums = entries.sum(axis=0)
         off = np.abs(sums - 1.0)
-        if np.any(off > self.column_sum_atol):
+        if np.any(off > column_sum_atol):
             col = int(np.argmax(off))
             raise ValidationError(
-                f"column {col} sums to {sums[col]!r}, expected 1 within {self.column_sum_atol}"
+                f"column {col} sums to {sums[col]!r}, expected 1 within {column_sum_atol}"
             )
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        vars(self).update(entries=entries, column_sum_atol=column_sum_atol)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a ResponseMatrix is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a ResponseMatrix is read-only: cannot delete {name!r}")
+
+    @cached_property
+    def entries(self):
+        """R's dense 2^n x 2^n array, read-only.
+
+        A dense matrix holds it from construction.  A tensor model forms it
+        on first read and keeps it: below 7 qubits it is the one factor
+        itself, else the left fold :func:`_kron_channels` of all its pairs,
+        so either way it is bit for bit the fold of its pairs.
+        """
+        if len(self.kron_factors) == 1:
+            return self.kron_factors[0]
+        entries = _kron_channels(self.qubit_params)
+        entries.flags.writeable = False
+        return entries
 
     @cached_property
     def kron_factors(self):
         """R's Kronecker factors, outermost first: ``(hi, lo)`` or ``(entries,)``.
 
-        A matrix made by :func:`build_tensor_response` from 7 qubits up has
-        two, each rebuilt from its :attr:`qubit_params`: ``hi`` acts on the
-        high ``ceil(n/2)`` qubits and ``lo`` on the low ``floor(n/2)``.  Any
-        other matrix, and any narrower one, where dense products are as
-        fast, is its own one factor.  :func:`_kron_apply` applies them, for
-        sampling and unfolding alike.  Found on first use and kept, like
-        :attr:`condition_number`, and read-only, like the entries.
+        A tensor model from 7 qubits up has two, each the fold of its own
+        pairs: ``hi`` acts on the high ``ceil(n/2)`` qubits and ``lo`` on the
+        low ``floor(n/2)``.  A narrower one has one, the fold of all its
+        pairs, where dense products are as fast; any other matrix is its
+        own one factor, its entries.  A tensor model builds them when it is
+        made, a dense matrix on first use; either keeps them, read-only,
+        and :func:`_kron_apply` applies them, for sampling and unfolding
+        alike.
         """
         pairs = self.qubit_params
-        if pairs is None or len(pairs) < _MIN_FACTORED_QUBITS:
+        if pairs is None:
             return (self.entries,)
-        half = len(pairs) // 2
-        hi, lo = _kron_channels(pairs[half:]), _kron_channels(pairs[:half])
-        # kept with the matrix: a write would reach every later unfold
-        hi.flags.writeable = lo.flags.writeable = False
-        return hi, lo
+        if len(pairs) < _MIN_FACTORED_QUBITS:
+            factors = (_kron_channels(pairs),)
+        else:
+            half = len(pairs) // 2
+            factors = _kron_channels(pairs[half:]), _kron_channels(pairs[:half])
+        for factor in factors:
+            # kept with the matrix: a write would reach every later unfold
+            factor.flags.writeable = False
+        return factors
 
     @cached_property
     def condition_number(self):
@@ -111,7 +142,9 @@ class ResponseMatrix:
         on first use and kept: the entries never change, and construction
         should not pay for an SVD nobody asks for.
         """
-        return float(np.prod([np.linalg.cond(f) for f in self.kron_factors]))
+        # Python floats, so that a product past the largest double is inf
+        # without numpy's overflow warning
+        return math.prod(float(np.linalg.cond(f)) for f in self.kron_factors)
 
     @cached_property
     def inverse_factors(self):
@@ -130,7 +163,8 @@ class ResponseMatrix:
 
     @property
     def dim(self):
-        return len(self.entries)
+        pairs = self.qubit_params
+        return len(self.entries) if pairs is None else 2 ** len(pairs)
 
     @property
     def n_qubits(self):
@@ -172,14 +206,23 @@ def build_tensor_response(params):
     """Tensor-product response matrix for independent per-qubit errors.
 
     Qubit 0 is the least significant index bit, so the full matrix is the
-    Kronecker product with qubit n-1 outermost.
+    Kronecker product with qubit n-1 outermost.  The model keeps its pairs
+    and builds its :attr:`~ResponseMatrix.kron_factors` now; its dense
+    :attr:`~ResponseMatrix.entries` are formed only if something reads
+    them.  They skip the dense checks, which a Kronecker product of checked
+    column-stochastic 2x2 channels passes by construction.
     """
-    params = list(params)
+    params = tuple(params)
     if not params:
         raise ValidationError("need at least one qubit")
+    for i, p in enumerate(params):
+        if not isinstance(p, QubitNoiseParams):
+            raise ValidationError(f"qubit {i}: expected QubitNoiseParams, got {p!r}")
     _check_dense(len(params))
-    response = ResponseMatrix(_kron_channels(params))
-    object.__setattr__(response, "qubit_params", tuple(params))
+    response = object.__new__(ResponseMatrix)
+    vars(response).update(column_sum_atol=COLUMN_SUM_ATOL, qubit_params=params)
+    # built now, so that the first cell to use the model does not pay for them
+    response.kron_factors
     return response
 
 

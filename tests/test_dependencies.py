@@ -87,9 +87,10 @@ def test_no_module_seeds_through_numpys_seed_sequence():
 
 # ResponseMatrix.kron_factors is the one place that decides between R's dense
 # entries and its Kronecker factors, and noise._kron_apply the one function
-# that applies R: the engine takes whatever tuple kron_factors gives
+# that applies R: the engine and the harness that drives it take whatever
+# tuple kron_factors gives, and a tensor model forms no dense matrix for them
 NOISE = ROOT / "src" / "readout_rebalance" / "noise.py"
-ENGINE = [ROOT / "src" / "readout_rebalance" / name for name in ("unfold.py", "rebalance.py")]
+ENGINE = [NOISE.with_name(name) for name in ("unfold.py", "rebalance.py", "harness.py")]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -107,7 +108,7 @@ def compared_with_none(path):
 
 
 def test_unfold_reads_no_dense_entries():
-    # nor does the rebalancing engine that drives the unfolders
+    # nor do the rebalancing engine and the harness that drive the unfolders
     assert set(ENGINE) <= set(MODULES)
     assert not {path.name for path in ENGINE if "entries" in set(named(path))}
 
@@ -146,8 +147,8 @@ def test_no_module_tests_the_factors_against_none():
     assert not found
 
 
-# kron_factors builds R's factors from qubit_params, not from the entries, so
-# the pairs must be those the entries were built from
+# a tensor model's factors and entries are built from its qubit_params and
+# skip the dense checks, so only the builder that checks each pair sets them
 def qubit_params_writers(path):
     """The function around each place one source file sets ``qubit_params``:
     an attribute store, a ``qubit_params=`` keyword, or the name as a string,

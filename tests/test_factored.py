@@ -6,16 +6,23 @@ Its results are held to dense references written here, not to the package's
 dense path; its draws are held to those of the dense fold ``R @ p``.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from readout_rebalance.core import NumericalError, ProbDist, rng_stream, xor_permute
-from readout_rebalance.noise import (
-    ResponseMatrix, _kron_apply, estimate_response, load_response, sample_measured,
-    save_response,
+from readout_rebalance import noise
+from readout_rebalance.core import (
+    NumericalError, ProbDist, QubitNoiseParams, rng_stream, xor_permute,
 )
+from readout_rebalance.harness import ExperimentConfig, run_experiment
+from readout_rebalance.noise import (
+    ResponseMatrix, _kron_apply, build_tensor_response, estimate_response, load_response,
+    sample_measured, save_response,
+)
+from readout_rebalance.rebalance import STRATEGIES
 from readout_rebalance.states import inverted_w_dist
 from readout_rebalance.unfold import condition_report, ibu_unfold, matrix_inverse_unfold
 
@@ -49,6 +56,65 @@ def test_tensor_model_read_back_from_a_file_is_factored(tmp_path, n):
     for hi, lo in (R.kron_factors, load_response(path).kron_factors):
         assert np.array_equal(hi, make_response(EPS01[low:n], EPS10[low:n]).entries)
         assert np.array_equal(lo, make_response(EPS01[:low], EPS10[:low]).entries)
+
+
+def fold(params):
+    """The left fold of the qubits' 2x2 channels, the last qubit outermost:
+    how a tensor model's dense entries have always been built."""
+    channels = [np.array([[1 - p.eps01, p.eps10], [p.eps01, 1 - p.eps10]]) for p in params]
+    return reduce(np.kron, channels[::-1])
+
+
+def check_tensor_model(params):
+    R = build_tensor_response(params)
+    n = len(params)
+    assert (R.dim, R.n_qubits) == (2 ** n, n)
+    # neither the width nor the factors formed the dense matrix
+    assert "entries" not in vars(R)
+    half = n // 2
+    expected = (fold(params),) if n < 7 else (fold(params[half:]), fold(params[:half]))
+    assert [f.tobytes() for f in R.kron_factors] == [f.tobytes() for f in expected]
+    entries = R.entries
+    assert entries.tobytes() == fold(params).tobytes()
+    assert R.entries is entries and not entries.flags.writeable
+    # in [0, 1] with columns summing to 1 within a few ulp, which the dense
+    # checks a tensor model skips would accept
+    ResponseMatrix(entries)
+    assert np.abs(entries.sum(axis=0) - 1).max() <= 8 * n * np.finfo(float).eps
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.builds(QubitNoiseParams, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    min_size=n, max_size=n,
+)))
+def test_tensor_model_forms_the_fold_of_its_pairs_on_first_read(params):
+    check_tensor_model(params)
+
+
+def test_eleven_qubit_tensor_model_forms_the_fold_of_its_pairs_on_first_read():
+    check_tensor_model([QubitNoiseParams(a, b) for a, b in zip(EPS01, EPS10)])
+
+
+@pytest.mark.parametrize("unfold_method", ["ibu", "matrix_inversion"])
+@pytest.mark.parametrize("source", ["calibration_file", "eps"])
+def test_run_path_forms_no_dense_tensor_matrix(tmp_path, monkeypatch, unfold_method, source):
+    # an 8-qubit model, read back from its pairs file or built from flags,
+    # runs every strategy folding no more than one 4-qubit half at a time
+    if source == "calibration_file":
+        save_response(make_response(EPS01[:8], EPS10[:8]), tmp_path / "cal.json")
+        model = {"calibration_file": str(tmp_path / "cal.json")}
+    else:
+        model = {"eps01": EPS01[:8], "eps10": EPS10[:8]}
+    widths, channels = [], noise._kron_channels
+    monkeypatch.setattr(noise, "_kron_channels", lambda p: widths.append(len(p)) or channels(p))
+    config = ExperimentConfig(
+        **model, shots=2000, repetitions=4, strategies=list(STRATEGIES),
+        unfold_method=unfold_method, ibu_iterations=5,
+    )
+    results, _ = run_experiment(config)
+    assert len(results) == len(STRATEGIES)
+    assert widths == [4, 4]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 + 1e-7])

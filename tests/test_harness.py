@@ -553,6 +553,13 @@ def test_csv_files_newline_terminated(tmp_path):
     [
         pytest.param(["run", "--experiment", "gaussian_sweep", "--mus", "0.1,zz"],
                      EXIT_VALIDATION, id="mus"),
+        # factor condition numbers 1.4e261 and 6.8e116: their product is
+        # inf, refused without numpy's overflow warning
+        pytest.param(["run", "--eps10", "0.5,0.5,0.5,0.5,0.5,0.5,0.5",
+                      "--eps01", "0.5,0.5,0.5,0.5,0.5,0.5,0.5",
+                      "--unfold-method", "matrix_inversion",
+                      "--shots", "100", "--repetitions", "2"],
+                     EXIT_NUMERICAL, id="run-condition-number-past-the-largest-double"),
         pytest.param(["run", "--eps10", "0.07,zz", "--eps01", "0.01,0.01"],
                      EXIT_VALIDATION, id="eps10"),
         pytest.param(["run", "--eps10", "0.07,0.07", "--eps01", "zz,0.01"],

@@ -304,6 +304,24 @@ def test_dense_tensor_response_is_capped():
         build_tensor_response([QubitNoiseParams(0.01, 0.05)] * 12)
 
 
+@pytest.mark.parametrize("entry", [(0.01, 0.05), [0.01, 0.05], None, "ab"])
+def test_tensor_model_refuses_an_entry_that_is_not_a_qubit_pair(entry):
+    # refused when the model is made, not when its factors or entries are
+    with pytest.raises(ValidationError, match="qubit 1: expected QubitNoiseParams"):
+        build_tensor_response([QubitNoiseParams(0.01, 0.05), entry])
+
+
+@pytest.mark.parametrize("make", [default_response, lambda: ResponseMatrix(np.eye(4))])
+def test_response_matrix_is_read_only(make):
+    # its kept factors, inverses and condition number rely on it
+    R = make()
+    for name in ("entries", "kron_factors", "qubit_params", "column_sum_atol"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(R, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(R, name)
+
+
 @pytest.mark.parametrize("n", [12, 20000])
 def test_load_refuses_a_width_beyond_the_dense_cap(tmp_path, n):
     # refused before 2**n is taken; 20000 qubits once ended in a ValueError
