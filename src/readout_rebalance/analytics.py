@@ -183,6 +183,7 @@ def ensemble_run(
     observable,
     repetitions,
     observable_label=None,
+    words=None,
 ):
     """Repeat a measurement plan and summarize a linear observable across runs.
 
@@ -195,6 +196,9 @@ def ensemble_run(
     ``observable`` holds one weight per basis state, ``o``: the value of a
     run with corrected histogram ``h`` is ``o . h / h.sum()``.  The weights
     are checked once, and every repetition is evaluated in one product.
+    ``words`` passes the streams' state words, the plan's block of
+    :func:`~readout_rebalance.rebalance.stream_words` for ``range(repetitions)``,
+    on to ``run_plan``, which otherwise hashes its own.
     """
     repetitions = _check_repetitions(repetitions)
     cell_bytes = 8 * true_dist.probs.size * repetitions
@@ -212,7 +216,7 @@ def ensemble_run(
         )
     if not np.all(np.isfinite(weights)):
         raise ValidationError("observable weights must be finite")
-    corrected, masks = run_plan(true_dist, response, plan, range(repetitions))
+    corrected, masks = run_plan(true_dist, response, plan, range(repetitions), words)
     values = weights @ corrected / corrected.sum(axis=0)
     negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
 

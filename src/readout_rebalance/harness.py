@@ -58,7 +58,7 @@ from .states import (
     grover_dist,
     inverted_w_dist,
 )
-from .rebalance import STRATEGIES, MeasurementPlan
+from .rebalance import STRATEGIES, MeasurementPlan, stream_words
 from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
     TwoQubitModel,
@@ -335,19 +335,21 @@ def run_experiment(config):
     # a cell's seed is state word 0 of the path (row, strategy), the strategy
     # by its place in STRATEGIES, so a cell draws alike in any strategy list
     paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(len(rows)) for plan in plans]
-    seeds = iter(_seed_states(config.rng_seed, paths)[:, 0].tolist())
+    seeds = _seed_states(config.rng_seed, paths)[:, 0].tolist()
+    cells = [replace(plan, rng_seed=seed) for plan, seed in zip(plans * len(rows), seeds)]
+    # every cell's stream words in a few hash calls; each cell builds its own streams
+    words = stream_words(cells, range(config.repetitions))
     results = []
     negative_flags = {}
-    for label, mu, dist, observable, obs_label in rows:
-        for plan in plans:
-            seeded = replace(plan, rng_seed=next(seeds))
-            res = ensemble_run(
-                dist, response, seeded, observable, config.repetitions,
-                observable_label=obs_label,
-            )
-            results.append((label, mu, res))
-            key = label if mu is None else f"{label}@mu={mu!r}"
-            negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
+    for at, (plan, cell_words) in enumerate(zip(cells, words)):
+        label, mu, dist, observable, obs_label = rows[at // len(plans)]
+        res = ensemble_run(
+            dist, response, plan, observable, config.repetitions,
+            observable_label=obs_label, words=cell_words,
+        )
+        results.append((label, mu, res))
+        key = label if mu is None else f"{label}@mu={mu!r}"
+        negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
 
     manifest = {
         "rng_seed": config.rng_seed,

@@ -276,11 +276,15 @@ def diag_by_zero_count(response):
 
     Returns {k: mean of R[s][s] over states s with exactly k zero bits}.
     On asymmetric models this rises with k: states with more 1s are misread
-    more often.
+    more often.  A tensor model's diagonal is the fold of its channels'
+    diagonals in :func:`_kron_channels`' order, bit for bit its entries'
+    diagonal, without forming the entries.
     """
-    n = response.n_qubits
+    n, pairs = response.n_qubits, response.qubit_params
+    diagonal = response.entries.diagonal() if pairs is None else reduce(
+        np.kron, [single_qubit_channel(p).diagonal() for p in reversed(pairs)])
     zeros = n - bit_table(n).sum(axis=0)
-    return {k: float(response.entries.diagonal()[zeros == k].mean()) for k in range(n + 1)}
+    return {k: float(diagonal[zeros == k].mean()) for k in range(n + 1)}
 
 
 def save_response(response, path):

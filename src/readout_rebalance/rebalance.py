@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ValidationError, _check_count, _check_real, _uint32_words, qubit_marginals, rng_streams,
-    xor_permute,
+    ValidationError, _check_count, _check_real, _generators, _seed_states, _uint32_words,
+    qubit_marginals, xor_permute,
 )
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
+# the spawn keys of each strategy's streams (see run_plan)
+_SPAWN_KEYS = {"nominal": ((),), "rebalanced": ((0,), (1,)), "symmetrized": ((0,), (1,))}
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,34 @@ def choose_flip_mask(pilots):
     return (1 << np.arange(marginals.shape[0])) @ (marginals > 0.5)
 
 
-def run_plan(true_dist, response, plan, repetitions):
+def stream_words(plans, repetitions):
+    """The ``PCG64`` state words of :func:`run_plan`'s streams, for many plans at once.
+
+    Returns one ``(len(keys), len(repetitions), 4)`` uint64 block per plan,
+    row ``[j, i]`` the state of ``rng_stream(plan.rng_seed, repetitions[i],
+    spawn_key=keys[j])`` for the plan's strategy's keys.  Plans of the same
+    keys go to one :func:`~readout_rebalance.core._seed_states` call, which
+    hashes them in a few calls of the package's one seed hash, and the
+    repetition indices are checked there before anything is hashed.
+    """
+    paths = np.asarray(repetitions).reshape(-1, 1)
+    by_keys = {}
+    for at, plan in enumerate(plans):
+        by_keys.setdefault(_SPAWN_KEYS[plan.strategy], []).append(at)
+    words = [None] * len(plans)
+    for keys, members in by_keys.items():
+        states = _seed_states([plans[at].rng_seed for at in members], paths, *keys)
+        for at, block in zip(members, states.reshape(len(members), len(keys), len(paths), 4)):
+            words[at] = block
+    return words
+
+
+def run_plan(true_dist, response, plan, repetitions, words=None):
     """Run a plan once per repetition index and correct all the runs in one batch.
 
     This is the engine behind every strategy, from a single run to a whole
-    ensemble, and the one place that picks random streams.  Run r is a list
+    ensemble, and with :func:`stream_words` the one place that picks random
+    streams.  Run r is a list
     of readout segments, each a flip mask and a shot count drawn from one
     stream ``rng_stream(plan.rng_seed, r, spawn_key=key)``:
 
@@ -85,13 +110,15 @@ def run_plan(true_dist, response, plan, repetitions):
     - rebalanced: a pilot of ``plan.pilot_shots`` with key ``(0,)`` chooses
       the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
 
-    The streams of every key are built for all repetitions in one
-    :func:`~readout_rebalance.core.rng_streams` call, that is one call of the
-    package's one seed hash per run, which the tests hold to numpy's own seed
-    sequence word for word.  The plan checked its seed when it was made;
-    each repetition index must lie between 0 and 2**32 - 1, so that it is one
-    entropy word, and ``ensemble_run`` passes at most 2**16 indices.  Anything
-    else raises ``ValidationError`` before a stream is built.
+    ``words`` holds the streams' ``PCG64`` state words, the block
+    :func:`stream_words` makes for this plan and these repetitions; without
+    it the call makes its own, one call of the package's one seed hash,
+    which the tests hold to numpy's own seed sequence word for word.  The
+    plan checked its seed when it was made; each repetition index must lie
+    between 0 and 2**32 - 1, so that it is one entropy word, and
+    ``ensemble_run`` passes at most 2**16 indices.  Anything else, and
+    words of another shape or dtype, raise ``ValidationError`` before a
+    stream is built.
 
     Each segment of every run is one :func:`sample_measured` call.  The
     segments are stacked as the columns of one counts array, unfolded in one
@@ -101,8 +128,13 @@ def run_plan(true_dist, response, plan, repetitions):
     run as an integer array (``None`` for nominal).
     """
     reps, shots = len(repetitions), plan.total_shots
-    keys = [()] if plan.strategy == "nominal" else [(0,), (1,)]
-    streams = rng_streams(plan.rng_seed, repetitions, *keys)
+    if words is None:
+        [words] = stream_words([plan], repetitions)
+    shape = (len(_SPAWN_KEYS[plan.strategy]), reps, 4)
+    got = (words.dtype, words.shape) if isinstance(words, np.ndarray) else type(words)
+    if got != (np.uint64, shape):
+        raise ValidationError(f"stream words must be a uint64 array of shape {shape}, got {got}")
+    streams = _generators(words)
     if plan.strategy == "nominal":
         masks, segments = None, [(0, shots, streams[0])]
     elif plan.strategy == "symmetrized":

@@ -232,6 +232,18 @@ def test_diag_by_zero_count_monotone_for_asymmetric_models(rng):
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 6, 7, 11])
+def test_diag_by_zero_count_of_a_tensor_model_leaves_its_entries_unformed(rng, n):
+    # the fold of the channels' diagonals is the dense diagonal bit for bit,
+    # at 11 qubits without the 32 MiB matrix
+    R = make_response(rng.uniform(0.0, 0.02, size=n), rng.uniform(0.03, 0.2, size=n))
+    diag = diag_by_zero_count(R)
+    assert "entries" not in vars(R)
+    zeros = n - np.array([bin(s).count("1") for s in range(2 ** n)])
+    dense = ResponseMatrix(R.entries).entries.diagonal()
+    assert diag == {k: float(dense[zeros == k].mean()) for k in range(n + 1)}
+
+
 def test_save_load_round_trip(tmp_path):
     R = make_response([0.013, 0.0021], [0.071, 0.069])
     path = tmp_path / "cal.json"

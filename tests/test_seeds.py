@@ -2,7 +2,8 @@
 
 Every random number the package draws starts from ``core._state_words``:
 the streams of ``run_plan`` and ``estimate_response``, and the integer
-seeds of ``run`` cells.
+seeds of ``run`` cells.  ``rebalance.stream_words`` hashes the streams of
+many plans at once, and each plan's words are those of its own hash.
 numpy's ``SeedSequence`` appears here only, as the reference.
 """
 
@@ -18,7 +19,8 @@ from readout_rebalance import core
 from readout_rebalance.core import ValidationError, rng_stream
 from readout_rebalance.noise import default_response, estimate_response
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
-from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan
+from readout_rebalance.analytics import ensemble_run
+from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan, stream_words
 from readout_rebalance.states import inverted_w_dist
 
 MULTI_WORD_SEED = str(2 ** 96 + 5)
@@ -143,13 +145,88 @@ def test_a_run_plan_call_hashes_once(monkeypatch, committed_response, strategy):
     assert calls == [7 if strategy == "nominal" else 14]
 
 
-def test_a_run_hashes_once_per_cell_and_once_for_the_cell_seeds(monkeypatch):
+def test_a_run_hashes_once_for_the_cell_seeds_and_once_per_key_set(monkeypatch):
     calls = count_hash_calls(monkeypatch)
     config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
                               repetitions=4, unfold_method="matrix_inversion")
     results, _ = run_experiment(config)
     assert len(results) == 3 * len(STRATEGIES)
-    assert len(calls) == len(results) + 1
+    # the 9 cell seeds, then the streams of the 3 nominal cells (key ()) and of
+    # the 6 others (keys (0,) and (1,)); every cell seed here has two words
+    assert calls == [9, 3 * 4, 6 * 2 * 4]
+
+
+def plan_words(plan, repetitions):
+    """The state words of one plan's streams, from its own ``_seed_states`` call."""
+    keys = [()] if plan.strategy == "nominal" else [(0,), (1,)]
+    paths = np.asarray(repetitions).reshape(-1, 1)
+    return core._seed_states(plan.rng_seed, paths, *keys).reshape(len(keys), len(paths), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(1, 3).flatmap(of_words)),
+                   max_size=8),
+    first=st.integers(0, 2 ** 32 - 50),
+    reps=st.integers(0, 40),
+)
+def test_stream_words_are_each_plans_own_words(cells, first, reps):
+    # mixed strategies, seeds of 1 to 3 words, indices from anywhere in range
+    plans = [MeasurementPlan(total_shots=100, strategy=strategy, rng_seed=seed)
+             for strategy, seed in cells]
+    repetitions = range(first, first + reps)
+    words = stream_words(plans, repetitions)
+    assert len(words) == len(plans)
+    for plan, block in zip(plans, words):
+        assert block.dtype == np.uint64
+        assert np.array_equal(block, plan_words(plan, repetitions))
+
+
+@pytest.mark.parametrize("strategies, reps, expected_calls", [
+    # 30 cells of 80 streams: 25 fit under the 2**11 columns of one call
+    (["symmetrized", "rebalanced"] * 15, 40, [25 * 80, 5 * 80]),
+    # a cell of more streams than that is hashed alone
+    (["nominal"] * 3, 2100, [2100] * 3),
+])
+def test_stream_words_batch_at_most_2_11_columns_per_hash_call(
+        monkeypatch, strategies, reps, expected_calls):
+    plans = [MeasurementPlan(total_shots=100, strategy=strategy, rng_seed=2 ** 40 + i)
+             for i, strategy in enumerate(strategies)]
+    calls = count_hash_calls(monkeypatch)
+    words = stream_words(plans, range(7, 7 + reps))
+    assert calls == expected_calls
+    monkeypatch.undo()
+    for plan, block in zip(plans, words):
+        assert np.array_equal(block, plan_words(plan, range(7, 7 + reps)))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_ensemble_run_with_handed_words_equals_its_own(committed_response, strategy):
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy, rng_seed=2 ** 33 + 1)
+    truth, observable = inverted_w_dist(5), np.arange(32.0)
+    [words] = stream_words([plan], range(6))
+    alone = ensemble_run(truth, committed_response, plan, observable, 6)
+    assert ensemble_run(truth, committed_response, plan, observable, 6, words=words) == alone
+
+
+@pytest.mark.parametrize("strategy, words", [
+    ("nominal", np.zeros((2, 5, 4), dtype=np.uint64)),
+    ("symmetrized", np.zeros((1, 5, 4), dtype=np.uint64)),
+    ("rebalanced", np.zeros((2, 4, 4), dtype=np.uint64)),
+    ("nominal", np.zeros((1, 5, 2), dtype=np.uint64)),
+    ("nominal", np.zeros((1, 5, 4), dtype=np.int64)),
+    ("nominal", np.zeros((5, 4), dtype=np.uint64)),
+    ("nominal", [[[0] * 4] * 5]),
+])
+def test_wrong_words_are_refused_first(monkeypatch, committed_response, strategy, words):
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    with pytest.raises(ValidationError, match="stream words"):
+        run_plan(inverted_w_dist(5), committed_response, plan, range(5), words)
+    with pytest.raises(ValidationError, match="stream words"):
+        ensemble_run(inverted_w_dist(5), committed_response, plan, np.arange(32.0), 5,
+                     words=words)
 
 
 @pytest.mark.parametrize("seed, path, key", [
