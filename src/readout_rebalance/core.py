@@ -169,18 +169,16 @@ def _seed_states(seeds, paths, *spawn_keys):
     Seeds of the same word count are hashed together, in
     :func:`_state_words` calls of at most ``_MAX_HASH_COLUMNS`` columns;
     a seed with more streams than that is hashed alone.  The seed and key
-    entries may be any non-negative integers, the keys must have the same
-    number of words, and a path entry must fit in one word; else
-    ``ValidationError`` is raised before anything is hashed.
+    entries may be any non-negative integers and a path entry must fit in
+    one word; else ``ValidationError`` is raised before anything is hashed.
+    The keys share the entropy rows, so they must have the same number of
+    32-bit words, as the keys of one strategy do.
     """
     if np.ndim(seeds) == 0:
         seeds = [seeds]
     runs = [_uint32_words(seed, "rng seed") for seed in seeds]
-    keys = [[w for e in key for w in _uint32_words(e, "spawn key entries")]
-            for key in spawn_keys or [()]]
-    if len(set(map(len, keys))) > 1:
-        raise ValidationError(f"spawn keys {spawn_keys} differ in their number of 32-bit words")
-    keys = np.array(keys, dtype=np.uint32)
+    keys = np.array([[w for e in key for w in _uint32_words(e, "spawn key entries")]
+                     for key in spawn_keys or [()]], dtype=np.uint32)
     paths = np.asarray(paths)
     if paths.size and not (
         paths.dtype.kind in "iu" and 0 <= paths.min() <= paths.max() <= _MASK32
@@ -228,12 +226,6 @@ def _generators(words):
             for of_key in words]
 
 
-def _streams(seed, paths, spawn_keys):
-    """One list per spawn key of one ``numpy.random.Generator`` per row of ``paths``."""
-    words = _seed_states(seed, paths, *spawn_keys)[:len(spawn_keys) * len(paths)]
-    return _generators(words.reshape(len(spawn_keys), len(paths), 4))
-
-
 def rng_stream(seed, *path, spawn_key=()):
     """Deterministic ``numpy.random.Generator`` from a seed and an index path.
 
@@ -247,18 +239,7 @@ def rng_stream(seed, *path, spawn_key=()):
     and ``rng_stream(seed, 0)`` draw alike.  Other paths give independent
     streams.
     """
-    return _streams(seed, [path], [spawn_key])[0][0]
-
-
-def rng_streams(seed, repetitions, *spawn_keys):
-    """``[[rng_stream(seed, r, spawn_key=key) for r in repetitions] for key in spawn_keys]``.
-
-    The streams of every key cost one :func:`_seed_states` call, that is
-    one seed-hash call, plus one ``PCG64`` each, so the keys must have the
-    same number of 32-bit words, as ``(0,)`` and ``(1,)`` do.  Seed, keys and
-    indices are checked once, before anything is hashed.
-    """
-    return _streams(seed, np.asarray(repetitions).reshape(-1, 1), spawn_keys)
+    return _generators(_seed_states(seed, [path], spawn_key).reshape(1, 1, 4))[0][0]
 
 
 def bit_table(n_qubits):

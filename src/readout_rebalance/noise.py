@@ -29,8 +29,11 @@ LOAD_COLUMN_SUM_ATOL = 1e-6
 DEFAULT_EPS10 = (0.065, 0.069, 0.073, 0.077, 0.080)
 DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 
-# Narrowest register whose products with R run on Kronecker factors: below it
-# a dense 32x32 product is as fast as the two small ones.
+# Narrowest register whose products with R run on Kronecker factors.  At 5
+# qubits a dense 32x32 product is faster: the hi x lo split took 1.0-1.9x its
+# time (_kron_apply, one BLAS thread, 40-200 columns, 2-core x86 host).  At 6
+# qubits the split took 0.5-1.0x, but moving the threshold would change the
+# last bits of 6-qubit outputs, and no benchmark workload has 6 qubits.
 _MIN_FACTORED_QUBITS = 7
 
 

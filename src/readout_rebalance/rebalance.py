@@ -80,9 +80,15 @@ def stream_words(plans, repetitions):
     spawn_key=keys[j])`` for the plan's strategy's keys.  Plans of the same
     keys go to one :func:`~readout_rebalance.core._seed_states` call, which
     hashes them in a few calls of the package's one seed hash, and the
-    repetition indices are checked there before anything is hashed.
+    repetition indices are checked there before anything is hashed.  They
+    must be one flat sequence, one run each, or ``ValidationError`` is
+    raised first.
     """
-    paths = np.asarray(repetitions).reshape(-1, 1)
+    paths = np.asarray(repetitions)
+    if paths.ndim != 1:
+        raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
+                              f"{paths.shape}")
+    paths = paths[:, None]
     by_keys = {}
     for at, plan in enumerate(plans):
         by_keys.setdefault(_SPAWN_KEYS[plan.strategy], []).append(at)

@@ -171,3 +171,32 @@ def qubit_params_writers(path):
 def test_only_build_tensor_response_sets_qubit_params():
     writers = {(path.name, f) for path in MODULES for f in qubit_params_writers(path)}
     assert writers == {("noise.py", "build_tensor_response")}
+
+
+# called from outside the package's code: numpy calls a seed source's
+# generate_state, argparse calls its parser's error
+CALLED_FROM_OUTSIDE = {"_StateWords.generate_state", "_Parser.error"}
+
+
+def definitions(node, scope=""):
+    """Qualified name of every function and class one parsed source defines."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield scope + child.name
+            yield from definitions(child, f"{scope}{child.name}.")
+        else:
+            yield from definitions(child, scope)
+
+
+def test_every_function_has_a_caller():
+    # a function or class that no module calls, exports or names is dead code
+    used = {name for path in MODULES for name in named(path)}
+    uncalled = {
+        f"{path.name}: {qualified}"
+        for path in MODULES
+        for qualified in definitions(ast.parse(path.read_text(), filename=str(path)))
+        if qualified.split(".")[-1] not in used
+        and not qualified.split(".")[-1].startswith("__")
+        and qualified not in CALLED_FROM_OUTSIDE
+    }
+    assert not uncalled

@@ -14,7 +14,7 @@ import pytest
 from readout_rebalance.analytics import ensemble_run
 from readout_rebalance import rebalance
 from readout_rebalance.core import (
-    ProbDist, ValidationError, observable_base10, rng_stream, rng_streams, xor_permute,
+    ProbDist, ValidationError, _generators, observable_base10, rng_stream, xor_permute,
 )
 from readout_rebalance.noise import sample_measured
 from readout_rebalance.rebalance import MeasurementPlan, choose_flip_mask, run_plan
@@ -124,11 +124,13 @@ def test_rng_stream_pads_the_path_with_zeros(seed):
 @pytest.mark.parametrize("key", [(), (0,), (1,)])
 def test_rng_streams_match_numpys_seed_sequence(seed, key):
     # the vectorized hash gives the state words numpy's SeedSequence gives,
-    # and every stream, whether from rng_streams or rng_stream, draws what
-    # numpy's own generator draws; r = 0 ends the path in a zero, which
-    # SeedSequence's padding makes vanish for key ()
+    # and every stream, whether run_plan's from stream_words or rng_stream,
+    # draws what numpy's own generator draws; r = 0 ends the path in a zero,
+    # which SeedSequence's padding makes vanish for key ()
     indices = [0, 1, 2, 999, 2 ** 32 - 1]
-    [streams] = rng_streams(seed, indices, key)
+    strategy = "nominal" if key == () else "rebalanced"
+    [words] = rebalance.stream_words([MeasurementPlan(SHOTS, strategy, rng_seed=seed)], indices)
+    [streams] = _generators(words[[rebalance._SPAWN_KEYS[strategy].index(key)]])
     assert len(streams) == len(indices)
     for r, stream in zip(indices, streams):
         expected = np.random.SeedSequence([seed, r], spawn_key=key).generate_state(4, np.uint64)

@@ -55,10 +55,6 @@ def of_words(words):
     return st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1)
 
 
-def key_words(key):
-    return sum(max(1, -(-entry.bit_length() // 32)) for entry in key)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     # a one-word seed is padded to the pool before the key, longer ones less or not at all
@@ -66,18 +62,13 @@ def key_words(key):
     repetitions=st.lists(st.integers(0, 2 ** 32 - 1), max_size=3),
     entry_words=st.lists(st.integers(1, 2), max_size=2),
     n_keys=st.integers(1, 3),
-    ragged=st.booleans(),
     data=st.data(),
 )
 def test_streams_of_several_keys_are_each_keys_own_streams(seed, repetitions, entry_words,
-                                                          n_keys, ragged, data):
+                                                          n_keys, data):
     # one hash call builds every key's streams: each draws what rng_stream
-    # draws for its key, from numpy's own state words; keys of unequal word
-    # counts cannot share the entropy rows of one call and are refused first
+    # draws for its key, from numpy's own state words
     keys = [tuple(data.draw(of_words(w)) for w in entry_words) for _ in range(n_keys)]
-    if ragged:
-        keys.insert(data.draw(st.integers(0, n_keys)),
-                    keys[0] + (data.draw(st.integers(0, 2 ** 64)),))
     hashed = []
 
     def state_words(entropy):
@@ -85,14 +76,9 @@ def test_streams_of_several_keys_are_each_keys_own_streams(seed, repetitions, en
         return real_state_words(entropy)
 
     real_state_words = core._state_words
-    if len({key_words(key) for key in keys}) > 1:
-        with mock.patch.object(core, "_state_words", unreachable), \
-                mock.patch.object(np.random, "PCG64", unreachable):
-            with pytest.raises(ValidationError, match="number of 32-bit words"):
-                core.rng_streams(seed, repetitions, *keys)
-        return
     with mock.patch.object(core, "_state_words", state_words):
-        streams = core.rng_streams(seed, repetitions, *keys)
+        states = core._seed_states(seed, np.reshape(repetitions, (-1, 1)), *keys)
+    streams = core._generators(states.reshape(len(keys), len(repetitions), 4))
     assert len(hashed) == 1 and hashed[0][1] == len(keys) * len(repetitions)
     assert [len(of_key) for of_key in streams] == [len(repetitions)] * len(keys)
     for key, of_key in zip(keys, streams):
@@ -229,6 +215,21 @@ def test_wrong_words_are_refused_first(monkeypatch, committed_response, strategy
                      words=words)
 
 
+@pytest.mark.parametrize("repetitions", [[[1, 2]], [[1], [2]], np.zeros((3, 1), dtype=int)])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_repetitions_that_are_not_flat_are_refused_first(monkeypatch, committed_response,
+                                                         strategy, repetitions):
+    # run_plan counts one run per entry of its repetitions, and the words of
+    # flattened ones would not fit that count
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    with pytest.raises(ValidationError, match="repetitions"):
+        stream_words([plan], repetitions)
+    with pytest.raises(ValidationError, match="repetitions"):
+        run_plan(inverted_w_dist(5), committed_response, plan, repetitions)
+
+
 @pytest.mark.parametrize("seed, path, key", [
     (-1, (), ()),
     (-1, (3,), ()),
@@ -261,7 +262,8 @@ def test_calibration_draws_refuse_a_seed_first(monkeypatch, seed):
 
 def test_no_paths_hash_to_no_state_words():
     assert core._seed_states(5, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)
-    assert core.rng_streams(5, []) == []
+    [words] = stream_words([MeasurementPlan(100, rng_seed=5)], [])
+    assert words.shape == (1, 0, 4) and core._generators(words) == [[]]
 
 
 def test_cell_seeds_refuse_a_negative_seed(monkeypatch):
