@@ -15,12 +15,13 @@ from .noise import build_tensor_response
 from .rebalance import run_plan
 
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
-# engine keeps about ten arrays of that size alive at once (IBU's iterate and
-# temporaries, the corrected and un-flipped copies, twice over for symmetrized):
-# by tracemalloc at 8 qubits, symmetrized IBU peaks at 11.0 cells, or 13.0 where
-# the Kronecker-factored products hold one more intermediate array.  16 MiB is 64
-# times the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell
-# (65536 repetitions) peaks near 0.4 GB.
+# engine keeps about ten arrays of that size alive at once (IBU's iterate, fold
+# and product, the corrected and un-flipped copies, twice over for symmetrized):
+# by tracemalloc at 8 qubits and 200 repetitions, symmetrized IBU peaks at 9.0
+# cells, or 10.8 where the Kronecker-factored products hold one more
+# intermediate array.  16 MiB is 64 times the paper's 5-qubit, 1000-repetition
+# cell; its largest 5-qubit cell (65536 repetitions, symmetrized) peaks at
+# 0.24 GB by tracemalloc.
 _MAX_CELL_BYTES = 2 ** 24
 # Most repetitions of one cell at any width (the least is 2, for a standard
 # deviation).  While a cell runs each holds one Generator (nominal) or two,

@@ -72,6 +72,21 @@ def choose_flip_mask(pilots):
     return (1 << np.arange(marginals.shape[0])) @ (marginals > 0.5)
 
 
+def _indices(repetitions):
+    """The repetition indices, refused unless they are one flat sequence.
+
+    A ``range``, what ``ensemble_run`` passes, is flat and is returned as it
+    is: making it an array would cost a cell of 40 repetitions about 3 us.
+    """
+    if isinstance(repetitions, range):
+        return repetitions
+    paths = np.asarray(repetitions)
+    if paths.ndim != 1:
+        raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
+                              f"{paths.shape}")
+    return paths
+
+
 def stream_words(plans, repetitions):
     """The ``PCG64`` state words of :func:`run_plan`'s streams, for many plans at once.
 
@@ -84,11 +99,7 @@ def stream_words(plans, repetitions):
     must be one flat sequence, one run each, or ``ValidationError`` is
     raised first.
     """
-    paths = np.asarray(repetitions)
-    if paths.ndim != 1:
-        raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
-                              f"{paths.shape}")
-    paths = paths[:, None]
+    paths = np.asarray(_indices(repetitions))[:, None]
     by_keys = {}
     for at, plan in enumerate(plans):
         by_keys.setdefault(_SPAWN_KEYS[plan.strategy], []).append(at)
@@ -120,11 +131,11 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     :func:`stream_words` makes for this plan and these repetitions; without
     it the call makes its own, one call of the package's one seed hash,
     which the tests hold to numpy's own seed sequence word for word.  The
-    plan checked its seed when it was made; each repetition index must lie
-    between 0 and 2**32 - 1, so that it is one entropy word, and
-    ``ensemble_run`` passes at most 2**16 indices.  Anything else, and
-    words of another shape or dtype, raise ``ValidationError`` before a
-    stream is built.
+    plan checked its seed when it was made; the repetition indices must be
+    one flat sequence, with or without ``words``, each between 0 and
+    2**32 - 1, so that it is one entropy word, and ``ensemble_run`` passes
+    at most 2**16 indices.  Anything else, and words of another shape or
+    dtype, raise ``ValidationError`` before a stream is built.
 
     Each segment of every run is one :func:`sample_measured` call.  The
     segments are stacked as the columns of one counts array, unfolded in one
@@ -133,6 +144,7 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     columns of a ``(dim, len(repetitions))`` array, and the flip mask of each
     run as an integer array (``None`` for nominal).
     """
+    repetitions = _indices(repetitions)
     reps, shots = len(repetitions), plan.total_shots
     if words is None:
         [words] = stream_words([plan], repetitions)

@@ -3,8 +3,10 @@
 Each command runs in-process through ``harness.main`` from a scratch working
 directory, writing into a fixed relative ``--output-dir`` (``manifest.json``
 records it), and every file it writes must hash to its entry in
-``golden.json``.  The hashes pin every random stream, unfold and written
-digit, so a change that should move no result can show that it moved none.
+``golden.json``.  Each script of ``demos/`` runs in a subprocess from a
+scratch directory, and its standard output must hash to its entry too.  The
+hashes pin every random stream, unfold and written digit, so a change that
+should move no result can show that it moved none.
 They depend on numpy and the BLAS it was built with, which the file records.
 
 Regenerate the file (only when a change is meant to move results) with
@@ -14,6 +16,7 @@ Regenerate the file (only when a change is meant to move results) with
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +27,8 @@ import pytest
 from readout_rebalance.harness import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # wide_8q's 8-qubit tensor model: eps01 from 0.0020 to 0.0036, eps10 from
 # 0.065 to 0.080, evenly spaced
@@ -73,16 +78,22 @@ def output_hashes(name):
     }
 
 
+def stdout_hash(demo):
+    """Run one demo script from the working directory; sha256 of its standard output."""
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, check=True, timeout=120,
+    )
+    return {f"demos/{demo.stem}.stdout": hashlib.sha256(proc.stdout).hexdigest()}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", COMMANDS)
-def test_outputs_match_their_golden_hashes(name, golden, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    got = output_hashes(name)
-    want = {key: h for key, h in golden["sha256"].items() if key.startswith(name + "/")}
+def check_hashes(got, prefix, golden):
+    want = {key: h for key, h in golden["sha256"].items() if key.startswith(prefix)}
     mismatched = [
         f"{key}: sha256 {got.get(key)} != golden {want.get(key)}"
         for key in sorted(set(got) | set(want)) if got.get(key) != want.get(key)
@@ -94,11 +105,25 @@ def test_outputs_match_their_golden_hashes(name, golden, tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_outputs_match_their_golden_hashes(name, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_hashes(output_hashes(name), name + "/", golden)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_stdout_matches_its_golden_hash(demo, golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_hashes(stdout_hash(demo), f"demos/{demo.stem}.", golden)
+
+
 if __name__ == "__main__":
     hashes = {}
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         for name in COMMANDS:
             hashes.update(output_hashes(name))
+        for demo in DEMOS:
+            hashes.update(stdout_hash(demo))
     GOLDEN.write_text(json.dumps({**numpy_build(), "sha256": hashes}, indent=2) + "\n")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)

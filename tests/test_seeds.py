@@ -230,6 +230,20 @@ def test_repetitions_that_are_not_flat_are_refused_first(monkeypatch, committed_
         run_plan(inverted_w_dist(5), committed_response, plan, repetitions)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_number_in_place_of_the_indices_is_refused_first(monkeypatch, committed_response,
+                                                           strategy):
+    # run_plan(t, R, plan, 4): an int has no len(), and it is refused as
+    # stream_words refuses it, whether or not the words are handed in
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    [words] = stream_words([plan], range(4))
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    for handed in (None, words):
+        with pytest.raises(ValidationError, match=r"repetitions must be a 1-D .* shape \(\)"):
+            run_plan(inverted_w_dist(5), committed_response, plan, 4, handed)
+
+
 @pytest.mark.parametrize("seed, path, key", [
     (-1, (), ()),
     (-1, (3,), ()),

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from readout_rebalance.core import NumericalError, ProbDist, ValidationError
-from readout_rebalance.noise import ResponseMatrix
+from readout_rebalance.core import NumericalError, ProbDist, QubitNoiseParams, ValidationError
+from readout_rebalance.noise import ResponseMatrix, _kron_apply, build_tensor_response
 from readout_rebalance.states import grover_dist, inverted_w_dist
 from readout_rebalance.unfold import (
     DEFAULT_MAX_CONDITION,
@@ -151,11 +153,15 @@ def test_ibu_degenerate_support():
 
 
 def guarded_ibu(counts, R, iterations):
-    """Dense IBU that rebuilds its zero-support guard on every iteration: the
-    reference that ``ibu_unfold``'s floored fold must match bit for bit."""
+    """IBU that rebuilds its zero-support guard on every iteration: the
+    reference that ``ibu_unfold``'s floored fold must match bit for bit.  Its
+    products go through R's factors, as ``ibu_unfold``'s do, which for a
+    dense R is ``R.entries`` alone."""
+    factors = R.kron_factors
+    transposed = tuple(f.T for f in factors)
     t = np.ones_like(counts) * (counts.sum(axis=0) / R.dim)
     for i in range(iterations):
-        folded = R.entries @ t
+        folded = _kron_apply(factors, t)
         empty = folded <= 0.0
         if i == 0 and np.any(empty & (counts > 0)):
             j = int(np.argwhere(empty & (counts > 0))[0][0])
@@ -164,8 +170,16 @@ def guarded_ibu(counts, R, iterations):
                 "degenerate response/prior combination"
             )
         ratio = np.divide(counts, folded, out=np.zeros_like(t), where=~empty)
-        t = t * (R.entries.T @ ratio)
+        t = t * _kron_apply(transposed, ratio)
     return t
+
+
+def outcome(unfold, counts, R, iterations):
+    """The unfolded counts, or the message of the ``NumericalError`` raised instead."""
+    try:
+        return unfold(counts, R, iterations)
+    except NumericalError as exc:
+        return str(exc)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -186,17 +200,60 @@ def test_ibu_matches_the_guard_rebuilt_each_iteration(n, columns, iterations, da
     counts = counts.astype(float)
     assume(counts.sum(axis=0).all())
 
-    def outcome(unfold):
-        try:
-            return unfold(counts, R, iterations)
-        except NumericalError as exc:
-            return str(exc)
-
-    fixed, guarded = outcome(ibu_unfold), outcome(guarded_ibu)
+    fixed, guarded = (outcome(f, counts, R, iterations) for f in (ibu_unfold, guarded_ibu))
     if isinstance(guarded, str):
         assert fixed == guarded
     else:
         assert np.array_equal(fixed, guarded)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(dense=st.booleans(), columns=st.integers(0, 3), iterations=st.integers(1, 59),
+       data=st.data())
+def test_ibu_without_the_floor_matches_the_floored_guard(dense, columns, iterations, data):
+    # A strictly positive R lets ibu_unfold skip its floor; counts scaled to
+    # totals near 1e-310 fail its positivity bound and bring the floor back.
+    # Dense R at 1-3 qubits, tensor models at 1-8 (two factors from 7 on).
+    if dense:
+        n = data.draw(st.integers(1, 3))
+        weights = data.draw(arrays(np.int64, (2 ** n, 2 ** n), elements=st.integers(1, 4)))
+        R = ResponseMatrix(weights / weights.sum(axis=0))
+    else:
+        n = data.draw(st.integers(1, 8))
+        eps = st.floats(1e-3, 0.5)
+        R = build_tensor_response(
+            [QubitNoiseParams(data.draw(eps), data.draw(eps)) for _ in range(n)])
+    shape = (2 ** n, columns) if columns else (2 ** n,)
+    counts = data.draw(arrays(np.int64, shape, elements=st.sampled_from([0, 0, 1, 50])))
+    counts = counts.astype(float)
+    assume(counts.sum(axis=0).all())
+
+    for m in (counts, counts * (1e-310 / counts.sum(axis=0))):
+        kept = m.copy()
+        fixed, guarded = (outcome(f, m, R, iterations) for f in (ibu_unfold, guarded_ibu))
+        if isinstance(guarded, str):
+            assert fixed == guarded
+        else:
+            assert np.array_equal(fixed, guarded)
+            assert not np.shares_memory(fixed, m)
+        # the loop writes in place, but never into the caller's counts
+        assert np.array_equal(m, kept)
+
+
+def test_ibu_holds_at_most_four_arrays_of_the_counts_size():
+    # The loop divides into its fold and multiplies into its iterate, so at
+    # the wide_8q model's (256, 40) cell it holds t, the fold and the two
+    # factor products at most, where a fresh ratio and product made it five.
+    R = make_response(np.linspace(0.002, 0.0036, 8), np.linspace(0.065, 0.08, 8))
+    counts = np.random.default_rng(0).integers(0, 400, (256, 40)).astype(float)
+    ibu_unfold(counts, R, iterations=2)
+    tracemalloc.start()
+    try:
+        ibu_unfold(counts, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * counts.nbytes
 
 
 def test_ibu_input_validation(committed_response):
