@@ -7,6 +7,8 @@ inflates the variance of every state that can exchange counts with another,
 which is the whole motivation for rebalancing toward the ground state.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -14,14 +16,15 @@ from .core import DimensionError, QubitNoiseParams, ValidationError, _check_coun
 from .noise import build_tensor_response
 from .rebalance import run_plan
 
-# Largest (2**n, repetitions) float64 counts array of one ensemble cell.  The
-# engine keeps about ten arrays of that size alive at once (IBU's iterate, fold
-# and product, the corrected and un-flipped copies, twice over for symmetrized):
-# by tracemalloc at 8 qubits and 200 repetitions, symmetrized IBU peaks at 9.0
-# cells, or 10.8 where the Kronecker-factored products hold one more
-# intermediate array.  16 MiB is 64 times the paper's 5-qubit, 1000-repetition
-# cell; its largest 5-qubit cell (65536 repetitions, symmetrized) peaks at
-# 0.24 GB by tracemalloc.
+# Largest (2**n, repetitions) float64 counts array of one ensemble cell.  IBU
+# sets the engine's peak: its counts, iterate, fold and product, twice over for
+# symmetrized's two segments.  By tracemalloc at 8 qubits and 200 repetitions
+# (tests/test_segments.py), symmetrized IBU peaks at 8.8 cells, or 10.8 where
+# the Kronecker-factored products hold one more intermediate array, and
+# symmetrized inversion at 4.8 (dense) or 6.8 (factored).  16 MiB is 64 times
+# the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell (65536
+# repetitions, symmetrized) peaks at 0.24 GB by tracemalloc under IBU and
+# 0.17 GB under inversion.
 _MAX_CELL_BYTES = 2 ** 24
 # Most repetitions of one cell at any width (the least is 2, for a standard
 # deviation).  While a cell runs each holds one Generator (nominal) or two,
@@ -215,14 +218,15 @@ def ensemble_run(
             f"observable needs one weight per state, shape {true_dist.probs.shape}, "
             f"got {weights.shape}"
         )
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValidationError("observable weights must be finite")
     corrected, masks = run_plan(true_dist, response, plan, range(repetitions), words)
     values = weights @ corrected / corrected.sum(axis=0)
-    negative_runs = int(np.count_nonzero(np.any(corrected < -1e-9, axis=0)))
+    negative_runs = int(np.count_nonzero((corrected < -1e-9).any(axis=0)))
 
-    mean = float(values.mean())
-    std = float(values.std(ddof=1))
+    # numpy's mean and std(ddof=1) step for step, without their Python-level wrappers
+    mean = float(np.add.reduce(values) / repetitions)
+    std = math.sqrt(np.add.reduce(np.square(values - mean)) / (repetitions - 1))
     # the most frequent mask; argmax takes the smallest one on a tie
     mask_mode = None if masks is None else int(np.argmax(np.bincount(masks)))
     return EnsembleResult(

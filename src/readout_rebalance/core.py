@@ -326,13 +326,22 @@ def _totals(counts, what):
     return totals
 
 
+@functools.lru_cache(maxsize=16)
+def _states(n_qubits):
+    """Read-only ``np.arange(2**n_qubits)``, the state indices of an n-qubit register."""
+    states = np.arange(2 ** n_qubits)
+    states.flags.writeable = False
+    return states
+
+
 def xor_permute(values, masks):
     """Relabel states by XOR with a flip mask: output[s] = values[s ^ mask].
 
     ``masks`` is one integer mask for the whole array, or one mask per column
     of a ``(2**n, k)`` array.  This is the classical post-processing that
     undoes pre-measurement X gates.  It is an involution, and every column
-    keeps its total exactly because entries are only permuted.
+    keeps its total exactly because entries are only permuted.  A scalar
+    mask moves whole rows.
     """
     values, n = _width(values)
     masks = np.asarray(masks)
@@ -340,14 +349,17 @@ def xor_permute(values, masks):
         raise ValidationError(f"flip masks must be one integer or one per column, got {masks!r}")
     if masks.ndim == 1 and values.shape[1:] != masks.shape:
         raise DimensionError(f"{masks.size} flip masks for counts of shape {values.shape}")
-    outside = (masks < 0) | (masks >= 2 ** n)
-    if np.any(outside):
+    # one min and one max check the range (no masks read 0 for both); the
+    # elementwise test runs only to name the first mask outside it
+    lo, hi = (int(masks),) * 2 if masks.ndim == 0 else (masks.min(initial=0), masks.max(initial=0))
+    if not 0 <= lo <= hi < 2 ** n:
+        outside = (masks < 0) | (masks >= 2 ** n)
         raise DimensionError(f"flip mask {masks[outside].flat[0]} does not fit in {n} qubits")
-    # int64 ^ uint64 has no integer loop: index with the checked masks as intp
-    masks, states = masks.astype(np.intp, copy=False), np.arange(2 ** n)
+    states = _states(n)
     if masks.ndim == 0:
-        return values[states ^ masks]
-    return values[states[:, None] ^ masks, np.arange(masks.size)]
+        return values[states ^ int(masks)]
+    # int64 ^ uint64 has no integer loop: index with the checked masks as intp
+    return values[states[:, None] ^ masks.astype(np.intp, copy=False), np.arange(masks.size)]
 
 
 def qubit_marginals(counts):

@@ -251,11 +251,16 @@ def _fmt(value):
     return str(value)
 
 
+def _formatted(rows):
+    """Each row's values as the text :func:`_write_csv` writes."""
+    return ([_fmt(v) for v in row] for row in rows)
+
+
 def _write_csv(path, header, rows):
+    """A CSV of rows of strings, each value already formatted by :func:`_fmt`."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_json(path, payload):
@@ -383,12 +388,14 @@ def write_run_outputs(config, results, manifest):
     for label, mu, res in results:
         sn, mask = nominal_std.get((label, mu)), res.flip_mask_mode
         frac = shots_equivalent_fraction(res.std, sn) if sn and res.std else None
-        records.append({
-            "experiment": label, "strategy": res.strategy, "mu": mu, "mean": res.mean,
-            "std": res.std, "std_err": res.std_err_of_std, "shots": config.shots,
-            "repetitions": res.repetitions, "std_nominal": sn, "shots_equivalent_fraction": frac,
-            "flip_mask_mode": None if mask is None else format(mask, "b"),
-        })
+        # each value formatted once, for every CSV that writes it
+        records.append({key: _fmt(value) for key, value in (
+            ("experiment", label), ("strategy", res.strategy), ("mu", mu), ("mean", res.mean),
+            ("std", res.std), ("std_err", res.std_err_of_std), ("shots", config.shots),
+            ("repetitions", res.repetitions), ("std_nominal", sn),
+            ("shots_equivalent_fraction", frac),
+            ("flip_mask_mode", None if mask is None else format(mask, "b")),
+        )})
     with _Outputs(config.output_dir) as out:
         for name, experiments, columns in _RUN_CSVS:
             if config.experiment in experiments:
@@ -436,7 +443,7 @@ def cmd_calibrate(args):
         _write_csv(
             out.path("diagnostics_by_zero_count.csv"),
             ["zeros_in_bitstring", "mean_correct_probability"],
-            [[k, v] for k, v in sorted(diag.items())],
+            _formatted(sorted(diag.items())),
         )
     return out.paths
 
@@ -463,7 +470,7 @@ def cmd_appendix_a(args):
         ]
     header, rows = appendix_a_table(args.q0, args.q1, splits)
     with _Outputs(args.output_dir) as out:
-        _write_csv(out.path("appendix_a_comparison.csv"), header, rows)
+        _write_csv(out.path("appendix_a_comparison.csv"), header, _formatted(rows))
     return out.paths
 
 

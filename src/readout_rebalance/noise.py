@@ -8,6 +8,7 @@ true = t).  A measured distribution is R @ t for a true distribution t.
 import json
 import math
 from functools import cached_property, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -262,15 +263,16 @@ def sample_measured(true_dist, response, shots, streams, masks=0):
     masks = np.asarray(masks)
     if masks.shape not in ((), (len(streams),)):
         raise DimensionError(f"flip masks of shape {masks.shape} for {len(streams)} streams")
-    masks = np.broadcast_to(masks, len(streams)).tolist()
-    folded = {
-        m: _kron_apply(response.kron_factors, xor_permute(true_dist.probs, m))
-        for m in set(masks)
-    }
-    measured = {m: f / f.sum() for m, f in folded.items()}
+    keys, scalar = masks.tolist(), masks.ndim == 0
+    measured = {}
+    for m in {keys} if scalar else set(keys):
+        folded = _kron_apply(response.kron_factors, xor_permute(true_dist.probs, m))
+        measured[m] = folded / folded.sum()
+    # a scalar mask draws every stream from its one fold, without a lookup per stream
+    probs = repeat(measured[keys]) if scalar else map(measured.__getitem__, keys)
     counts = np.empty((response.dim, len(streams)))
-    for j, (stream, mask) in enumerate(zip(streams, masks)):
-        counts[:, j] = stream.multinomial(shots, measured[mask])
+    for j, (stream, p) in enumerate(zip(streams, probs)):
+        counts[:, j] = stream.multinomial(shots, p)
     return counts
 
 

@@ -137,10 +137,11 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     at most 2**16 indices.  Anything else, and words of another shape or
     dtype, raise ``ValidationError`` before a stream is built.
 
-    Each segment of every run is one :func:`sample_measured` call.  The
-    segments are stacked as the columns of one counts array, unfolded in one
-    batch in the physical basis, un-flipped column by column and summed per
-    run.  Returns ``(corrected, masks)``: the corrected histograms as the
+    Each segment is one :func:`sample_measured` call for every run.  The
+    segments are stacked as the columns of one counts array and unfolded in
+    one batch in the physical basis; each segment is then un-flipped by its
+    own mask, one integer or one per run, and the segments are summed in
+    place.  Returns ``(corrected, masks)``: the corrected histograms as the
     columns of a ``(dim, len(repetitions))`` array, and the flip mask of each
     run as an integer array (``None`` for nominal).
     """
@@ -156,13 +157,22 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     if plan.strategy == "nominal":
         masks, segments = None, [(0, shots, streams[0])]
     elif plan.strategy == "symmetrized":
-        masks = np.full(reps, response.dim - 1)
-        segments = [(0, shots // 2, streams[0]), (masks, shots - shots // 2, streams[1])]
+        full = response.dim - 1
+        masks = np.full(reps, full)
+        segments = [(0, shots // 2, streams[0]), (full, shots - shots // 2, streams[1])]
     else:
         pilots = sample_measured(true_dist, response, plan.pilot_shots, streams[0])
         masks = choose_flip_mask(pilots)
         segments = [(masks, shots - plan.pilot_shots, streams[1])]
-    counts = np.hstack([sample_measured(true_dist, response, n, s, m) for m, n, s in segments])
-    flips = np.concatenate([np.broadcast_to(m, reps) for m, _, _ in segments])
-    unflipped = xor_permute(apply_unfold(counts, response, plan.unfold), flips)
-    return unflipped.reshape(response.dim, len(segments), reps).sum(axis=1), masks
+    # the stacked counts live only through the unfold
+    unfolded = apply_unfold(
+        np.concatenate([sample_measured(true_dist, response, n, s, m) for m, n, s in segments],
+                       axis=1),
+        response, plan.unfold,
+    )
+    unflipped = (xor_permute(unfolded[:, at * reps:(at + 1) * reps], mask)
+                 for at, (mask, _, _) in enumerate(segments))
+    corrected = next(unflipped)
+    for segment in unflipped:
+        corrected += segment
+    return corrected, masks

@@ -156,8 +156,10 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     # The iterate keeps each column's total, so its largest entry is at least
     # total / dim and every fold at least min(R) times that, min(R) being the
     # product of the factors' smallest entries.  Above _POSITIVE that bound
-    # makes the floor the identity, and the loop skips it.
-    least_fold = math.prod(float(f.min()) for f in factors) * float(totals.min()) / response.dim
+    # makes the floor the identity, and the loop skips it.  No columns, no fold
+    # to floor: the least total is then inf.
+    least_total = float(totals.min(initial=np.inf))
+    least_fold = math.prod(float(f.min()) for f in factors) * least_total / response.dim
     for i in range(iterations):
         folded = _kron_apply(factors, t)
         # Only the first fold can fail: R, t and the counts are nonnegative, so an

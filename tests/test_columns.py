@@ -20,7 +20,7 @@ from readout_rebalance.core import (
     xor_permute,
 )
 from readout_rebalance.noise import build_tensor_response, sample_measured
-from readout_rebalance.rebalance import choose_flip_mask
+from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, choose_flip_mask, run_plan
 from readout_rebalance.states import gaussian_dist
 from readout_rebalance.unfold import (
     UnfoldConfig,
@@ -162,3 +162,21 @@ def test_out_of_range_masks_raise():
             xor_permute(counts, masks)
     with pytest.raises(DimensionError):
         counts_in_state(counts, 8)
+
+
+@pytest.mark.parametrize("name", UNFOLDERS)
+def test_unfolders_take_zero_columns(committed_response, name):
+    # no histograms unfold to no histograms, dense and factored alike
+    for response in (committed_response, WIDE):
+        unfolded = UNFOLDERS[name](response, np.zeros((response.dim, 0)))
+        assert unfolded.shape == (response.dim, 0)
+
+
+@pytest.mark.parametrize("method", ["matrix_inversion", "ibu"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_plan_of_no_repetitions(committed_response, strategy, method):
+    plan = MeasurementPlan(1000, strategy, unfold=UnfoldConfig(method))
+    for response in (committed_response, WIDE):
+        corrected, masks = run_plan(TRUTHS[response.n_qubits], response, plan, [])
+        assert corrected.shape == (response.dim, 0)
+        assert masks is None if strategy == "nominal" else masks.shape == (0,)
