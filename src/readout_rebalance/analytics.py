@@ -212,7 +212,13 @@ def ensemble_run(
             f"counts array of {cell_bytes:,} bytes, above the limit of "
             f"{_MAX_CELL_BYTES:,} bytes per ensemble cell"
         )
-    weights = np.asarray(observable, dtype=np.float64)
+    # converting complex weights to float64 would drop their imaginary parts
+    if np.iscomplexobj(observable):
+        raise ValidationError("observable weights must be real, got complex weights")
+    try:
+        weights = np.asarray(observable, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"observable weights must be real, got {exc}") from exc
     if weights.shape != true_dist.probs.shape:
         raise DimensionError(
             f"observable needs one weight per state, shape {true_dist.probs.shape}, "

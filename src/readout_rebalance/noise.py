@@ -63,7 +63,9 @@ class ResponseMatrix:
     qubit_params = None
 
     def __init__(self, entries, column_sum_atol=COLUMN_SUM_ATOL):
-        entries = np.array(entries, dtype=np.float64)
+        # C order whatever the input's, so that products with R round alike
+        # for every layout of the same entries
+        entries = np.array(entries, dtype=np.float64, order="C")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError(f"entries must be a square matrix, got shape {entries.shape}")
         _width(entries, "entries")

@@ -45,6 +45,8 @@ class MeasurementPlan:
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
         _uint32_words(self.rng_seed, "rng_seed")
+        if not isinstance(self.unfold, UnfoldConfig):
+            raise ValidationError(f"unfold must be an UnfoldConfig, got {self.unfold!r}")
         if not 0.0 < _check_real(self.pilot_fraction, "pilot_fraction") < 1.0:
             raise ValidationError("pilot_fraction must lie strictly between 0 and 1")
         if self.strategy == "rebalanced" and not 1 <= self.pilot_shots < self.total_shots:

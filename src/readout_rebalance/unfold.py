@@ -21,10 +21,12 @@ from .core import DimensionError, NumericalError, ValidationError, _check_count,
 from .noise import _kron_apply
 
 DEFAULT_IBU_ITERATIONS = 100
-# Most IBU iterations: 10**5 took 7.3 min and 10**4 13.5 s on the 1000 columns
-# of a 5-qubit inverted-W cell (one BLAS thread, 2-core x86 host), most of it in
-# subnormal arithmetic once emptied bins decay below 1e-308 (after about 1000
-# iterations); 10**10 would take years.  The tests and docs use at most 3000.
+# Most IBU iterations: 10**5 took 13 s and 10**4 1.2-1.5 s on the 1000 columns
+# of a 5-qubit inverted-W cell (nominal or rebalanced, one BLAS thread, 2-core
+# x86 host); 10**10 would take about two weeks.  An R with zero entries skips
+# the flush of emptied bins, which then decay into subnormal arithmetic after
+# about 1000 iterations: up to 10-30 times slower.  The tests and docs use at
+# most 3000.
 _MAX_IBU_ITERATIONS = 10 ** 5
 # refuse inversion beyond this condition number; far above anything a
 # readout matrix should reach
@@ -33,6 +35,14 @@ DEFAULT_MAX_CONDITION = 1e12
 _FLOOR = np.finfo(np.float64).smallest_subnormal
 # a fold bound above this proves every fold far above _FLOOR (see ibu_unfold)
 _POSITIVE = 2.0 ** -900
+# IBU's flush (see ibu_unfold): entries under a column's total times
+# min(_FLUSH, min(R) / dim * _FLUSH_MARGIN) become 0 every _FLUSH_EVERY
+# iterations.  On the 8-qubit benchmark model entries near 2**-600 of the total
+# fall by about 2**-21 an iteration, so 16 iterations keep every product with R
+# above the subnormal range, and 2**-600 stays far below any bin a run prints.
+_FLUSH = 2.0 ** -600
+_FLUSH_MARGIN = 2.0 ** -100
+_FLUSH_EVERY = 16
 
 _METHODS = ("matrix_inversion", "ibu")
 
@@ -63,12 +73,18 @@ def condition_report(response):
 
 
 def _check_counts(counts, response):
+    """The counts as a C-ordered float64 array, checked against R's width.
+
+    C order whatever the caller's layout, so that the products round alike
+    for every layout of the same counts, and the iterate made from them does
+    not reshape with a copy in every product with two factors.
+    """
     counts, n = _counts(counts)
     if n != response.n_qubits:
         raise DimensionError(
             f"counts of shape {counts.shape} do not match a {response.dim}-state response matrix"
         )
-    return counts
+    return np.ascontiguousarray(counts)
 
 
 def matrix_inverse_unfold(counts, response):
@@ -128,6 +144,18 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     too small to pass the bound; either way the result is bit for bit the
     floored one.
 
+    Where the floor is skipped, every 16 iterations and after the last the
+    loop sets each entry below its column's cutoff to exactly 0, so that
+    emptied bins do not decay into subnormal arithmetic, which is several
+    times slower.  The cutoff is ``total * min(2**-600, min(R) / dim *
+    2**-100)``, min(R) as above.  Every fold is at least ``min(R) * total /
+    dim``, so all the entries under the cutoff together move a fold by at
+    most ``dim * 2**-100`` of its size, far below half an ulp: each fold,
+    and so each entry at or above the cutoff, is bit for bit the unflushed
+    one, and only entries that no fold reads become 0.  An observable's
+    value changes only where it is made of such entries alone, by at most
+    ``dim * max|o| * 2**-600``.
+
     Convergence is controlled purely by the iteration count, and it is slow
     where the truth is (near-)empty: the multiplicative update clears the
     mass left in such bins only like C/iterations.  On noiseless folded
@@ -158,8 +186,10 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
     # product of the factors' smallest entries.  Above _POSITIVE that bound
     # makes the floor the identity, and the loop skips it.  No columns, no fold
     # to floor: the least total is then inf.
+    least_entry = math.prod(float(f.min()) for f in factors)
     least_total = float(totals.min(initial=np.inf))
-    least_fold = math.prod(float(f.min()) for f in factors) * least_total / response.dim
+    floored = least_entry * least_total / response.dim <= _POSITIVE
+    cutoff = totals * min(_FLUSH, least_entry / response.dim * _FLUSH_MARGIN)
     for i in range(iterations):
         folded = _kron_apply(factors, t)
         # Only the first fold can fail: R, t and the counts are nonnegative, so an
@@ -171,9 +201,11 @@ def ibu_unfold(counts, response, iterations=DEFAULT_IBU_ITERATIONS):
                 f"measured bin {j} has counts but zero folded support; "
                 "degenerate response/prior combination"
             )
-        if least_fold <= _POSITIVE:
+        if floored:
             np.maximum(folded, _FLOOR, out=folded)
         t *= _kron_apply(transposed, np.divide(counts, folded, out=folded))
+        if not floored and (i % _FLUSH_EVERY == _FLUSH_EVERY - 1 or i == iterations - 1):
+            np.putmask(t, t < cutoff, 0.0)
     return t
 
 

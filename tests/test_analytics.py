@@ -288,6 +288,28 @@ def test_ensemble_rejects_bad_weights(committed_response, weights, error):
         ensemble_run(inverted_w_dist(5), committed_response, plan, weights, 5)
 
 
+@pytest.mark.parametrize("weights", [
+    np.arange(32.0) + 1j,
+    np.arange(32) * (1 + 0j),
+    [1j] + [0.0] * 31,
+    np.array([1j] + [0.0] * 31, dtype=object),
+    ["1"] * 31 + ["one"],
+], ids=["complex", "zero-imag", "list", "object", "text"])
+def test_ensemble_refuses_complex_weights_before_any_stream(committed_response, monkeypatch,
+                                                            weights):
+    # float64 conversion would drop the imaginary parts with only a ComplexWarning
+    import readout_rebalance.analytics as analytics
+    from readout_rebalance.states import inverted_w_dist
+
+    def no_run(*args):
+        raise AssertionError("run_plan reached")
+
+    monkeypatch.setattr(analytics, "run_plan", no_run)
+    plan = MeasurementPlan(total_shots=500, rng_seed=1)
+    with pytest.raises(ValidationError, match="observable weights must be real"):
+        ensemble_run(inverted_w_dist(5), committed_response, plan, weights, 5)
+
+
 def test_ensemble_reproducible(committed_response):
     from readout_rebalance.states import grover_dist
 

@@ -70,6 +70,13 @@ def test_plan_validation():
         MeasurementPlan(total_shots=100, rng_seed=2.5)
 
 
+@pytest.mark.parametrize("unfold", ["ibu", None, {"method": "ibu"}])
+def test_plan_refuses_an_unfold_that_is_not_an_unfold_config(unfold):
+    # refused where the plan is made, not as an AttributeError at its first run
+    with pytest.raises(ValidationError, match="unfold must be an UnfoldConfig"):
+        MeasurementPlan(total_shots=1000, unfold=unfold)
+
+
 def test_choose_flip_mask_point_masses():
     ground = np.eye(32)[0] * 50
     excited = np.eye(32)[31] * 50

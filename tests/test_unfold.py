@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from readout_rebalance.core import NumericalError, ProbDist, QubitNoiseParams, ValidationError
-from readout_rebalance.noise import ResponseMatrix, _kron_apply, build_tensor_response
+from readout_rebalance.noise import (
+    ResponseMatrix, _kron_apply, build_tensor_response, estimate_response, load_response,
+    save_response,
+)
 from readout_rebalance.states import grover_dist, inverted_w_dist
 from readout_rebalance.unfold import (
     DEFAULT_MAX_CONDITION,
@@ -207,37 +211,143 @@ def test_ibu_matches_the_guard_rebuilt_each_iteration(n, columns, iterations, da
         assert np.array_equal(fixed, guarded)
 
 
+def flush_cutoff(counts, R):
+    """Each column's cutoff, under which ``ibu_unfold`` zeroes the iterate where
+    it skips its floor: the total times ``min(2**-600, min(R) / dim * 2**-100)``,
+    min(R) the product of the factors' smallest entries."""
+    least = math.prod(float(f.min()) for f in R.kron_factors)
+    return counts.sum(axis=0) * min(2.0 ** -600, least / R.dim * 2.0 ** -100)
+
+
+def assert_flushed(fixed, reference, cutoff):
+    """Every entry the unflushed reference holds at or above the cutoff is bit
+    for bit the same, and every other entry is 0."""
+    kept = reference >= cutoff
+    assert np.array_equal(fixed[kept], reference[kept])
+    assert not fixed[~kept].any()
+
+
+def draw_positive_response(dense, data, least_eps):
+    """A strictly positive R: dense at 1-3 qubits, or a tensor model at 1-8
+    (two factors from 7 on)."""
+    if dense:
+        n = data.draw(st.integers(1, 3))
+        weights = data.draw(arrays(np.int64, (2 ** n, 2 ** n), elements=st.integers(1, 4)))
+        return ResponseMatrix(weights / weights.sum(axis=0))
+    eps = st.floats(least_eps, 0.5)
+    n = data.draw(st.integers(1, 8))
+    return build_tensor_response(
+        [QubitNoiseParams(data.draw(eps), data.draw(eps)) for _ in range(n)])
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(dense=st.booleans(), columns=st.integers(0, 3), iterations=st.integers(1, 59),
        data=st.data())
 def test_ibu_without_the_floor_matches_the_floored_guard(dense, columns, iterations, data):
-    # A strictly positive R lets ibu_unfold skip its floor; counts scaled to
-    # totals near 1e-310 fail its positivity bound and bring the floor back.
-    # Dense R at 1-3 qubits, tensor models at 1-8 (two factors from 7 on).
-    if dense:
-        n = data.draw(st.integers(1, 3))
-        weights = data.draw(arrays(np.int64, (2 ** n, 2 ** n), elements=st.integers(1, 4)))
-        R = ResponseMatrix(weights / weights.sum(axis=0))
-    else:
-        n = data.draw(st.integers(1, 8))
-        eps = st.floats(1e-3, 0.5)
-        R = build_tensor_response(
-            [QubitNoiseParams(data.draw(eps), data.draw(eps)) for _ in range(n)])
-    shape = (2 ** n, columns) if columns else (2 ** n,)
+    # A strictly positive R lets ibu_unfold skip its floor, and there it zeroes
+    # the entries under the cutoff: the rest match the unflushed guard bit for
+    # bit.  Counts scaled to totals near 1e-310 fail its positivity bound and
+    # bring the floor back, with no flush: the whole result matches.
+    R = draw_positive_response(dense, data, 1e-3)
+    shape = (R.dim, columns) if columns else (R.dim,)
     counts = data.draw(arrays(np.int64, shape, elements=st.sampled_from([0, 0, 1, 50])))
     counts = counts.astype(float)
     assume(counts.sum(axis=0).all())
 
-    for m in (counts, counts * (1e-310 / counts.sum(axis=0))):
+    for m, floored in ((counts, False), (counts * (1e-310 / counts.sum(axis=0)), True)):
         kept = m.copy()
         fixed, guarded = (outcome(f, m, R, iterations) for f in (ibu_unfold, guarded_ibu))
         if isinstance(guarded, str):
             assert fixed == guarded
         else:
-            assert np.array_equal(fixed, guarded)
+            if floored:
+                assert np.array_equal(fixed, guarded)
+            else:
+                assert_flushed(fixed, guarded, flush_cutoff(m, R))
             assert not np.shares_memory(fixed, m)
         # the loop writes in place, but never into the caller's counts
         assert np.array_equal(m, kept)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(dense=st.booleans(), columns=st.integers(0, 3), iterations=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_ibu_zeroes_only_entries_that_move_no_fold(dense, columns, iterations, seed, data):
+    # Past the flush every fold is bit for bit the unflushed one, so the kept
+    # entries are too.  So is the value o . t / sum(t) of an observable, unless
+    # it is made of zeroed entries alone: an observable weighing only bins IBU
+    # has emptied can read 0 where it read 1e-182, never more than
+    # dim * max|o| * 2**-600 apart.
+    R = draw_positive_response(dense, data, 1e-4)
+    shape = (R.dim, columns) if columns else (R.dim,)
+    counts = data.draw(arrays(np.int64, shape, elements=st.sampled_from([0, 0, 1, 50, 10 ** 5])))
+    counts = counts.astype(float)
+    assume(counts.sum(axis=0).all())
+
+    fixed, guarded = ibu_unfold(counts, R, iterations), guarded_ibu(counts, R, iterations)
+    assert_flushed(fixed, guarded, flush_cutoff(counts, R))
+    tiny = np.finfo(np.float64).tiny
+    assert not np.any((fixed != 0) & (fixed < tiny))
+    for o in (np.arange(R.dim, dtype=float), np.random.default_rng(seed).normal(size=R.dim)):
+        value, reference = (o @ t / t.sum(axis=0) for t in (fixed, guarded))
+        negligible = R.dim * np.abs(o).max() * 2.0 ** -600
+        assert np.all(np.abs(value - reference) <= negligible)
+        meaningful = np.abs(reference) > 2.0 ** 100 * negligible
+        assert np.array_equal(value[meaningful], reference[meaningful])
+
+
+def test_the_wide_8q_symmetrized_cell_ends_without_subnormals(monkeypatch):
+    # The benchmark's 8-qubit model at 20 repetitions: the symmetrized cell's
+    # (256, 40) counts, caught on their way to the unfolder.  Unflushed, 100
+    # iterations leave well over a hundred subnormal entries.
+    import readout_rebalance.rebalance as rebalance
+    from readout_rebalance.harness import ExperimentConfig, run_experiment
+
+    cells = []
+    unfold = rebalance.apply_unfold
+    monkeypatch.setattr(rebalance, "apply_unfold",
+                        lambda counts, *args: cells.append(counts.copy()) or unfold(counts, *args))
+    config = ExperimentConfig(
+        eps01=[float(x) for x in np.linspace(0.0020, 0.0036, 8)],
+        eps10=[float(x) for x in np.linspace(0.065, 0.080, 8)],
+        repetitions=20, strategies=["symmetrized"], unfold_method="ibu", rng_seed=1,
+    )
+    run_experiment(config)
+    [counts] = cells
+    R = config.response_matrix()
+    assert counts.shape == (256, 40)
+    tiny = np.finfo(np.float64).tiny
+
+    def subnormal(t):
+        return np.count_nonzero((t != 0) & (t < tiny))
+
+    assert subnormal(guarded_ibu(counts, R, 100)) > 100
+    assert subnormal(ibu_unfold(counts, R)) == 0
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("method", ["matrix_inversion", "ibu"])
+def test_unfolding_does_not_depend_on_the_counts_layout(n, method):
+    # counts drawn as multinomial rows and transposed are Fortran-ordered
+    R = make_response(np.linspace(0.002, 0.0036, n), np.linspace(0.065, 0.08, n))
+    probs = R.entries @ inverted_w_dist(n).probs
+    fortran = np.random.default_rng(2).multinomial(10 ** 5, probs, size=100).T.astype(float)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    config = UnfoldConfig(method)
+    assert np.array_equal(apply_unfold(fortran, R, config),
+                          apply_unfold(np.ascontiguousarray(fortran), R, config))
+
+
+@pytest.mark.parametrize("shape", [(32,), (32, 100)])
+def test_ibu_with_an_estimated_matrix_matches_its_saved_copy(tmp_path, shape):
+    # estimate_response divides transposed draws; the copy read back from its
+    # file is C-ordered, and the two must unfold alike
+    R = estimate_response(make_response([0.01] * 5, [0.07] * 5), 5000, 3)
+    save_response(R, tmp_path / "estimate.json")
+    loaded = load_response(tmp_path / "estimate.json")
+    assert np.array_equal(R.entries, loaded.entries)
+    counts = np.random.default_rng(4).integers(0, 500, shape).astype(float)
+    assert np.array_equal(ibu_unfold(counts, R), ibu_unfold(counts, loaded))
 
 
 def test_ibu_holds_at_most_four_arrays_of_the_counts_size():
