@@ -345,6 +345,9 @@ def xor_permute(values, masks):
     """
     values, n = _width(values)
     masks = np.asarray(masks)
+    if not masks.size:
+        # numpy types an empty list as float64; no masks at all are integers
+        masks = masks.astype(np.intp)
     if masks.dtype.kind not in "iu" or masks.ndim > 1:
         raise ValidationError(f"flip masks must be one integer or one per column, got {masks!r}")
     if masks.ndim == 1 and values.shape[1:] != masks.shape:

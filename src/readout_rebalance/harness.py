@@ -58,9 +58,10 @@ from .states import (
     grover_dist,
     inverted_w_dist,
 )
-from .rebalance import STRATEGIES, MeasurementPlan, stream_words
+from .rebalance import _SPAWN_KEYS, STRATEGIES, MeasurementPlan, stream_words
 from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
+    _MAX_CELL_BYTES,
     TwoQubitModel,
     _check_repetitions,
     appendix_a_exact_variances,
@@ -342,19 +343,24 @@ def run_experiment(config):
     paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(len(rows)) for plan in plans]
     seeds = _seed_states(config.rng_seed, paths)[:, 0].tolist()
     cells = [replace(plan, rng_seed=seed) for plan, seed in zip(plans * len(rows), seeds)]
-    # every cell's stream words in a few hash calls; each cell builds its own streams
-    words = stream_words(cells, range(config.repetitions))
+    # a block of whole rows' stream words (32 B a stream) in a few hash calls,
+    # at most one cell's bound of them at once; each cell builds its own streams
+    reps = range(config.repetitions)
+    row_bytes = 32 * len(reps) * sum(len(_SPAWN_KEYS[plan.strategy]) for plan in plans)
+    per_block = len(plans) * max(_MAX_CELL_BYTES // row_bytes, 1)
     results = []
     negative_flags = {}
-    for at, (plan, cell_words) in enumerate(zip(cells, words)):
-        label, mu, dist, observable, obs_label = rows[at // len(plans)]
-        res = ensemble_run(
-            dist, response, plan, observable, config.repetitions,
-            observable_label=obs_label, words=cell_words,
-        )
-        results.append((label, mu, res))
-        key = label if mu is None else f"{label}@mu={mu!r}"
-        negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
+    for start in range(0, len(cells), per_block):
+        block = cells[start:start + per_block]
+        for at, (plan, cell_words) in enumerate(zip(block, stream_words(block, reps)), start):
+            label, mu, dist, observable, obs_label = rows[at // len(plans)]
+            res = ensemble_run(
+                dist, response, plan, observable, config.repetitions,
+                observable_label=obs_label, words=cell_words,
+            )
+            results.append((label, mu, res))
+            key = label if mu is None else f"{label}@mu={mu!r}"
+            negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
 
     manifest = {
         "rng_seed": config.rng_seed,

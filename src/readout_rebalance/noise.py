@@ -50,12 +50,18 @@ def _check_dense(n_qubits):
 class ResponseMatrix:
     """2^n x 2^n column-stochastic readout transition matrix R.
 
-    ``ResponseMatrix(entries, column_sum_atol)`` checks and keeps a dense
-    matrix, n read from ``len(entries)``.  A tensor model, which only
-    :func:`build_tensor_response` makes, keeps its per-qubit pairs and the
-    :attr:`kron_factors` built from them, and forms its dense
-    :attr:`entries` only when something reads them.  Either kind is
-    read-only and compares and hashes by identity.
+    R is held as ``kron_factors``, its Kronecker factors, outermost first,
+    read-only and set when it is made; :func:`_kron_apply` applies them,
+    for sampling and unfolding alike.  ``ResponseMatrix(entries,
+    column_sum_atol)`` checks and keeps a dense matrix, n read from
+    ``len(entries)``, which is its own one factor, ``(entries,)``.  A
+    tensor model, which only :func:`build_tensor_response` makes, keeps its
+    per-qubit pairs and the factors built from them: from 7 qubits up
+    ``(hi, lo)``, each the fold of its own pairs, ``hi`` on the high
+    ``ceil(n/2)`` qubits and ``lo`` on the low ``floor(n/2)``; below, the
+    one fold of all its pairs, where dense products are as fast.  It forms
+    its dense :attr:`entries` only when something reads them.  Either kind
+    is read-only and compares and hashes by identity.
     """
 
     # the per-qubit pairs of a tensor model, which its factors and entries
@@ -89,7 +95,7 @@ class ResponseMatrix:
                 f"column {col} sums to {sums[col]!r}, expected 1 within {column_sum_atol}"
             )
         entries.flags.writeable = False
-        vars(self).update(entries=entries, column_sum_atol=column_sum_atol)
+        vars(self).update(entries=entries, kron_factors=(entries,), column_sum_atol=column_sum_atol)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a ResponseMatrix is read-only: cannot set {name!r}")
@@ -111,32 +117,6 @@ class ResponseMatrix:
         entries = _kron_channels(self.qubit_params)
         entries.flags.writeable = False
         return entries
-
-    @cached_property
-    def kron_factors(self):
-        """R's Kronecker factors, outermost first: ``(hi, lo)`` or ``(entries,)``.
-
-        A tensor model from 7 qubits up has two, each the fold of its own
-        pairs: ``hi`` acts on the high ``ceil(n/2)`` qubits and ``lo`` on the
-        low ``floor(n/2)``.  A narrower one has one, the fold of all its
-        pairs, where dense products are as fast; any other matrix is its
-        own one factor, its entries.  A tensor model builds them when it is
-        made, a dense matrix on first use; either keeps them, read-only,
-        and :func:`_kron_apply` applies them, for sampling and unfolding
-        alike.
-        """
-        pairs = self.qubit_params
-        if pairs is None:
-            return (self.entries,)
-        if len(pairs) < _MIN_FACTORED_QUBITS:
-            factors = (_kron_channels(pairs),)
-        else:
-            half = len(pairs) // 2
-            factors = _kron_channels(pairs[half:]), _kron_channels(pairs[:half])
-        for factor in factors:
-            # kept with the matrix: a write would reach every later unfold
-            factor.flags.writeable = False
-        return factors
 
     @cached_property
     def condition_number(self):
@@ -169,8 +149,7 @@ class ResponseMatrix:
 
     @property
     def dim(self):
-        pairs = self.qubit_params
-        return len(self.entries) if pairs is None else 2 ** len(pairs)
+        return math.prod(len(f) for f in self.kron_factors)
 
     @property
     def n_qubits(self):
@@ -213,9 +192,9 @@ def build_tensor_response(params):
 
     Qubit 0 is the least significant index bit, so the full matrix is the
     Kronecker product with qubit n-1 outermost.  The model keeps its pairs
-    and builds its :attr:`~ResponseMatrix.kron_factors` now; its dense
+    and the ``kron_factors`` built here from them; its dense
     :attr:`~ResponseMatrix.entries` are formed only if something reads
-    them.  They skip the dense checks, which a Kronecker product of checked
+    them.  Both skip the dense checks, which a Kronecker product of checked
     column-stochastic 2x2 channels passes by construction.
     """
     params = tuple(params)
@@ -225,10 +204,17 @@ def build_tensor_response(params):
         if not isinstance(p, QubitNoiseParams):
             raise ValidationError(f"qubit {i}: expected QubitNoiseParams, got {p!r}")
     _check_dense(len(params))
+    if len(params) < _MIN_FACTORED_QUBITS:
+        factors = (_kron_channels(params),)
+    else:
+        half = len(params) // 2
+        factors = _kron_channels(params[half:]), _kron_channels(params[:half])
+    for factor in factors:
+        # kept with the matrix: a write would reach every later unfold
+        factor.flags.writeable = False
     response = object.__new__(ResponseMatrix)
-    vars(response).update(column_sum_atol=COLUMN_SUM_ATOL, qubit_params=params)
-    # built now, so that the first cell to use the model does not pay for them
-    response.kron_factors
+    vars(response).update(
+        qubit_params=params, kron_factors=factors, column_sum_atol=COLUMN_SUM_ATOL)
     return response
 
 

@@ -117,10 +117,10 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     """Run a plan once per repetition index and correct all the runs in one batch.
 
     This is the engine behind every strategy, from a single run to a whole
-    ensemble, and with :func:`stream_words` the one place that picks random
-    streams.  Run r is a list
-    of readout segments, each a flip mask and a shot count drawn from one
-    stream ``rng_stream(plan.rng_seed, r, spawn_key=key)``:
+    ensemble.  Its streams follow from the plan's seed, which ``run``
+    derives per cell, and their state words from :func:`stream_words`.
+    Run r is a list of readout segments, each a flip mask and a shot count
+    drawn from one stream ``rng_stream(plan.rng_seed, r, spawn_key=key)``:
 
     - nominal: ``[(0, N)]`` with key ``()``;
     - symmetrized: ``[(0, N // 2), (full, N - N // 2)]`` with keys ``(0,)``

@@ -101,6 +101,8 @@ def test_xor_permute_takes_every_integer_mask_dtype(dtype):
     masks = np.array([0, 5, 7])
     assert np.array_equal(xor_permute(values, masks.astype(dtype)), xor_permute(values, masks))
     assert np.array_equal(xor_permute(values[:, 0], dtype(6)), xor_permute(values[:, 0], 6))
+    # an empty list, which numpy types as float64, is one mask per column of none
+    assert xor_permute(np.zeros((4, 0)), []).shape == (4, 0)
 
 
 def test_xor_permute_involution(rng):

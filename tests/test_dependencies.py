@@ -85,10 +85,10 @@ def test_no_module_seeds_through_numpys_seed_sequence():
     assert not used
 
 
-# ResponseMatrix.kron_factors is the one place that decides between R's dense
-# entries and its Kronecker factors, and noise._kron_apply the one function
-# that applies R: the engine and the harness that drives it take whatever
-# tuple kron_factors gives, and a tensor model forms no dense matrix for them
+# A ResponseMatrix holds its Kronecker factors from construction, and
+# noise._kron_apply is the one function that applies R: the engine and the
+# harness that drives it take whatever tuple kron_factors holds, and a tensor
+# model forms no dense matrix for them
 NOISE = ROOT / "src" / "readout_rebalance" / "noise.py"
 ENGINE = [NOISE.with_name(name) for name in ("unfold.py", "rebalance.py", "harness.py")]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
@@ -137,6 +137,17 @@ def test_inversion_multiplies_by_kept_inverse_factors():
     assert uses == {path.name: int(path == NOISE) for path in MODULES}
     (inverse,) = [node for name, node in functions(NOISE) if name == "inverse_factors"]
     assert "inv" in set(named(inverse))
+
+
+def test_only_build_tensor_response_reads_the_factoring_threshold():
+    # a tensor model's factors are chosen where it is built, and nowhere else
+    threshold = "_MIN_FACTORED_QUBITS"
+    (builder,) = [node for name, node in functions(NOISE) if name == "build_tensor_response"]
+    reads = list(named(builder)).count(threshold)
+    assert reads
+    # noise.py names it once more, where it is set
+    uses = {path.name: list(named(path)).count(threshold) for path in MODULES}
+    assert uses == {path.name: (1 + reads) * (path == NOISE) for path in MODULES}
 
 
 def test_no_module_tests_the_factors_against_none():

@@ -6,6 +6,7 @@ Its results are held to dense references written here, not to the package's
 dense path; its draws are held to those of the dense fold ``R @ p``.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -36,6 +37,33 @@ def assert_dense(R):
     """R is its own single factor, the entries themselves."""
     assert len(R.kron_factors) == 1
     assert R.kron_factors[0] is R.entries
+
+
+def loaded(R, path):
+    """R written by ``save_response`` and read back by ``load_response``."""
+    save_response(R, path)
+    return load_response(path)
+
+
+# every way a matrix is made, from a path it may write and read back
+MATRIX_KINDS = {
+    "dense": lambda path: ResponseMatrix(make_response(EPS01[:3], EPS10[:3]).entries),
+    "estimate": lambda path: estimate_response(make_response(EPS01[:3], EPS10[:3]), 100, 5),
+    "entries file": lambda path: loaded(ResponseMatrix(np.eye(4)), path),
+    **{f"tensor {n}q": (lambda path, n=n: make_response(EPS01[:n], EPS10[:n]))
+       for n in range(1, 12)},
+    "pairs file": lambda path: loaded(make_response(EPS01[:8], EPS10[:8]), path),
+}
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_every_matrix_holds_its_factors_from_construction(tmp_path, kind):
+    # no kind decides on first read which factors it has
+    R = MATRIX_KINDS[kind](tmp_path / "cal.json")
+    assert "kron_factors" in vars(R)
+    assert R.dim == math.prod(len(f) for f in R.kron_factors)
+    if R.qubit_params is None:
+        assert_dense(R)
 
 
 def column_stochastic(off):

@@ -32,12 +32,18 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # wide_8q's 8-qubit tensor model: eps01 from 0.0020 to 0.0036, eps10 from
 # 0.065 to 0.080, evenly spaced
-EPS_8Q = [
-    "--eps01", "0.002,0.0022285714285714287,0.002457142857142857,0.0026857142857142856,"
-    "0.0029142857142857143,0.0031428571428571426,0.0033714285714285712,0.0036",
-    "--eps10", "0.065,0.06714285714285714,0.06928571428571428,0.07142857142857142,"
-    "0.07357142857142858,0.07571428571428572,0.07785714285714286,0.08",
-]
+EPS01_8Q = ["0.002", "0.0022285714285714287", "0.002457142857142857", "0.0026857142857142856",
+            "0.0029142857142857143", "0.0031428571428571426", "0.0033714285714285712", "0.0036"]
+EPS10_8Q = ["0.065", "0.06714285714285714", "0.06928571428571428", "0.07142857142857142",
+            "0.07357142857142858", "0.07571428571428572", "0.07785714285714286", "0.08"]
+
+
+def eps_args(n):
+    """``--eps01``/``--eps10`` for the first ``n`` qubits of wide_8q's model."""
+    return ["--eps01", ",".join(EPS01_8Q[:n]), "--eps10", ",".join(EPS10_8Q[:n])]
+
+
+EPS_8Q = eps_args(8)
 UNFOLDERS = ("matrix_inversion", "ibu")
 
 # output directory -> the command that writes it
@@ -54,6 +60,13 @@ COMMANDS = {
     **{
         f"wide_8q_{method}": ["run", *EPS_8Q, "--unfold-method", method, "--repetitions", "50"]
         for method in UNFOLDERS
+    },
+    # either side of noise._MIN_FACTORED_QUBITS: one Kronecker factor at 6
+    # qubits, two at 7
+    **{
+        f"tensor_{n}q_{method}": ["run", *eps_args(n), "--unfold-method", method,
+                                  "--repetitions", "50"]
+        for n in (6, 7) for method in UNFOLDERS
     },
     "calibrate_5q": ["calibrate"],
     "calibrate_5q_shots": ["calibrate", "--shots-per-state", "2000"],

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readout_rebalance import core
+from readout_rebalance import core, harness
 from readout_rebalance.core import ValidationError, rng_stream
 from readout_rebalance.noise import default_response, estimate_response
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
-from readout_rebalance.analytics import ensemble_run
+from readout_rebalance.analytics import _MAX_CELL_BYTES, EnsembleResult, ensemble_run
 from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan, stream_words
 from readout_rebalance.states import inverted_w_dist
 
@@ -140,6 +140,34 @@ def test_a_run_hashes_once_for_the_cell_seeds_and_once_per_key_set(monkeypatch):
     # the 9 cell seeds, then the streams of the 3 nominal cells (key ()) and of
     # the 6 others (keys (0,) and (1,)); every cell seed here has two words
     assert calls == [9, 3 * 4, 6 * 2 * 4]
+
+
+def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
+    # a row's 5 keys x 65536 repetitions x 32 B are 10 MiB of words, so the
+    # three rows at once would be 30 MiB; the cells themselves are stubbed,
+    # as the benchmark's cell log stubs them
+    held, last = [], []
+
+    def recorded(plans, repetitions):
+        words = stream_words(plans, repetitions)
+        held.append(sum(block.nbytes for block in words))
+        return words
+
+    def cell(dist, response, plan, observable, repetitions, observable_label, words):
+        last.append((plan, words[:, -1]))
+        return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
+
+    monkeypatch.setattr(harness, "stream_words", recorded)
+    monkeypatch.setattr(harness, "ensemble_run", cell)
+    config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
+                              repetitions=2 ** 16, unfold_method="matrix_inversion")
+    results, _ = run_experiment(config)
+    assert len(results) == 3 * len(STRATEGIES)
+    assert sum(held) == 3 * 5 * 2 ** 16 * 32
+    assert max(held) <= _MAX_CELL_BYTES
+    # and each cell still gets its own streams, whichever block hashed them
+    for plan, words in last:
+        assert np.array_equal(words, plan_words(plan, [2 ** 16 - 1])[:, 0])
 
 
 def plan_words(plan, repetitions):
