@@ -172,7 +172,7 @@ def _seed_states(seeds, paths, *spawn_keys):
     entries may be any non-negative integers and a path entry must fit in
     one word; else ``ValidationError`` is raised before anything is hashed.
     The keys share the entropy rows, so they must have the same number of
-    32-bit words, as the keys of one strategy do.
+    32-bit words, as the keys of one plan do.
     """
     if np.ndim(seeds) == 0:
         seeds = [seeds]

@@ -58,7 +58,7 @@ from .states import (
     grover_dist,
     inverted_w_dist,
 )
-from .rebalance import _SPAWN_KEYS, STRATEGIES, MeasurementPlan, stream_words
+from .rebalance import STRATEGIES, MeasurementPlan, stream_words
 from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
     _MAX_CELL_BYTES,
@@ -346,7 +346,7 @@ def run_experiment(config):
     # a block of whole rows' stream words (32 B a stream) in a few hash calls,
     # at most one cell's bound of them at once; each cell builds its own streams
     reps = range(config.repetitions)
-    row_bytes = 32 * len(reps) * sum(len(_SPAWN_KEYS[plan.strategy]) for plan in plans)
+    row_bytes = 32 * len(reps) * sum(len(plan.stream_shots) for plan in plans)
     per_block = len(plans) * max(_MAX_CELL_BYTES // row_bytes, 1)
     results = []
     negative_flags = {}

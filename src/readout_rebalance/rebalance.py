@@ -19,17 +19,15 @@ from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
-# the spawn keys of each strategy's streams (see run_plan)
-_SPAWN_KEYS = {"nominal": ((),), "rebalanced": ((0,), (1,)), "symmetrized": ((0,), (1,))}
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Shot budget and strategy for one measurement run.
 
-    ``pilot_fraction`` of the budget goes to the mask-choosing pilot when
-    the strategy is "rebalanced"; pilot shots are spent from the total and
-    excluded from the returned histogram.
+    The strategy splits the budget into readout streams, :attr:`stream_shots`, of a
+    shot or more each.  A rebalanced plan's first is its mask-choosing pilot,
+    ``pilot_fraction`` of the budget, which is left out of the returned histogram.
     """
 
     total_shots: int
@@ -49,17 +47,22 @@ class MeasurementPlan:
             raise ValidationError(f"unfold must be an UnfoldConfig, got {self.unfold!r}")
         if not 0.0 < _check_real(self.pilot_fraction, "pilot_fraction") < 1.0:
             raise ValidationError("pilot_fraction must lie strictly between 0 and 1")
-        if self.strategy == "rebalanced" and not 1 <= self.pilot_shots < self.total_shots:
-            raise ValidationError(
-                "rebalanced strategy needs at least one pilot shot and one main shot; "
-                "change total_shots or pilot_fraction"
-            )
-        if self.strategy == "symmetrized" and self.total_shots < 2:
-            raise ValidationError("symmetrized strategy needs at least 2 shots")
+        if min(self.stream_shots) < 1:
+            raise ValidationError(f"every readout stream needs a shot, got {self.stream_shots}; "
+                                  "change total_shots or pilot_fraction")
 
     @property
     def pilot_shots(self):
         return int(round(float(self.pilot_fraction) * self.total_shots))
+
+    @property
+    def stream_shots(self):
+        """The shots of each readout stream of one run, in draw order: all N for nominal,
+        the pilot and the rest for rebalanced, ``N // 2`` and the rest for symmetrized."""
+        if self.strategy == "nominal":
+            return (self.total_shots,)
+        first = self.pilot_shots if self.strategy == "rebalanced" else self.total_shots // 2
+        return first, self.total_shots - first
 
 
 def choose_flip_mask(pilots):
@@ -92,23 +95,27 @@ def _indices(repetitions):
 def stream_words(plans, repetitions):
     """The ``PCG64`` state words of :func:`run_plan`'s streams, for many plans at once.
 
-    Returns one ``(len(keys), len(repetitions), 4)`` uint64 block per plan,
-    row ``[j, i]`` the state of ``rng_stream(plan.rng_seed, repetitions[i],
-    spawn_key=keys[j])`` for the plan's strategy's keys.  Plans of the same
-    keys go to one :func:`~readout_rebalance.core._seed_states` call, which
+    Returns one ``(len(plan.stream_shots), len(repetitions), 4)`` uint64
+    block per plan, row ``[j, i]`` the state of stream j of run
+    ``repetitions[i]``.  The keys follow from the stream count by numpy's
+    spawn rule: one stream is the root stream ``rng_stream(plan.rng_seed, r)``
+    of key ``()``, and k streams are its k ``spawn`` children, of keys
+    ``(0,)`` to ``(k - 1,)``.  Plans of as many streams go to one
+    :func:`~readout_rebalance.core._seed_states` call, which
     hashes them in a few calls of the package's one seed hash, and the
     repetition indices are checked there before anything is hashed.  They
     must be one flat sequence, one run each, or ``ValidationError`` is
     raised first.
     """
     paths = np.asarray(_indices(repetitions))[:, None]
-    by_keys = {}
+    by_count = {}
     for at, plan in enumerate(plans):
-        by_keys.setdefault(_SPAWN_KEYS[plan.strategy], []).append(at)
+        by_count.setdefault(len(plan.stream_shots), []).append(at)
     words = [None] * len(plans)
-    for keys, members in by_keys.items():
+    for count, members in by_count.items():
+        keys = [(k,) for k in range(count)] if count > 1 else [()]
         states = _seed_states([plans[at].rng_seed for at in members], paths, *keys)
-        for at, block in zip(members, states.reshape(len(members), len(keys), len(paths), 4)):
+        for at, block in zip(members, states.reshape(len(members), count, len(paths), 4)):
             words[at] = block
     return words
 
@@ -119,15 +126,12 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     This is the engine behind every strategy, from a single run to a whole
     ensemble.  Its streams follow from the plan's seed, which ``run``
     derives per cell, and their state words from :func:`stream_words`.
-    Run r is a list of readout segments, each a flip mask and a shot count
-    drawn from one stream ``rng_stream(plan.rng_seed, r, spawn_key=key)``:
-
-    - nominal: ``[(0, N)]`` with key ``()``;
-    - symmetrized: ``[(0, N // 2), (full, N - N // 2)]`` with keys ``(0,)``
-      and ``(1,)``, the two children numpy's ``spawn`` makes of the nominal
-      stream;
-    - rebalanced: a pilot of ``plan.pilot_shots`` with key ``(0,)`` chooses
-      the mask, then ``[(mask, N - pilot)]`` with key ``(1,)``.
+    Run r draws ``plan.stream_shots[j]`` shots from its stream j, keyed as
+    :func:`stream_words` says.  Each stream is a readout segment of one flip
+    mask: nominal's one stream and symmetrized's first are read unflipped,
+    symmetrized's second with every qubit flipped.  Rebalanced's first
+    stream is the pilot, which chooses the mask of the second and is not
+    kept.
 
     ``words`` holds the streams' ``PCG64`` state words, the block
     :func:`stream_words` makes for this plan and these repetitions; without
@@ -148,24 +152,20 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     run as an integer array (``None`` for nominal).
     """
     repetitions = _indices(repetitions)
-    reps, shots = len(repetitions), plan.total_shots
+    reps, shots = len(repetitions), plan.stream_shots
     if words is None:
         [words] = stream_words([plan], repetitions)
-    shape = (len(_SPAWN_KEYS[plan.strategy]), reps, 4)
+    shape = (len(shots), reps, 4)
     got = (words.dtype, words.shape) if isinstance(words, np.ndarray) else type(words)
     if got != (np.uint64, shape):
         raise ValidationError(f"stream words must be a uint64 array of shape {shape}, got {got}")
     streams = _generators(words)
-    if plan.strategy == "nominal":
-        masks, segments = None, [(0, shots, streams[0])]
-    elif plan.strategy == "symmetrized":
-        full = response.dim - 1
-        masks = np.full(reps, full)
-        segments = [(0, shots // 2, streams[0]), (full, shots - shots // 2, streams[1])]
+    if plan.strategy == "rebalanced":
+        masks = choose_flip_mask(sample_measured(true_dist, response, shots[0], streams[0]))
+        segments = [(masks, shots[1], streams[1])]
     else:
-        pilots = sample_measured(true_dist, response, plan.pilot_shots, streams[0])
-        masks = choose_flip_mask(pilots)
-        segments = [(masks, shots - plan.pilot_shots, streams[1])]
+        segments = list(zip((0, response.dim - 1), shots, streams))
+        masks = np.full(reps, response.dim - 1) if len(segments) > 1 else None
     # the stacked counts live only through the unfold
     unfolded = apply_unfold(
         np.concatenate([sample_measured(true_dist, response, n, s, m) for m, n, s in segments],

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from readout_rebalance.rebalance import STRATEGIES
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "readout_rebalance").glob("*.py"))
 
@@ -211,3 +213,49 @@ def test_every_function_has_a_caller():
         and qualified not in CALLED_FROM_OUTSIDE
     }
     assert not uncalled
+
+
+# a plan states its own split into readout streams, MeasurementPlan.stream_shots,
+# and every other layer reads the split from there: the harness through the
+# public API, run_plan branching on the strategy only where a pilot chooses masks
+REBALANCE = NOISE.with_name("rebalance.py")
+HARNESS = NOISE.with_name("harness.py")
+
+
+def test_the_harness_imports_no_private_name_of_rebalance():
+    tree = ast.parse(HARNESS.read_text(), filename=str(HARNESS))
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rebalance"
+        for alias in node.names
+    }
+    assert "MeasurementPlan" in imported
+    assert not {name for name in imported if name.startswith("_")}
+
+
+def strategy_strings(node):
+    """Every string constant under one parsed node that is a strategy's name;
+    a docstring is never just a name, so none is counted."""
+    return [c for c in ast.walk(node) if isinstance(c, ast.Constant) and c.value in STRATEGIES]
+
+
+def test_only_the_split_and_the_pilot_name_a_strategy():
+    # and the table of names and the plan's default, which state no rule
+    tree = ast.parse(REBALANCE.read_text(), filename=str(REBALANCE))
+    (table,) = [
+        node for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["STRATEGIES"]
+    ]
+    (plan,) = [node for node in tree.body if getattr(node, "name", None) == "MeasurementPlan"]
+    fields = [node for node in plan.body if isinstance(node, ast.AnnAssign)]
+    (split,) = [node for node in plan.body if getattr(node, "name", None) == "stream_shots"]
+    (engine,) = [node for node in tree.body if getattr(node, "name", None) == "run_plan"]
+    branches = [node for node in ast.walk(engine)
+                if isinstance(node, ast.If) and strategy_strings(node.test)]
+    allowed = {*strategy_strings(table), *strategy_strings(split)}
+    allowed.update(c for node in fields + [b.test for b in branches] for c in strategy_strings(node))
+    elsewhere = [f"line {c.lineno}: {c.value}" for c in strategy_strings(tree) if c not in allowed]
+    assert not elsewhere
+    # run_plan's one strategy branch is the pilot's, which chooses the masks
+    assert [[c.value for c in strategy_strings(b.test)] for b in branches] == [["rebalanced"]]
+    assert "choose_flip_mask" in {name for stmt in branches[0].body for name in named(stmt)}

@@ -57,6 +57,12 @@ COMMANDS = {
                                      "--unfold-method", method, "--repetitions", "100"]
         for method in UNFOLDERS
     },
+    # the sweep at paper scale, the default 1000 repetitions
+    **{
+        f"gaussian_sweep_paper_{method}": ["run", "--experiment", "gaussian_sweep",
+                                           "--unfold-method", method]
+        for method in UNFOLDERS
+    },
     **{
         f"wide_8q_{method}": ["run", *EPS_8Q, "--unfold-method", method, "--repetitions", "50"]
         for method in UNFOLDERS

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from readout_rebalance.core import (
     ProbDist,
@@ -11,9 +12,11 @@ from readout_rebalance.core import (
 )
 from readout_rebalance.noise import ResponseMatrix, sample_measured
 from readout_rebalance.rebalance import (
+    STRATEGIES,
     MeasurementPlan,
     choose_flip_mask,
     run_plan,
+    stream_words,
 )
 from readout_rebalance.states import inverted_w_dist
 from readout_rebalance.unfold import (
@@ -68,6 +71,39 @@ def test_plan_validation():
         MeasurementPlan(total_shots=100, rng_seed=-1)
     with pytest.raises(ValidationError, match="rng_seed must be an integer"):
         MeasurementPlan(total_shots=100, rng_seed=2.5)
+
+
+def builds_by_strategy_rules(total_shots, strategy, pilot_fraction):
+    """Whether a plan of these numbers is valid, by one shot rule per strategy."""
+    if strategy == "rebalanced":
+        return 1 <= int(round(pilot_fraction * total_shots)) < total_shots
+    if strategy == "symmetrized":
+        return total_shots >= 2
+    return True
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    total_shots=st.integers(1, 10 ** 6),
+    strategy=st.sampled_from(STRATEGIES),
+    pilot_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_a_plan_builds_exactly_when_every_stream_gets_a_shot(total_shots, strategy,
+                                                              pilot_fraction):
+    # the one rule of the plan agrees with the strategy-by-strategy rules
+    builds = builds_by_strategy_rules(total_shots, strategy, pilot_fraction)
+    try:
+        plan = MeasurementPlan(total_shots, strategy, pilot_fraction)
+    except ValidationError:
+        assert not builds
+        return
+    assert builds
+    shots = plan.stream_shots
+    assert sum(shots) == total_shots and min(shots) >= 1
+    assert len(shots) == (1 if strategy == "nominal" else 2)
+    if strategy == "rebalanced":
+        assert shots[0] == plan.pilot_shots
+    assert stream_words([plan], range(3))[0].shape[0] == len(shots)
 
 
 @pytest.mark.parametrize("unfold", ["ibu", None, {"method": "ibu"}])
