@@ -7,14 +7,16 @@ inflates the variance of every state that can exchange counts with another,
 which is the whole motivation for rebalancing toward the ground state.
 """
 
+import itertools
 import math
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count, _check_real
+from .core import _seed_states
 from .noise import build_tensor_response
-from .rebalance import run_plan
+from .rebalance import STRATEGIES, run_plan, stream_words
 
 # Largest (2**n, repetitions) float64 counts array of one ensemble cell.  IBU
 # sets the engine's peak: its counts, iterate, fold and product, twice over for
@@ -178,6 +180,22 @@ def std_err_of_std(std, repetitions):
 
 def _check_repetitions(repetitions):
     return _check_count(repetitions, "repetitions", least=2, most=_MAX_CELL_REPETITIONS)
+
+
+def cell_streams(seed, rows, plans, repetitions):
+    """``(cells, words)`` of ``rows`` rows of ``plans``: each cell's plan, seeded with word 0
+    of the path ``(row, STRATEGIES.index(plan.strategy))`` so that it draws alike in any list
+    of strategies, and an iterator over the cells' ``stream_words`` blocks in turn, hashed a
+    block of whole rows at a time within ``_MAX_CELL_BYTES``."""
+    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(rows) for plan in plans]
+    seeds = _seed_states(seed, paths)[:, 0].tolist()
+    cells = [replace(plan, rng_seed=s) for plan, s in zip(plans * rows, seeds)]
+    # 32 B a stream, at least one row a block; chain drops a block before it hashes the next
+    row_bytes = 32 * repetitions * sum(len(plan.stream_shots) for plan in plans)
+    per_block = len(plans) * max(_MAX_CELL_BYTES // row_bytes, 1)
+    return cells, itertools.chain.from_iterable(
+        stream_words(cells[at:at + per_block], range(repetitions))
+        for at in range(0, len(cells), per_block))
 
 
 def ensemble_run(

@@ -154,6 +154,24 @@ def _state_words(entropy):
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+def _path_entries(paths):
+    """``paths``, refused unless every entry is an integer of one 32-bit word: a
+    ``range`` as it is, checked by its two ends, anything else as an array."""
+    if isinstance(paths, range):
+        lo, hi = sorted((paths[0], paths[-1])) if paths else (0, 0)
+    else:
+        paths = np.asarray(paths)
+        # numpy has no min or max of text or of mixed objects
+        if paths.size and paths.dtype.kind not in "iu":
+            raise ValidationError(f"path entries must be integers between 0 and {_MASK32}, "
+                                  f"got {paths.dtype} entries")
+        lo, hi = (paths.min(), paths.max()) if paths.size else (0, 0)
+    if not 0 <= lo <= hi <= _MASK32:
+        raise ValidationError(f"path entries must be integers between 0 and {_MASK32}, "
+                              f"got {lo!r} to {hi!r}")
+    return paths
+
+
 def _seed_states(seeds, paths, *spawn_keys):
     """State words of the seed sequence of each seed, each index path and each spawn key.
 
@@ -166,11 +184,11 @@ def _seed_states(seeds, paths, *spawn_keys):
     gives the rows of ``s = 0``.  This is the package's one entropy
     assembly, done as numpy does it: the seed's 32-bit words, one word per
     path entry, zero-padded to the pool size before a non-empty spawn key.
-    Seeds of the same word count are hashed together, in
-    :func:`_state_words` calls of at most ``_MAX_HASH_COLUMNS`` columns;
-    a seed with more streams than that is hashed alone.  The seed and key
-    entries may be any non-negative integers and a path entry must fit in
-    one word; else ``ValidationError`` is raised before anything is hashed.
+    Every :func:`_state_words` call spans at most ``_MAX_HASH_COLUMNS``
+    columns, unless one path has more keys: seeds of the same word count are
+    hashed together, a seed of more streams in slices of its paths.  The
+    seed and key entries may be any non-negative integers and a path entry
+    must fit in one word; else ``ValidationError`` is raised before anything is hashed.
     The keys share the entropy rows, so they must have the same number of
     32-bit words, as the keys of one plan do.
     """
@@ -179,33 +197,29 @@ def _seed_states(seeds, paths, *spawn_keys):
     runs = [_uint32_words(seed, "rng seed") for seed in seeds]
     keys = np.array([[w for e in key for w in _uint32_words(e, "spawn key entries")]
                      for key in spawn_keys or [()]], dtype=np.uint32)
-    paths = np.asarray(paths)
-    if paths.size and not (
-        paths.dtype.kind in "iu" and 0 <= paths.min() <= paths.max() <= _MASK32
-    ):
-        raise ValidationError(
-            f"path entries must be integers between 0 and {_MASK32}, "
-            f"got {paths.min()!r} to {paths.max()!r}"
-        )
+    paths = _path_entries(paths)
     (k, depth), (n_keys, width) = paths.shape, keys.shape
-    states = np.empty((len(runs), n_keys * k, 4), dtype=np.uint64)
+    states = np.empty((len(runs), n_keys, k, 4), dtype=np.uint64)
     by_words = {}
     for s, run in enumerate(runs):
         by_words.setdefault(len(run), []).append(s)
     per_call = max(_MAX_HASH_COLUMNS // max(n_keys * k, 1), 1)
+    per_path = max(min(k, _MAX_HASH_COLUMNS // n_keys), 1)
     for n_words, members in by_words.items():
         # the seed's words and the path, then the spawn key after zero padding to the pool
         start = max(n_words + depth, _POOL_SIZE) if width else n_words + depth
         for at in range(0, len(members), per_call):
             batch = members[at:at + per_call]
-            entropy = np.zeros((max(start + width, _POOL_SIZE), len(batch), n_keys, k),
-                               dtype=np.uint32)
-            entropy[:n_words] = np.array([runs[s] for s in batch], dtype=np.uint32).T[
-                ..., None, None]
-            entropy[n_words:n_words + depth] = paths.T[:, None, None]
-            entropy[start:start + width] = keys.T[:, None, :, None]
-            states[batch] = _state_words(entropy.reshape(len(entropy), -1)).reshape(
-                len(batch), n_keys * k, 4)
+            words = np.array([runs[s] for s in batch], dtype=np.uint32).T[..., None, None]
+            for first in range(0, max(k, 1), per_path):
+                part = paths[first:first + per_path]
+                entropy = np.zeros((max(start + width, _POOL_SIZE), len(batch), n_keys, len(part)),
+                                   dtype=np.uint32)
+                entropy[:n_words] = words
+                entropy[n_words:n_words + depth] = part.T[:, None, None]
+                entropy[start:start + width] = keys.T[:, None, :, None]
+                states[batch, :, first:first + len(part)] = _state_words(
+                    entropy.reshape(len(entropy), -1)).reshape(len(batch), n_keys, len(part), 4)
     return states.reshape(-1, 4)
 
 

@@ -39,8 +39,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import (
-    CalibrationFileError, NumericalError, ValidationError, _check_count, _read_json, _seed_states,
-    _uint32_words,
+    CalibrationFileError, NumericalError, ValidationError, _check_count, _read_json, _uint32_words,
 )
 from .noise import (
     QubitNoiseParams,
@@ -58,14 +57,14 @@ from .states import (
     grover_dist,
     inverted_w_dist,
 )
-from .rebalance import STRATEGIES, MeasurementPlan, stream_words
+from .rebalance import STRATEGIES, MeasurementPlan
 from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
-    _MAX_CELL_BYTES,
     TwoQubitModel,
     _check_repetitions,
     appendix_a_exact_variances,
     appendix_a_variances,
+    cell_streams,
     ensemble_run,
     shots_equivalent_fraction,
 )
@@ -338,29 +337,18 @@ def run_experiment(config):
     response = config.response_matrix()
     rows = _experiment_rows(config, response)
 
-    # a cell's seed is state word 0 of the path (row, strategy), the strategy
-    # by its place in STRATEGIES, so a cell draws alike in any strategy list
-    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(len(rows)) for plan in plans]
-    seeds = _seed_states(config.rng_seed, paths)[:, 0].tolist()
-    cells = [replace(plan, rng_seed=seed) for plan, seed in zip(plans * len(rows), seeds)]
-    # a block of whole rows' stream words (32 B a stream) in a few hash calls,
-    # at most one cell's bound of them at once; each cell builds its own streams
-    reps = range(config.repetitions)
-    row_bytes = 32 * len(reps) * sum(len(plan.stream_shots) for plan in plans)
-    per_block = len(plans) * max(_MAX_CELL_BYTES // row_bytes, 1)
+    cells, words = cell_streams(config.rng_seed, len(rows), plans, config.repetitions)
     results = []
     negative_flags = {}
-    for start in range(0, len(cells), per_block):
-        block = cells[start:start + per_block]
-        for at, (plan, cell_words) in enumerate(zip(block, stream_words(block, reps)), start):
-            label, mu, dist, observable, obs_label = rows[at // len(plans)]
-            res = ensemble_run(
-                dist, response, plan, observable, config.repetitions,
-                observable_label=obs_label, words=cell_words,
-            )
-            results.append((label, mu, res))
-            key = label if mu is None else f"{label}@mu={mu!r}"
-            negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
+    for at, plan in enumerate(cells):
+        label, mu, dist, observable, obs_label = rows[at // len(plans)]
+        res = ensemble_run(
+            dist, response, plan, observable, config.repetitions,
+            observable_label=obs_label, words=next(words),
+        )
+        results.append((label, mu, res))
+        key = label if mu is None else f"{label}@mu={mu!r}"
+        negative_flags[f"{key}/{plan.strategy}"] = res.negative_runs
 
     manifest = {
         "rng_seed": config.rng_seed,

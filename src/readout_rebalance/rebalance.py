@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ValidationError, _check_count, _check_real, _generators, _seed_states, _uint32_words,
-    qubit_marginals, xor_permute,
+    ValidationError, _check_count, _check_real, _generators, _path_entries, _seed_states,
+    _uint32_words, qubit_marginals, xor_permute,
 )
 from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
@@ -78,18 +78,20 @@ def choose_flip_mask(pilots):
 
 
 def _indices(repetitions):
-    """The repetition indices, refused unless they are one flat sequence.
+    """The repetition indices, refused unless they are one flat sequence of
+    path entries, each between 0 and 2**32 - 1.
 
-    A ``range``, what ``ensemble_run`` passes, is flat and is returned as it
-    is: making it an array would cost a cell of 40 repetitions about 3 us.
+    A ``range``, what ``ensemble_run`` passes, is checked by its ends and
+    returned as it is: making it an array, or checking it as one, would cost
+    a cell of 40 repetitions about 3 us.
     """
     if isinstance(repetitions, range):
-        return repetitions
+        return _path_entries(repetitions)
     paths = np.asarray(repetitions)
     if paths.ndim != 1:
         raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
                               f"{paths.shape}")
-    return paths
+    return _path_entries(paths)
 
 
 def stream_words(plans, repetitions):
@@ -102,10 +104,10 @@ def stream_words(plans, repetitions):
     of key ``()``, and k streams are its k ``spawn`` children, of keys
     ``(0,)`` to ``(k - 1,)``.  Plans of as many streams go to one
     :func:`~readout_rebalance.core._seed_states` call, which
-    hashes them in a few calls of the package's one seed hash, and the
-    repetition indices are checked there before anything is hashed.  They
-    must be one flat sequence, one run each, or ``ValidationError`` is
-    raised first.
+    hashes them in a few calls of the package's one seed hash.  The
+    repetition indices must be one flat sequence, one run each, of
+    integers between 0 and 2**32 - 1, or ``ValidationError`` is raised
+    before anything is hashed.
     """
     paths = np.asarray(_indices(repetitions))[:, None]
     by_count = {}

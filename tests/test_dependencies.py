@@ -259,3 +259,28 @@ def test_only_the_split_and_the_pilot_name_a_strategy():
     # run_plan's one strategy branch is the pilot's, which chooses the masks
     assert [[c.value for c in strategy_strings(b.test)] for b in branches] == [["rebalanced"]]
     assert "choose_flip_mask" in {name for stmt in branches[0].body for name in named(stmt)}
+
+
+# a run's streams have one owner: analytics.cell_streams seeds the cells and
+# sizes the blocks of their stream words, and the harness only runs the cells
+ANALYTICS = NOISE.with_name("analytics.py")
+
+
+def strategy_index_uses(node):
+    """Every ``STRATEGIES.index`` under one parsed node."""
+    return [
+        n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "index"
+        and isinstance(n.value, ast.Name) and n.value.id == "STRATEGIES"
+    ]
+
+
+def test_only_cell_streams_derives_a_runs_streams():
+    assert not {"_seed_states", "_MAX_CELL_BYTES"} & set(named(HARNESS))
+    (owner,) = [node for name, node in functions(ANALYTICS) if name == "cell_streams"]
+    inside = len(strategy_index_uses(owner))
+    assert inside
+    uses = {
+        path.name: len(strategy_index_uses(ast.parse(path.read_text(), filename=str(path))))
+        for path in MODULES
+    }
+    assert uses == {path.name: inside * (path == ANALYTICS) for path in MODULES}

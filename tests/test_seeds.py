@@ -8,6 +8,7 @@ numpy's ``SeedSequence`` appears here only, as the reference.
 """
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readout_rebalance import core, harness
+from readout_rebalance import analytics, core, harness
 from readout_rebalance.core import ValidationError, rng_stream
 from readout_rebalance.noise import default_response, estimate_response
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
@@ -146,7 +147,7 @@ def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
     # a row's 5 keys x 65536 repetitions x 32 B are 10 MiB of words, so the
     # three rows at once would be 30 MiB; the cells themselves are stubbed,
     # as the benchmark's cell log stubs them
-    held, last = [], []
+    held, own = [], []
 
     def recorded(plans, repetitions):
         words = stream_words(plans, repetitions)
@@ -154,10 +155,12 @@ def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
         return words
 
     def cell(dist, response, plan, observable, repetitions, observable_label, words):
-        last.append((plan, words[:, -1]))
+        # each cell gets its own streams, whichever block hashed them; the
+        # block is compared here, so that no cell's words outlive its call
+        own.append(np.array_equal(words, plan_words(plan, range(repetitions))))
         return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
 
-    monkeypatch.setattr(harness, "stream_words", recorded)
+    monkeypatch.setattr(analytics, "stream_words", recorded)
     monkeypatch.setattr(harness, "ensemble_run", cell)
     config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
                               repetitions=2 ** 16, unfold_method="matrix_inversion")
@@ -165,9 +168,37 @@ def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
     assert len(results) == 3 * len(STRATEGIES)
     assert sum(held) == 3 * 5 * 2 ** 16 * 32
     assert max(held) <= _MAX_CELL_BYTES
-    # and each cell still gets its own streams, whichever block hashed them
-    for plan, words in last:
-        assert np.array_equal(words, plan_words(plan, [2 ** 16 - 1])[:, 0])
+    assert own == [True] * len(results)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_rows_stream_words_peak_near_their_own_bytes():
+    # the 5 keys x 65536 repetitions x 32 B of one 3-strategy row are 10 MiB;
+    # hashing them whole, one seed per call, peaked near three times that
+    plans = [MeasurementPlan(total_shots=500, strategy=strategy, rng_seed=2 ** 40 + i)
+             for i, strategy in enumerate(STRATEGIES)]
+    assert traced_peak(lambda: stream_words(plans, range(2 ** 16))) <= 12 * 2 ** 20
+
+
+def test_a_default_sweep_run_peaks_near_one_rows_stream_words(monkeypatch):
+    # 23 rows of 10 MiB of words each at 65536 repetitions, the cells stubbed:
+    # no block may be held while the next one is hashed
+    def cell(dist, response, plan, observable, repetitions, observable_label, words):
+        return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
+
+    monkeypatch.setattr(harness, "ensemble_run", cell)
+    config = ExperimentConfig(experiment="gaussian_sweep", shots=500, repetitions=2 ** 16,
+                              unfold_method="matrix_inversion")
+    assert traced_peak(lambda: run_experiment(config)) <= 12 * 2 ** 20
 
 
 def plan_words(plan, repetitions):
@@ -199,8 +230,10 @@ def test_stream_words_are_each_plans_own_words(cells, first, reps):
 @pytest.mark.parametrize("strategies, reps, expected_calls", [
     # 30 cells of 80 streams: 25 fit under the 2**11 columns of one call
     (["symmetrized", "rebalanced"] * 15, 40, [25 * 80, 5 * 80]),
-    # a cell of more streams than that is hashed alone
-    (["nominal"] * 3, 2100, [2100] * 3),
+    # a cell of more streams than that is hashed in slices
+    (["nominal"] * 3, 2100, [2048, 52] * 3),
+    # of 1024 paths for two keys
+    (["symmetrized", "nominal"], 2100, [2048, 2048, 104, 2048, 52]),
 ])
 def test_stream_words_batch_at_most_2_11_columns_per_hash_call(
         monkeypatch, strategies, reps, expected_calls):
@@ -212,6 +245,20 @@ def test_stream_words_batch_at_most_2_11_columns_per_hash_call(
     monkeypatch.undo()
     for plan, block in zip(plans, words):
         assert np.array_equal(block, plan_words(plan, range(7, 7 + reps)))
+
+
+@pytest.mark.parametrize("keys, reps", [
+    ([()], 2049), ([(0,), (1,)], 2100), ([(5,), (6,), (7,)], 1500),
+])
+def test_a_seed_hashed_in_slices_is_numpys_seed_sequence(monkeypatch, keys, reps):
+    # more streams than one call's columns, sliced unevenly for three keys:
+    # every row of every slice is numpy's own state
+    calls = count_hash_calls(monkeypatch)
+    states = core._seed_states(2 ** 40 + 3, np.arange(7, 7 + reps).reshape(-1, 1), *keys)
+    assert len(calls) > 1 and max(calls) <= 2 ** 11 and sum(calls) == len(keys) * reps
+    expected = [np.random.SeedSequence([2 ** 40 + 3, r], spawn_key=key).generate_state(4, np.uint64)
+                for key in keys for r in range(7, 7 + reps)]
+    assert np.array_equal(states, expected)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -270,6 +317,45 @@ def test_a_number_in_place_of_the_indices_is_refused_first(monkeypatch, committe
     for handed in (None, words):
         with pytest.raises(ValidationError, match=r"repetitions must be a 1-D .* shape \(\)"):
             run_plan(inverted_w_dist(5), committed_response, plan, 4, handed)
+
+
+@pytest.mark.parametrize("repetitions", [
+    [-1], [2 ** 40], [1.5], ["a"], [0, 2 ** 70], np.array([1, "a"], dtype=object),
+    range(-1, 2), range(2 ** 32 - 1, 2 ** 32 + 1), range(2 ** 40),
+])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_indices_outside_the_rule_are_refused_with_or_without_words(
+        monkeypatch, committed_response, strategy, repetitions):
+    # handed words of the right shape do not skip the rule; a range is
+    # checked by its ends, so one of 2**40 indices is refused as fast
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    words = np.zeros((len(plan.stream_shots), min(len(repetitions), 2), 4), dtype=np.uint64)
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    with pytest.raises(ValidationError, match="path entries"):
+        stream_words([plan], repetitions)
+    for handed in (None, words):
+        with pytest.raises(ValidationError, match="path entries"):
+            run_plan(inverted_w_dist(5), committed_response, plan, repetitions, handed)
+
+
+@pytest.mark.parametrize("entries", [
+    ["x"], [1, "a"], np.array(["a", "b"]), [object()], np.array([1, "a"], dtype=object),
+    np.array([None], dtype=object),
+])
+def test_path_entries_that_are_not_integers_are_refused(monkeypatch, committed_response,
+                                                        entries):
+    # numpy has no min of text or of mixed objects, so the check names their dtype
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    plan = MeasurementPlan(total_shots=1000)
+    with pytest.raises(ValidationError, match="path entries must be integers"):
+        rng_stream(0, *entries)
+    with pytest.raises(ValidationError, match="path entries must be integers"):
+        core._seed_states(0, [entries])
+    with pytest.raises(ValidationError, match="path entries must be integers"):
+        stream_words([plan], entries)
+    with pytest.raises(ValidationError, match="path entries must be integers"):
+        run_plan(inverted_w_dist(5), committed_response, plan, entries)
 
 
 @pytest.mark.parametrize("seed, path, key", [
