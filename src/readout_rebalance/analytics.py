@@ -7,32 +7,14 @@ inflates the variance of every state that can exchange counts with another,
 which is the whole motivation for rebalancing toward the ground state.
 """
 
-import itertools
 import math
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count, _check_real
-from .core import _seed_states
 from .noise import build_tensor_response
-from .rebalance import STRATEGIES, run_plan, stream_words
-
-# Largest (2**n, repetitions) float64 counts array of one ensemble cell.  IBU
-# sets the engine's peak: its counts, iterate, fold and product, twice over for
-# symmetrized's two segments.  By tracemalloc at 8 qubits and 200 repetitions
-# (tests/test_segments.py), symmetrized IBU peaks at 8.8 cells, or 10.8 where
-# the Kronecker-factored products hold one more intermediate array, and
-# symmetrized inversion at 4.8 (dense) or 6.8 (factored).  16 MiB is 64 times
-# the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell (65536
-# repetitions, symmetrized) peaks at 0.24 GB by tracemalloc under IBU and
-# 0.17 GB under inversion.
-_MAX_CELL_BYTES = 2 ** 24
-# Most repetitions of one cell at any width (the least is 2, for a standard
-# deviation).  While a cell runs each holds one Generator (nominal) or two,
-# about 780 B each by tracemalloc, which the byte bound does not count (it
-# admits 2**20 at one qubit); 2**16 caps them near 2**16 * 2 * 780 B = 102 MB.
-_MAX_CELL_REPETITIONS = 2 ** 16
+from .rebalance import _MAX_CELL_REPETITIONS, run_plan
 
 
 @dataclass(frozen=True)
@@ -182,22 +164,6 @@ def _check_repetitions(repetitions):
     return _check_count(repetitions, "repetitions", least=2, most=_MAX_CELL_REPETITIONS)
 
 
-def cell_streams(seed, rows, plans, repetitions):
-    """``(cells, words)`` of ``rows`` rows of ``plans``: each cell's plan, seeded with word 0
-    of the path ``(row, STRATEGIES.index(plan.strategy))`` so that it draws alike in any list
-    of strategies, and an iterator over the cells' ``stream_words`` blocks in turn, hashed a
-    block of whole rows at a time within ``_MAX_CELL_BYTES``."""
-    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(rows) for plan in plans]
-    seeds = _seed_states(seed, paths)[:, 0].tolist()
-    cells = [replace(plan, rng_seed=s) for plan, s in zip(plans * rows, seeds)]
-    # 32 B a stream, at least one row a block; chain drops a block before it hashes the next
-    row_bytes = 32 * repetitions * sum(len(plan.stream_shots) for plan in plans)
-    per_block = len(plans) * max(_MAX_CELL_BYTES // row_bytes, 1)
-    return cells, itertools.chain.from_iterable(
-        stream_words(cells[at:at + per_block], range(repetitions))
-        for at in range(0, len(cells), per_block))
-
-
 def ensemble_run(
     true_dist,
     response,
@@ -220,16 +186,9 @@ def ensemble_run(
     are checked once, and every repetition is evaluated in one product.
     ``words`` passes the streams' state words, the plan's block of
     :func:`~readout_rebalance.rebalance.stream_words` for ``range(repetitions)``,
-    on to ``run_plan``, which otherwise hashes its own.
+    on to ``run_plan``, which otherwise hashes its own, and which refuses an oversized cell.
     """
     repetitions = _check_repetitions(repetitions)
-    cell_bytes = 8 * true_dist.probs.size * repetitions
-    if cell_bytes > _MAX_CELL_BYTES:
-        raise ValidationError(
-            f"{repetitions} repetitions over {true_dist.probs.size} states need a "
-            f"counts array of {cell_bytes:,} bytes, above the limit of "
-            f"{_MAX_CELL_BYTES:,} bytes per ensemble cell"
-        )
     # converting complex weights to float64 would drop their imaginary parts
     if np.iscomplexobj(observable):
         raise ValidationError("observable weights must be real, got complex weights")

@@ -57,14 +57,13 @@ from .states import (
     grover_dist,
     inverted_w_dist,
 )
-from .rebalance import STRATEGIES, MeasurementPlan
+from .rebalance import STRATEGIES, MeasurementPlan, cell_streams
 from .unfold import DEFAULT_IBU_ITERATIONS, UnfoldConfig
 from .analytics import (
     TwoQubitModel,
     _check_repetitions,
     appendix_a_exact_variances,
     appendix_a_variances,
-    cell_streams,
     ensemble_run,
     shots_equivalent_fraction,
 )

@@ -7,7 +7,8 @@ finally undoes the flips classically.  Fewer physical qubits then sit in the
 error-prone excited state while every observable keeps its value.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +20,22 @@ from .noise import sample_measured
 from .unfold import UnfoldConfig, apply_unfold
 
 STRATEGIES = ("nominal", "rebalanced", "symmetrized")
+
+# Largest (2**n, repetitions) float64 counts array of one ensemble cell.  IBU
+# sets the engine's peak: its counts, iterate, fold and product, twice over for
+# symmetrized's two segments.  By tracemalloc at 8 qubits and 200 repetitions
+# (tests/test_segments.py), symmetrized IBU peaks at 8.8 cells, or 10.8 where
+# the Kronecker-factored products hold one more intermediate array, and
+# symmetrized inversion at 4.8 (dense) or 6.8 (factored).  16 MiB is 64 times
+# the paper's 5-qubit, 1000-repetition cell; its largest 5-qubit cell (65536
+# repetitions, symmetrized) peaks at 0.24 GB by tracemalloc under IBU and
+# 0.17 GB under inversion.
+_MAX_CELL_BYTES = 2 ** 24
+# Most repetitions of one cell at any width (the least is 2, for a standard
+# deviation).  While a cell runs each holds one Generator (nominal) or two,
+# about 780 B each by tracemalloc, which the byte bound does not count (it
+# admits 2**20 at one qubit); 2**16 caps them near 2**16 * 2 * 780 B = 102 MB.
+_MAX_CELL_REPETITIONS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -78,20 +95,21 @@ def choose_flip_mask(pilots):
 
 
 def _indices(repetitions):
-    """The repetition indices, refused unless they are one flat sequence of
-    path entries, each between 0 and 2**32 - 1.
+    """The repetition indices, refused unless they are one flat sequence of at
+    most ``_MAX_CELL_REPETITIONS`` path entries, each between 0 and 2**32 - 1.
 
     A ``range``, what ``ensemble_run`` passes, is checked by its ends and
     returned as it is: making it an array, or checking it as one, would cost
     a cell of 40 repetitions about 3 us.
     """
-    if isinstance(repetitions, range):
-        return _path_entries(repetitions)
-    paths = np.asarray(repetitions)
-    if paths.ndim != 1:
-        raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
-                              f"{paths.shape}")
-    return _path_entries(paths)
+    if not isinstance(repetitions, range):
+        repetitions = np.asarray(repetitions)
+        if repetitions.ndim != 1:
+            raise ValidationError(f"repetitions must be a 1-D sequence of indices, got shape "
+                                  f"{repetitions.shape}")
+    paths = _path_entries(repetitions)
+    _check_count(len(paths), "the number of repetition indices", 0, _MAX_CELL_REPETITIONS)
+    return paths
 
 
 def stream_words(plans, repetitions):
@@ -105,8 +123,8 @@ def stream_words(plans, repetitions):
     ``(0,)`` to ``(k - 1,)``.  Plans of as many streams go to one
     :func:`~readout_rebalance.core._seed_states` call, which
     hashes them in a few calls of the package's one seed hash.  The
-    repetition indices must be one flat sequence, one run each, of
-    integers between 0 and 2**32 - 1, or ``ValidationError`` is raised
+    repetition indices must be one flat sequence, one run each, of at most
+    2**16 integers between 0 and 2**32 - 1, or ``ValidationError`` is raised
     before anything is hashed.
     """
     paths = np.asarray(_indices(repetitions))[:, None]
@@ -120,6 +138,23 @@ def stream_words(plans, repetitions):
         for at, block in zip(members, states.reshape(len(members), count, len(paths), 4)):
             words[at] = block
     return words
+
+
+def cell_streams(seed, rows, plans, repetitions):
+    """``(cells, words)`` of ``rows`` rows of ``plans``: each cell's plan, seeded with word 0
+    of the path ``(row, STRATEGIES.index(plan.strategy))`` so that it draws alike in any list
+    of strategies, and an iterator over the cells' ``stream_words`` blocks in turn, hashed a
+    block of whole rows at a time within ``_MAX_CELL_BYTES``; it takes 0 to 2**16 repetitions."""
+    repetitions = _check_count(repetitions, "repetitions", least=0, most=_MAX_CELL_REPETITIONS)
+    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(rows) for plan in plans]
+    seeds = _seed_states(seed, np.array(paths, np.int64).reshape(-1, 2))[:, 0].tolist()
+    cells = [replace(plan, rng_seed=s) for plan, s in zip(plans * rows, seeds)]
+    # 32 B a stream, at least one row a block; chain drops a block before it hashes the next
+    row_bytes = 32 * repetitions * sum(len(plan.stream_shots) for plan in plans)
+    per_block = max(len(plans) * (_MAX_CELL_BYTES // max(row_bytes, 1)), len(plans), 1)
+    return cells, itertools.chain.from_iterable(
+        stream_words(cells[at:at + per_block], range(repetitions))
+        for at in range(0, len(cells), per_block))
 
 
 def run_plan(true_dist, response, plan, repetitions, words=None):
@@ -140,10 +175,10 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     it the call makes its own, one call of the package's one seed hash,
     which the tests hold to numpy's own seed sequence word for word.  The
     plan checked its seed when it was made; the repetition indices must be
-    one flat sequence, with or without ``words``, each between 0 and
-    2**32 - 1, so that it is one entropy word, and ``ensemble_run`` passes
-    at most 2**16 indices.  Anything else, and words of another shape or
-    dtype, raise ``ValidationError`` before a stream is built.
+    one flat sequence, with or without ``words``, of at most 2**16 entries
+    between 0 and 2**32 - 1, and their counts array within ``_MAX_CELL_BYTES``,
+    for any caller.  Anything else, and words of another shape or dtype,
+    raise ``ValidationError`` before a stream is hashed or built.
 
     Each segment is one :func:`sample_measured` call for every run.  The
     segments are stacked as the columns of one counts array and unfolded in
@@ -155,6 +190,11 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     """
     repetitions = _indices(repetitions)
     reps, shots = len(repetitions), plan.stream_shots
+    cell_bytes = 8 * response.dim * reps
+    if cell_bytes > _MAX_CELL_BYTES:
+        raise ValidationError(f"{reps} repetitions over {response.dim} states need a counts "
+                              f"array of {cell_bytes:,} bytes, above the limit of "
+                              f"{_MAX_CELL_BYTES:,} bytes per ensemble cell")
     if words is None:
         [words] = stream_words([plan], repetitions)
     shape = (len(shots), reps, 4)

@@ -261,7 +261,7 @@ def test_only_the_split_and_the_pilot_name_a_strategy():
     assert "choose_flip_mask" in {name for stmt in branches[0].body for name in named(stmt)}
 
 
-# a run's streams have one owner: analytics.cell_streams seeds the cells and
+# a run's streams have one owner: rebalance.cell_streams seeds the cells and
 # sizes the blocks of their stream words, and the harness only runs the cells
 ANALYTICS = NOISE.with_name("analytics.py")
 
@@ -276,11 +276,34 @@ def strategy_index_uses(node):
 
 def test_only_cell_streams_derives_a_runs_streams():
     assert not {"_seed_states", "_MAX_CELL_BYTES"} & set(named(HARNESS))
-    (owner,) = [node for name, node in functions(ANALYTICS) if name == "cell_streams"]
+    (owner,) = [node for name, node in functions(REBALANCE) if name == "cell_streams"]
     inside = len(strategy_index_uses(owner))
     assert inside
     uses = {
         path.name: len(strategy_index_uses(ast.parse(path.read_text(), filename=str(path))))
         for path in MODULES
     }
-    assert uses == {path.name: inside * (path == ANALYTICS) for path in MODULES}
+    assert uses == {path.name: inside * (path == REBALANCE) for path in MODULES}
+
+
+def assigned_names(path):
+    """Every name one source file binds by an assignment, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_rebalance_owns_a_runs_batch():
+    # the engine that spends the cell's memory holds its bounds, and the
+    # statistics derive no seed or stream
+    for bound in ("_MAX_CELL_BYTES", "_MAX_CELL_REPETITIONS"):
+        assert {path.name for path in MODULES if bound in set(assigned_names(path))} == {
+            REBALANCE.name}
+    streams = {"_seed_states", "stream_words", "_generators", "cell_streams"}
+    assert not streams & set(named(ANALYTICS))
+    imported = [
+        alias.name for node in ast.walk(ast.parse(ANALYTICS.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "rebalance" for alias in node.names
+    ]
+    assert sorted(imported) == ["_MAX_CELL_REPETITIONS", "run_plan"]

@@ -16,15 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readout_rebalance import analytics, core, harness
-from readout_rebalance.core import ValidationError, rng_stream
-from readout_rebalance.noise import default_response, estimate_response
+from readout_rebalance import core, harness, rebalance
+from readout_rebalance.core import QubitNoiseParams, ValidationError, rng_stream
+from readout_rebalance.noise import build_tensor_response, default_response, estimate_response
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
-from readout_rebalance.analytics import _MAX_CELL_BYTES, EnsembleResult, ensemble_run
-from readout_rebalance.rebalance import STRATEGIES, MeasurementPlan, run_plan, stream_words
-from readout_rebalance.states import inverted_w_dist
+from readout_rebalance.analytics import EnsembleResult, ensemble_run
+from readout_rebalance.rebalance import (
+    _MAX_CELL_BYTES, STRATEGIES, MeasurementPlan, cell_streams, run_plan, stream_words,
+)
+from readout_rebalance.states import gaussian_dist, inverted_w_dist
 
 MULTI_WORD_SEED = str(2 ** 96 + 5)
+ONE_QUBIT = QubitNoiseParams(0.05, 0.01)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,7 +163,7 @@ def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
         own.append(np.array_equal(words, plan_words(plan, range(repetitions))))
         return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
 
-    monkeypatch.setattr(analytics, "stream_words", recorded)
+    monkeypatch.setattr(rebalance, "stream_words", recorded)
     monkeypatch.setattr(harness, "ensemble_run", cell)
     config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
                               repetitions=2 ** 16, unfold_method="matrix_inversion")
@@ -337,6 +340,64 @@ def test_indices_outside_the_rule_are_refused_with_or_without_words(
     for handed in (None, words):
         with pytest.raises(ValidationError, match="path entries"):
             run_plan(inverted_w_dist(5), committed_response, plan, repetitions, handed)
+
+
+@pytest.mark.parametrize("repetitions", [range(2 ** 16 + 1), np.arange(2 ** 16 + 1)])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_more_indices_than_a_cell_holds_are_refused_with_or_without_words(
+        monkeypatch, strategy, repetitions):
+    # a one-qubit cell, so that the count and not the counts' bytes refuses it
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    truth, response = gaussian_dist(0.0, 1.0, 1), build_tensor_response([ONE_QUBIT])
+    words = np.zeros((len(plan.stream_shots), len(repetitions), 4), dtype=np.uint64)
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    too_many = "the number of repetition indices must lie between 0 and 65536"
+    with pytest.raises(ValidationError, match=too_many):
+        stream_words([plan], repetitions)
+    for handed in (None, words):
+        with pytest.raises(ValidationError, match=too_many):
+            run_plan(truth, response, plan, repetitions, handed)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_cell_above_its_bytes_is_refused_with_or_without_words(monkeypatch, strategy):
+    # 8 B x 2**11 states x 1025 repetitions are 16 kB above the 16 MiB a cell may hold
+    plan = MeasurementPlan(total_shots=1000, strategy=strategy)
+    truth, response = gaussian_dist(0.0, 1.0, 11), build_tensor_response([ONE_QUBIT] * 11)
+    words = np.zeros((len(plan.stream_shots), 1025, 4), dtype=np.uint64)
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    for handed in (None, words):
+        with pytest.raises(ValidationError, match="16,793,600 bytes, .* per ensemble cell"):
+            run_plan(truth, response, plan, range(1025), handed)
+    with pytest.raises(ValidationError, match="16,793,600 bytes"):
+        ensemble_run(truth, response, plan, np.zeros(2 ** 11), 1025)
+
+
+@pytest.mark.parametrize("repetitions", [-1, 2.5, True, "3", 2 ** 16 + 1])
+def test_cell_streams_refuse_repetitions_first(monkeypatch, repetitions):
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    with pytest.raises(ValidationError, match="repetitions must"):
+        cell_streams(7, 2, [MeasurementPlan(100)], repetitions)
+
+
+def test_cell_streams_of_no_repetitions_are_empty_blocks(monkeypatch):
+    # as run_plan(..., []) is an empty batch; the cells are seeded as ever
+    plans = [MeasurementPlan(total_shots=100, strategy=strategy) for strategy in STRATEGIES]
+    seeded, _ = cell_streams(7, 2, plans, 3)
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    cells, words = cell_streams(7, 2, plans, 0)
+    assert cells == seeded
+    assert [block.shape for block in words] == [(len(c.stream_shots), 0, 4) for c in cells]
+
+
+@pytest.mark.parametrize("rows, plans", [(0, [MeasurementPlan(100)]), (3, [])])
+def test_cell_streams_of_no_rows_or_plans_give_no_cells(monkeypatch, rows, plans):
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    cells, words = cell_streams(7, rows, plans, 5)
+    assert cells == [] and list(words) == []
 
 
 @pytest.mark.parametrize("entries", [

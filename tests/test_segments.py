@@ -6,7 +6,7 @@ references here are the stacked path it replaced: one permute with a mask
 per column of all the segments side by side, then a reshape-sum.  Both must
 agree bit for bit, ``xor_permute`` must refuse exactly the masks it always
 refused, and a cell must stay within the memory that
-``analytics._MAX_CELL_BYTES`` is sized by.
+``rebalance._MAX_CELL_BYTES`` is sized by.
 """
 
 import tracemalloc
