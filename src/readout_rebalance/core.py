@@ -82,11 +82,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
-# Most columns of one seed-hash call.  With two spawn keys a column cost 1.5 us
-# in a call of 80 columns, 0.12 us at 2,000, 0.14-0.15 us at 4,000-16,000 and
-# 0.19 us at 128,000 (2-core x86 host, numpy 2.4), so seeds are batched only
-# up to here.
-_MAX_HASH_COLUMNS = 2 ** 11
 
 
 def _uint32_words(value, name):
@@ -184,9 +179,8 @@ def _seed_states(seeds, paths, *spawn_keys):
     gives the rows of ``s = 0``.  This is the package's one entropy
     assembly, done as numpy does it: the seed's 32-bit words, one word per
     path entry, zero-padded to the pool size before a non-empty spawn key.
-    Every :func:`_state_words` call spans at most ``_MAX_HASH_COLUMNS``
-    columns, unless one path has more keys: seeds of the same word count are
-    hashed together, a seed of more streams in slices of its paths.  The
+    It hashes exactly what it is given, in one :func:`_state_words` call per
+    seed word count; how much to hash at once is the caller's choice.  The
     seed and key entries may be any non-negative integers and a path entry
     must fit in one word; else ``ValidationError`` is raised before anything is hashed.
     The keys share the entropy rows, so they must have the same number of
@@ -203,23 +197,15 @@ def _seed_states(seeds, paths, *spawn_keys):
     by_words = {}
     for s, run in enumerate(runs):
         by_words.setdefault(len(run), []).append(s)
-    per_call = max(_MAX_HASH_COLUMNS // max(n_keys * k, 1), 1)
-    per_path = max(min(k, _MAX_HASH_COLUMNS // n_keys), 1)
     for n_words, members in by_words.items():
         # the seed's words and the path, then the spawn key after zero padding to the pool
         start = max(n_words + depth, _POOL_SIZE) if width else n_words + depth
-        for at in range(0, len(members), per_call):
-            batch = members[at:at + per_call]
-            words = np.array([runs[s] for s in batch], dtype=np.uint32).T[..., None, None]
-            for first in range(0, max(k, 1), per_path):
-                part = paths[first:first + per_path]
-                entropy = np.zeros((max(start + width, _POOL_SIZE), len(batch), n_keys, len(part)),
-                                   dtype=np.uint32)
-                entropy[:n_words] = words
-                entropy[n_words:n_words + depth] = part.T[:, None, None]
-                entropy[start:start + width] = keys.T[:, None, :, None]
-                states[batch, :, first:first + len(part)] = _state_words(
-                    entropy.reshape(len(entropy), -1)).reshape(len(batch), n_keys, len(part), 4)
+        entropy = np.zeros((max(start + width, _POOL_SIZE), len(members), n_keys, k), np.uint32)
+        entropy[:n_words] = np.array([runs[s] for s in members], np.uint32).T[..., None, None]
+        entropy[n_words:n_words + depth] = paths.T[:, None, None]
+        entropy[start:start + width] = keys.T[:, None, :, None]
+        states[members] = _state_words(entropy.reshape(len(entropy), -1)).reshape(
+            len(members), n_keys, k, 4)
     return states.reshape(-1, 4)
 
 

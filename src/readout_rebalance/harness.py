@@ -336,14 +336,13 @@ def run_experiment(config):
     response = config.response_matrix()
     rows = _experiment_rows(config, response)
 
-    cells, words = cell_streams(config.rng_seed, len(rows), plans, config.repetitions)
     results = []
     negative_flags = {}
-    for at, plan in enumerate(cells):
-        label, mu, dist, observable, obs_label = rows[at // len(plans)]
+    for (label, mu, dist, observable, obs_label), plan, words in cell_streams(
+            config.rng_seed, rows, plans, config.repetitions):
         res = ensemble_run(
             dist, response, plan, observable, config.repetitions,
-            observable_label=obs_label, words=next(words),
+            observable_label=obs_label, words=words,
         )
         results.append((label, mu, res))
         key = label if mu is None else f"{label}@mu={mu!r}"
@@ -452,6 +451,8 @@ def cmd_run(args):
 
 
 def cmd_appendix_a(args):
+    # checked, used or not, so that a bad total is named as the flag it came from
+    _check_count(args.total, "total", least=0)
     if args.counts:
         if any(len(counts) != 4 for counts in args.counts):
             raise ValidationError("--counts needs four comma-separated integers")

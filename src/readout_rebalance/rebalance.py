@@ -7,7 +7,7 @@ finally undoes the flips classically.  Fewer physical qubits then sit in the
 error-prone excited state while every observable keeps its value.
 """
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +36,11 @@ _MAX_CELL_BYTES = 2 ** 24
 # about 780 B each by tracemalloc, which the byte bound does not count (it
 # admits 2**20 at one qubit); 2**16 caps them near 2**16 * 2 * 780 B = 102 MB.
 _MAX_CELL_REPETITIONS = 2 ** 16
+# Most streams of one seed-hash call.  With two spawn keys a column cost 1.5 us
+# in a call of 80 columns, 0.12 us at 2,000, 0.14-0.15 us at 4,000-16,000 and
+# 0.19 us at 128,000 (2-core x86 host, numpy 2.4), so seeds are batched only
+# up to here.
+_MAX_HASH_COLUMNS = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -112,49 +117,57 @@ def _indices(repetitions):
     return paths
 
 
+def _seed_blocks(seeds, paths, *keys):
+    """Each seed's ``(len(keys), len(paths), 4)`` ``_seed_states`` words in turn, whole seeds
+    hashed together in calls of at most ``_MAX_HASH_COLUMNS`` streams and a bigger seed
+    alone, in slices of its paths; each call is made when its first seed is read."""
+    n_keys = max(len(keys), 1)
+    per_call = max(_MAX_HASH_COLUMNS // max(n_keys * len(paths), 1), 1)
+    per_slice = max(_MAX_HASH_COLUMNS // n_keys, 1)
+    for at in range(0, len(seeds), per_call):
+        batch = seeds[at:at + per_call]
+        states = np.empty((len(batch), n_keys, len(paths), 4), dtype=np.uint64)
+        for first in range(0, max(len(paths), 1), per_slice):
+            part = states[:, :, first:first + per_slice]
+            part[...] = _seed_states(batch, paths[first:first + per_slice], *keys).reshape(part.shape)
+        yield from states
+
+
 def stream_words(plans, repetitions):
     """The ``PCG64`` state words of :func:`run_plan`'s streams, for many plans at once.
 
-    Returns one ``(len(plan.stream_shots), len(repetitions), 4)`` uint64
-    block per plan, row ``[j, i]`` the state of stream j of run
+    Returns an iterator over one ``(len(plan.stream_shots), len(repetitions), 4)``
+    uint64 block per plan, row ``[j, i]`` the state of stream j of run
     ``repetitions[i]``.  The keys follow from the stream count by numpy's
     spawn rule: one stream is the root stream ``rng_stream(plan.rng_seed, r)``
     of key ``()``, and k streams are its k ``spawn`` children, of keys
-    ``(0,)`` to ``(k - 1,)``.  Plans of as many streams go to one
-    :func:`~readout_rebalance.core._seed_states` call, which
-    hashes them in a few calls of the package's one seed hash.  The
-    repetition indices must be one flat sequence, one run each, of at most
-    2**16 integers between 0 and 2**32 - 1, or ``ValidationError`` is raised
-    before anything is hashed.
+    ``(0,)`` to ``(k - 1,)``.  Plans of as many streams share the calls of
+    :func:`_seed_blocks`.  The repetition indices must be one flat sequence,
+    one run each, of at most 2**16 integers between 0 and 2**32 - 1, or
+    ``ValidationError`` is raised before anything is hashed.
     """
     paths = np.asarray(_indices(repetitions))[:, None]
     by_count = {}
-    for at, plan in enumerate(plans):
-        by_count.setdefault(len(plan.stream_shots), []).append(at)
-    words = [None] * len(plans)
-    for count, members in by_count.items():
-        keys = [(k,) for k in range(count)] if count > 1 else [()]
-        states = _seed_states([plans[at].rng_seed for at in members], paths, *keys)
-        for at, block in zip(members, states.reshape(len(members), count, len(paths), 4)):
-            words[at] = block
-    return words
+    for plan in plans:
+        by_count.setdefault(len(plan.stream_shots), []).append(plan.rng_seed)
+    # one stream takes the root key, the _seed_states default
+    blocks = {count: _seed_blocks(seeds, paths, *[(k,) for k in range(count) if count > 1])
+              for count, seeds in by_count.items()}
+    return (next(blocks[len(plan.stream_shots)]) for plan in plans)
 
 
 def cell_streams(seed, rows, plans, repetitions):
-    """``(cells, words)`` of ``rows`` rows of ``plans``: each cell's plan, seeded with word 0
-    of the path ``(row, STRATEGIES.index(plan.strategy))`` so that it draws alike in any list
-    of strategies, and an iterator over the cells' ``stream_words`` blocks in turn, hashed a
-    block of whole rows at a time within ``_MAX_CELL_BYTES``; it takes 0 to 2**16 repetitions."""
+    """Each ``(row, plan, words)`` cell of the ``rows`` sequence and ``plans``, row by row: the
+    plan seeded with word 0 of the path ``(row index, STRATEGIES.index(plan.strategy))``, so that
+    it draws alike in any list of strategies, and its ``stream_words`` block, hashed as the cell
+    is read.  Bad rows or repetitions (0 to 2**16) are refused before anything is hashed."""
     repetitions = _check_count(repetitions, "repetitions", least=0, most=_MAX_CELL_REPETITIONS)
-    paths = [(row, STRATEGIES.index(plan.strategy)) for row in range(rows) for plan in plans]
-    seeds = _seed_states(seed, np.array(paths, np.int64).reshape(-1, 2))[:, 0].tolist()
-    cells = [replace(plan, rng_seed=s) for plan, s in zip(plans * rows, seeds)]
-    # 32 B a stream, at least one row a block; chain drops a block before it hashes the next
-    row_bytes = 32 * repetitions * sum(len(plan.stream_shots) for plan in plans)
-    per_block = max(len(plans) * (_MAX_CELL_BYTES // max(row_bytes, 1)), len(plans), 1)
-    return cells, itertools.chain.from_iterable(
-        stream_words(cells[at:at + per_block], range(repetitions))
-        for at in range(0, len(cells), per_block))
+    if not isinstance(rows, Sequence):
+        raise ValidationError(f"rows must be a sequence, got {rows!r}")
+    paths = [(at, STRATEGIES.index(plan.strategy)) for at in range(len(rows)) for plan in plans]
+    seeds = next(_seed_blocks([seed], np.array(paths, np.int64).reshape(-1, 2)))[0, :, 0].tolist()
+    cells = [replace(plan, rng_seed=s) for plan, s in zip(plans * len(rows), seeds)]
+    return zip((r for r in rows for _ in plans), cells, stream_words(cells, range(repetitions)))
 
 
 def run_plan(true_dist, response, plan, repetitions, words=None):
@@ -171,14 +184,13 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
     kept.
 
     ``words`` holds the streams' ``PCG64`` state words, the block
-    :func:`stream_words` makes for this plan and these repetitions; without
-    it the call makes its own, one call of the package's one seed hash,
-    which the tests hold to numpy's own seed sequence word for word.  The
-    plan checked its seed when it was made; the repetition indices must be
-    one flat sequence, with or without ``words``, of at most 2**16 entries
-    between 0 and 2**32 - 1, and their counts array within ``_MAX_CELL_BYTES``,
-    for any caller.  Anything else, and words of another shape or dtype,
-    raise ``ValidationError`` before a stream is hashed or built.
+    :func:`stream_words` makes for this plan and these repetitions, which
+    hashes them when none is handed in.  The plan checked its seed when it
+    was made; the repetition indices must be one flat sequence, with or
+    without ``words``, of at most 2**16 entries between 0 and 2**32 - 1, and
+    their counts array within ``_MAX_CELL_BYTES``, for any caller.  Anything
+    else, and words of another shape or dtype, raise ``ValidationError``
+    before a stream is hashed or built.
 
     Each segment is one :func:`sample_measured` call for every run.  The
     segments are stacked as the columns of one counts array and unfolded in
@@ -196,7 +208,7 @@ def run_plan(true_dist, response, plan, repetitions, words=None):
                               f"array of {cell_bytes:,} bytes, above the limit of "
                               f"{_MAX_CELL_BYTES:,} bytes per ensemble cell")
     if words is None:
-        [words] = stream_words([plan], repetitions)
+        words = next(stream_words([plan], repetitions))
     shape = (len(shots), reps, 4)
     got = (words.dtype, words.shape) if isinstance(words, np.ndarray) else type(words)
     if got != (np.uint64, shape):

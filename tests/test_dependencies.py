@@ -262,7 +262,7 @@ def test_only_the_split_and_the_pilot_name_a_strategy():
 
 
 # a run's streams have one owner: rebalance.cell_streams seeds the cells and
-# sizes the blocks of their stream words, and the harness only runs the cells
+# hands each its stream words, and the harness only runs the cells
 ANALYTICS = NOISE.with_name("analytics.py")
 
 
@@ -276,6 +276,9 @@ def strategy_index_uses(node):
 
 def test_only_cell_streams_derives_a_runs_streams():
     assert not {"_seed_states", "_MAX_CELL_BYTES"} & set(named(HARNESS))
+    # the harness takes each cell whole, with no index into the rows or the words
+    (runner,) = [node for name, node in functions(HARNESS) if name == "run_experiment"]
+    assert not {"next", "enumerate"} & set(named(runner))
     (owner,) = [node for name, node in functions(REBALANCE) if name == "cell_streams"]
     inside = len(strategy_index_uses(owner))
     assert inside
@@ -295,11 +298,14 @@ def assigned_names(path):
 
 
 def test_rebalance_owns_a_runs_batch():
-    # the engine that spends the cell's memory holds its bounds, and the
+    # the engine that spends the cell's memory holds its bounds and the size
+    # of its seed-hash calls, core hashes what it is given, and the
     # statistics derive no seed or stream
-    for bound in ("_MAX_CELL_BYTES", "_MAX_CELL_REPETITIONS"):
+    bounds = ("_MAX_CELL_BYTES", "_MAX_CELL_REPETITIONS", "_MAX_HASH_COLUMNS")
+    for bound in bounds:
         assert {path.name for path in MODULES if bound in set(assigned_names(path))} == {
             REBALANCE.name}
+    assert not set(bounds) & set(named(REBALANCE.with_name("core.py")))
     streams = {"_seed_states", "stream_words", "_generators", "cell_streams"}
     assert not streams & set(named(ANALYTICS))
     imported = [

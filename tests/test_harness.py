@@ -815,6 +815,15 @@ def test_a_nul_in_a_path_flag_leaves_no_new_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("total", ["-5", "100000000000000000000"])
+def test_appendix_a_names_a_total_it_cannot_split(tmp_path, capsys, total):
+    # refused as the flag the user typed, not as the split count n11 it gave
+    out_dir = tmp_path / "out"
+    assert main(["appendix-a", "--total", total, "--output-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: total must lie between 0 and 9223372036854775807\n"
+    assert not out_dir.exists()
+
+
 def test_appendix_a_takes_five_flags_and_no_sampling_flags(tmp_path, capsys):
     args = build_parser().parse_args(["appendix-a"])
     assert set(vars(args)) - {"command", "func"} == {"q0", "q1", "total", "counts", "output_dir"}

@@ -103,7 +103,7 @@ def test_a_plan_builds_exactly_when_every_stream_gets_a_shot(total_shots, strate
     assert len(shots) == (1 if strategy == "nominal" else 2)
     if strategy == "rebalanced":
         assert shots[0] == plan.pilot_shots
-    assert stream_words([plan], range(3))[0].shape[0] == len(shots)
+    assert next(stream_words([plan], range(3))).shape[0] == len(shots)
 
 
 @pytest.mark.parametrize("unfold", ["ibu", None, {"method": "ibu"}])

@@ -3,7 +3,8 @@
 Every random number the package draws starts from ``core._state_words``:
 the streams of ``run_plan`` and ``estimate_response``, and the integer
 seeds of ``run`` cells.  ``rebalance.stream_words`` hashes the streams of
-many plans at once, and each plan's words are those of its own hash.
+many plans at once, as they are read, and each plan's words are those of
+its own hash.
 numpy's ``SeedSequence`` appears here only, as the reference.
 """
 
@@ -22,7 +23,8 @@ from readout_rebalance.noise import build_tensor_response, default_response, est
 from readout_rebalance.harness import EXIT_OK, ExperimentConfig, main, run_experiment
 from readout_rebalance.analytics import EnsembleResult, ensemble_run
 from readout_rebalance.rebalance import (
-    _MAX_CELL_BYTES, STRATEGIES, MeasurementPlan, cell_streams, run_plan, stream_words,
+    _MAX_HASH_COLUMNS, STRATEGIES, MeasurementPlan, _seed_blocks, cell_streams, run_plan,
+    stream_words,
 )
 from readout_rebalance.states import gaussian_dist, inverted_w_dist
 
@@ -146,31 +148,56 @@ def test_a_run_hashes_once_for_the_cell_seeds_and_once_per_key_set(monkeypatch):
     assert calls == [9, 3 * 4, 6 * 2 * 4]
 
 
-def test_a_run_holds_at_most_one_cells_bound_of_stream_words(monkeypatch):
-    # a row's 5 keys x 65536 repetitions x 32 B are 10 MiB of words, so the
-    # three rows at once would be 30 MiB; the cells themselves are stubbed,
-    # as the benchmark's cell log stubs them
-    held, own = [], []
+def stub_cells(monkeypatch):
+    """Stub every cell of ``run_experiment``; its streams are still hashed as it reads them."""
+    def cell(dist, response, plan, observable, repetitions, observable_label, words):
+        return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
 
-    def recorded(plans, repetitions):
-        words = stream_words(plans, repetitions)
-        held.append(sum(block.nbytes for block in words))
-        return words
+    monkeypatch.setattr(harness, "ensemble_run", cell)
+
+
+def test_the_sweep_benchmarks_streams_are_hashed_in_four_calls(monkeypatch):
+    # the sweep_inversion workload's config: the 69 cell seeds, the 23 nominal
+    # cells of 40 streams in one call, and the 46 others of 80 streams packed
+    # 25 to a call
+    stub_cells(monkeypatch)
+    calls = count_hash_calls(monkeypatch)
+    config = ExperimentConfig(experiment="gaussian_sweep", shots=100_000, repetitions=40,
+                              unfold_method="matrix_inversion", rng_seed=1)
+    results, _ = run_experiment(config)
+    assert len(results) == 69
+    assert calls == [69, 920, 2000, 1680]
+
+
+def test_a_runs_stream_words_are_hashed_as_its_cells_read_them(monkeypatch):
+    # a row's 5 keys x 65536 repetitions x 32 B are 10 MiB of words; the cells
+    # themselves are stubbed, as the benchmark's cell log stubs them, and the
+    # streams hashed never run ahead of the cells drawn by more than one call
+    # per stream count
+    hashed, drawn, ahead, own = [], [], [], []
+
+    def recorded(*args):
+        states = core._seed_states(*args)
+        hashed.append(len(states))
+        return states
 
     def cell(dist, response, plan, observable, repetitions, observable_label, words):
-        # each cell gets its own streams, whichever block hashed them; the
+        drawn.append(len(plan.stream_shots) * repetitions)
+        # the first call hashes the cell seeds
+        ahead.append(sum(hashed[1:]) - sum(drawn))
+        # each cell gets its own streams, whichever call hashed them; the
         # block is compared here, so that no cell's words outlive its call
         own.append(np.array_equal(words, plan_words(plan, range(repetitions))))
         return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
 
-    monkeypatch.setattr(rebalance, "stream_words", recorded)
+    monkeypatch.setattr(rebalance, "_seed_states", recorded)
     monkeypatch.setattr(harness, "ensemble_run", cell)
     config = ExperimentConfig(experiment="gaussian_sweep", mus=[-0.5, 0.0, 0.5], shots=500,
                               repetitions=2 ** 16, unfold_method="matrix_inversion")
     results, _ = run_experiment(config)
-    assert len(results) == 3 * len(STRATEGIES)
-    assert sum(held) == 3 * 5 * 2 ** 16 * 32
-    assert max(held) <= _MAX_CELL_BYTES
+    assert len(results) == 3 * len(STRATEGIES) == hashed[0]
+    assert sum(hashed[1:]) * 32 == 3 * 5 * 2 ** 16 * 32
+    assert 0 <= min(ahead) and max(ahead) <= 2 * _MAX_HASH_COLUMNS
     assert own == [True] * len(results)
 
 
@@ -189,16 +216,13 @@ def test_one_rows_stream_words_peak_near_their_own_bytes():
     # hashing them whole, one seed per call, peaked near three times that
     plans = [MeasurementPlan(total_shots=500, strategy=strategy, rng_seed=2 ** 40 + i)
              for i, strategy in enumerate(STRATEGIES)]
-    assert traced_peak(lambda: stream_words(plans, range(2 ** 16))) <= 12 * 2 ** 20
+    assert traced_peak(lambda: list(stream_words(plans, range(2 ** 16)))) <= 12 * 2 ** 20
 
 
 def test_a_default_sweep_run_peaks_near_one_rows_stream_words(monkeypatch):
     # 23 rows of 10 MiB of words each at 65536 repetitions, the cells stubbed:
-    # no block may be held while the next one is hashed
-    def cell(dist, response, plan, observable, repetitions, observable_label, words):
-        return EnsembleResult(repetitions, 0.0, 0.0, 0.0, plan.strategy, observable_label)
-
-    monkeypatch.setattr(harness, "ensemble_run", cell)
+    # each cell's block is hashed as the cell is read
+    stub_cells(monkeypatch)
     config = ExperimentConfig(experiment="gaussian_sweep", shots=500, repetitions=2 ** 16,
                               unfold_method="matrix_inversion")
     assert traced_peak(lambda: run_experiment(config)) <= 12 * 2 ** 20
@@ -223,7 +247,7 @@ def test_stream_words_are_each_plans_own_words(cells, first, reps):
     plans = [MeasurementPlan(total_shots=100, strategy=strategy, rng_seed=seed)
              for strategy, seed in cells]
     repetitions = range(first, first + reps)
-    words = stream_words(plans, repetitions)
+    words = list(stream_words(plans, repetitions))
     assert len(words) == len(plans)
     for plan, block in zip(plans, words):
         assert block.dtype == np.uint64
@@ -243,7 +267,7 @@ def test_stream_words_batch_at_most_2_11_columns_per_hash_call(
     plans = [MeasurementPlan(total_shots=100, strategy=strategy, rng_seed=2 ** 40 + i)
              for i, strategy in enumerate(strategies)]
     calls = count_hash_calls(monkeypatch)
-    words = stream_words(plans, range(7, 7 + reps))
+    words = list(stream_words(plans, range(7, 7 + reps)))
     assert calls == expected_calls
     monkeypatch.undo()
     for plan, block in zip(plans, words):
@@ -257,7 +281,8 @@ def test_a_seed_hashed_in_slices_is_numpys_seed_sequence(monkeypatch, keys, reps
     # more streams than one call's columns, sliced unevenly for three keys:
     # every row of every slice is numpy's own state
     calls = count_hash_calls(monkeypatch)
-    states = core._seed_states(2 ** 40 + 3, np.arange(7, 7 + reps).reshape(-1, 1), *keys)
+    [block] = _seed_blocks([2 ** 40 + 3], np.arange(7, 7 + reps).reshape(-1, 1), *keys)
+    states = block.reshape(-1, 4)
     assert len(calls) > 1 and max(calls) <= 2 ** 11 and sum(calls) == len(keys) * reps
     expected = [np.random.SeedSequence([2 ** 40 + 3, r], spawn_key=key).generate_state(4, np.uint64)
                 for key in keys for r in range(7, 7 + reps)]
@@ -380,24 +405,33 @@ def test_cell_streams_refuse_repetitions_first(monkeypatch, repetitions):
     monkeypatch.setattr(np.random, "PCG64", unreachable)
     monkeypatch.setattr(core, "_state_words", unreachable)
     with pytest.raises(ValidationError, match="repetitions must"):
-        cell_streams(7, 2, [MeasurementPlan(100)], repetitions)
+        cell_streams(7, range(2), [MeasurementPlan(100)], repetitions)
+
+
+@pytest.mark.parametrize("rows", [-1, 2.5, True])
+def test_cell_streams_refuse_rows_that_are_not_a_sequence_first(monkeypatch, rows):
+    # a count in place of the rows gave no cells, a TypeError or one row
+    monkeypatch.setattr(np.random, "PCG64", unreachable)
+    monkeypatch.setattr(core, "_state_words", unreachable)
+    with pytest.raises(ValidationError, match="rows must be a sequence"):
+        cell_streams(7, rows, [MeasurementPlan(100)], 3)
 
 
 def test_cell_streams_of_no_repetitions_are_empty_blocks(monkeypatch):
     # as run_plan(..., []) is an empty batch; the cells are seeded as ever
     plans = [MeasurementPlan(total_shots=100, strategy=strategy) for strategy in STRATEGIES]
-    seeded, _ = cell_streams(7, 2, plans, 3)
+    seeded = [(row, plan) for row, plan, _ in cell_streams(7, range(2), plans, 3)]
     monkeypatch.setattr(np.random, "PCG64", unreachable)
-    cells, words = cell_streams(7, 2, plans, 0)
-    assert cells == seeded
-    assert [block.shape for block in words] == [(len(c.stream_shots), 0, 4) for c in cells]
+    cells = list(cell_streams(7, range(2), plans, 0))
+    assert [(row, plan) for row, plan, _ in cells] == seeded
+    assert [words.shape for _, _, words in cells] == [
+        (len(plan.stream_shots), 0, 4) for _, plan, _ in cells]
 
 
-@pytest.mark.parametrize("rows, plans", [(0, [MeasurementPlan(100)]), (3, [])])
+@pytest.mark.parametrize("rows, plans", [(range(0), [MeasurementPlan(100)]), (range(3), [])])
 def test_cell_streams_of_no_rows_or_plans_give_no_cells(monkeypatch, rows, plans):
     monkeypatch.setattr(np.random, "PCG64", unreachable)
-    cells, words = cell_streams(7, rows, plans, 5)
-    assert cells == [] and list(words) == []
+    assert list(cell_streams(7, rows, plans, 5)) == []
 
 
 @pytest.mark.parametrize("entries", [

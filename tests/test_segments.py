@@ -49,7 +49,7 @@ def draw(truth, response, shots, streams, masks):
 def stacked_run_plan(truth, response, plan, repetitions):
     """``run_plan`` as it ran before segments were un-flipped one by one."""
     reps, shots = len(repetitions), plan.total_shots
-    streams = _generators(stream_words([plan], repetitions)[0])
+    streams = _generators(next(stream_words([plan], repetitions)))
     none = np.zeros(reps, dtype=np.int64)
     if plan.strategy == "nominal":
         masks, segments = None, [(none, shots, streams[0])]
