@@ -12,7 +12,8 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .core import DimensionError, QubitNoiseParams, ValidationError, _check_count, _check_real
+from .core import DimensionError, QubitNoiseParams, ValidationError
+from .core import _check_count, _check_real, _real
 from .noise import build_tensor_response
 from .rebalance import _MAX_CELL_REPETITIONS, run_plan
 
@@ -87,7 +88,7 @@ def linear_order_reconstruct(measured_counts, q0, q1):
     (00, 01, 10, 11).  This is the reconstruction whose variance the
     analytic formulas describe.
     """
-    c = np.asarray(measured_counts, dtype=np.float64)
+    c = _real(measured_counts, "measured_counts")
     c00, c01, c10, c11 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
     r00 = c00 - q1 * c01 - q0 * c10
     r01 = (1 + q1) * c01 - q0 * c11
@@ -156,7 +157,8 @@ def shots_equivalent_fraction(sigma_method, sigma_nominal):
 
 def std_err_of_std(std, repetitions):
     """Normal-approximation standard error of a sample standard deviation."""
-    std = _check_real(std, "std")
+    if _check_real(std, "std") < 0:  # NaN passes, as through shots_equivalent_fraction
+        raise ValidationError(f"std cannot be negative, got {std!r}")
     return float(std / np.sqrt(2.0 * (_check_count(repetitions, "repetitions", least=2) - 1)))
 
 
@@ -189,18 +191,10 @@ def ensemble_run(
     on to ``run_plan``, which otherwise hashes its own, and which refuses an oversized cell.
     """
     repetitions = _check_repetitions(repetitions)
-    # converting complex weights to float64 would drop their imaginary parts
-    if np.iscomplexobj(observable):
-        raise ValidationError("observable weights must be real, got complex weights")
-    try:
-        weights = np.asarray(observable, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"observable weights must be real, got {exc}") from exc
+    weights = _real(observable, "observable weights")
     if weights.shape != true_dist.probs.shape:
-        raise DimensionError(
-            f"observable needs one weight per state, shape {true_dist.probs.shape}, "
-            f"got {weights.shape}"
-        )
+        raise DimensionError(f"observable needs one weight per state, shape "
+                             f"{true_dist.probs.shape}, got {weights.shape}")
     if not np.isfinite(weights).all():
         raise ValidationError("observable weights must be finite")
     corrected, masks = run_plan(true_dist, response, plan, range(repetitions), words)

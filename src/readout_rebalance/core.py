@@ -22,12 +22,10 @@ import numpy as np
 PROB_SUM_ATOL = 1e-12
 # the largest shot count numpy draws a multinomial sample of (an int64)
 _MAX_SHOTS = np.iinfo(np.int64).max
-# Widest register of a state or a dense response matrix: 11 qubits, 8 * 4**11
-# bytes = 32 MiB.  Checking a dense matrix peaks at twice that; an inverted one
-# keeps its 32 MiB inverse, and each SVD, inversion and IBU product holds more
-# copies, while 16 qubits would take 32 GiB per copy.  A tensor model keeps
-# only its factors (two 16x16 ones at wide_8q's 8 qubits, 4 KiB) and forms the
-# dense matrix only if its entries are read.
+# Widest register of a state, a response matrix or counts, which _width checks: at
+# 11 qubits a dense matrix takes 8 * 4**11 bytes = 32 MiB, its check twice that, and
+# each SVD, inverse and IBU product more; 16 qubits would take 32 GiB per copy.  A
+# tensor model keeps only its factors (4 KiB at 8 qubits) until its entries are read.
 _MAX_QUBITS = 11
 
 
@@ -73,6 +71,23 @@ def _check_real(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def _real(values, name):
+    """``values`` as a float64 array, as it is if one already: the one rule for real arrays.
+    Entries other than bools, integers, floats and objects ``float()`` takes raise
+    ``ValidationError``, where numpy would drop imaginary parts with a warning and parse text."""
+    try:
+        values = np.asarray(values)
+        if values.dtype == np.float64:
+            return values
+        entries = values.flat if values.dtype.kind == "O" else [values]  # typed one by one
+        bad = [e.dtype for e in map(np.asarray, entries) if e.dtype.kind not in "biufO"]
+        if not bad:
+            return values.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or an object float() refuses
+        raise ValidationError(f"{name} must be real numbers, got {exc}") from exc
+    raise ValidationError(f"{name} must be real numbers, got {bad[0]} entries")
 
 
 # numpy's seed-sequence hash (O'Neill's seed_seq_fe): a pool of four uint32
@@ -254,10 +269,10 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
+        probs = _real(self.probs, "probs")
         if probs.ndim != 1:
             raise DimensionError(f"probs must be 1-D, got shape {probs.shape}")
-        _width(probs, "probs")
+        probs = _width(probs, "probs")[0].copy()
         probs.flags.writeable = False
         # written so that NaN fails the test as well
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
@@ -293,16 +308,17 @@ class QubitNoiseParams:
 
 
 def _width(counts, name="counts"):
-    """``(counts, n)``: a ``(2**n,)`` or ``(2**n, k)`` float array and its qubit count."""
-    counts = np.asarray(counts, dtype=np.float64)
+    """``(counts, n)``: ``_real(counts, name)``, shape ``(2**n,)`` or ``(2**n, k)``, and n."""
+    counts = _real(counts, name)
     if counts.ndim not in (1, 2):
         raise DimensionError(f"{name} must have shape (2**n,) or (2**n, k), got {counts.shape}")
     dim = len(counts)
     if dim < 2 or dim & (dim - 1):
-        raise DimensionError(
-            f"{name} must have a power-of-two length of at least 2, got shape {counts.shape}"
-        )
-    return counts, dim.bit_length() - 1
+        raise DimensionError(f"{name} must have a power-of-two length of at least 2, "
+                             f"got shape {counts.shape}")
+    if (n := dim.bit_length() - 1) > _MAX_QUBITS:
+        raise DimensionError(f"the width of {name} must lie between 1 and {_MAX_QUBITS}, got {n}")
+    return counts, n
 
 
 def _counts(counts):

@@ -315,6 +315,8 @@ def _experiment_rows(config, response):
     n = response.n_qubits
     states = np.arange(2 ** n)
     if config.experiment == "inverted_w":
+        if n < 2:
+            raise ValidationError(f"inverted_w needs a model of at least 2 qubits, got {n}")
         return [("inverted_w", None, inverted_w_dist(n), states, "base10_mean")]
     if config.experiment == "grover":
         target = 2 ** n - 1
@@ -451,8 +453,8 @@ def cmd_run(args):
 
 
 def cmd_appendix_a(args):
-    # checked, used or not, so that a bad total is named as the flag it came from
-    _check_count(args.total, "total", least=0)
+    # checked, used or not, and named as the flag; a total of 0 leaves every default split empty
+    _check_count(args.total, "total", least=0 if args.counts else 1)
     if args.counts:
         if any(len(counts) != 4 for counts in args.counts):
             raise ValidationError("--counts needs four comma-separated integers")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     CalibrationFileError, DimensionError, QubitNoiseParams, ValidationError, _MAX_QUBITS,
-    _check_count, _check_real, _read_json, _width, bit_table, rng_stream, xor_permute,
+    _check_count, _check_real, _read_json, _real, _width, bit_table, rng_stream, xor_permute,
 )
 
 COLUMN_SUM_ATOL = 1e-9
@@ -36,15 +36,6 @@ DEFAULT_EPS01 = (0.0020, 0.0024, 0.0028, 0.0032, 0.0036)
 # qubits the split took 0.5-1.0x, but moving the threshold would change the
 # last bits of 6-qubit outputs, and no benchmark workload has 6 qubits.
 _MIN_FACTORED_QUBITS = 7
-
-
-def _check_dense(n_qubits):
-    """Refuse a width above ``_MAX_QUBITS`` before any matrix or ``2**n`` is made."""
-    if n_qubits > _MAX_QUBITS:
-        raise ValidationError(
-            f"a dense {n_qubits}-qubit response matrix exceeds the limit of "
-            f"{_MAX_QUBITS} qubits (32 MiB)"
-        )
 
 
 class ResponseMatrix:
@@ -69,12 +60,11 @@ class ResponseMatrix:
     qubit_params = None
 
     def __init__(self, entries, column_sum_atol=COLUMN_SUM_ATOL):
-        # C order whatever the input's, so that products with R round alike
-        # for every layout of the same entries
-        entries = np.array(entries, dtype=np.float64, order="C")
+        entries = _real(entries, "entries")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError(f"entries must be a square matrix, got shape {entries.shape}")
-        _width(entries, "entries")
+        # a C-ordered copy of its own, so that products with R round alike for every layout
+        entries = np.array(_width(entries, "entries")[0], order="C")
         # written so that NaN fails the test as well
         outside = ~((entries >= 0.0) & (entries <= 1.0))
         if np.any(outside):
@@ -198,12 +188,10 @@ def build_tensor_response(params):
     column-stochastic 2x2 channels passes by construction.
     """
     params = tuple(params)
-    if not params:
-        raise ValidationError("need at least one qubit")
+    _check_count(len(params), "the number of qubits", most=_MAX_QUBITS)
     for i, p in enumerate(params):
         if not isinstance(p, QubitNoiseParams):
             raise ValidationError(f"qubit {i}: expected QubitNoiseParams, got {p!r}")
-    _check_dense(len(params))
     if len(params) < _MIN_FACTORED_QUBITS:
         factors = (_kron_channels(params),)
     else:
@@ -320,8 +308,7 @@ def load_response(path):
         expected = "'n_qubits', 'eps01' and 'eps10'" if tensor else "'n_qubits' and 'entries'"
         raise CalibrationFileError(f"{path}: expected keys {expected}")
     try:
-        n = _check_count(payload["n_qubits"], "n_qubits")
-        _check_dense(n)
+        n = _check_count(payload["n_qubits"], "n_qubits", most=_MAX_QUBITS)
     except ValidationError as exc:
         raise CalibrationFileError(f"{path}: {exc}") from exc
     if tensor:

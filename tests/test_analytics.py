@@ -243,6 +243,11 @@ def test_std_err_of_std_formula():
             std_err_of_std(2.0, repetitions)
     with pytest.raises(ValidationError, match="std must be a real number"):
         std_err_of_std(True, 10)
+    # refused as EnsembleResult refuses it; NaN passes, as through shots_equivalent_fraction
+    with pytest.raises(ValidationError, match=r"std cannot be negative, got -1\.0"):
+        std_err_of_std(-1.0, 10)
+    assert math.isnan(std_err_of_std(math.nan, 10))
+    assert std_err_of_std(0.0, 10) == 0.0
 
 
 def test_ensemble_point_mass_zero_std():
@@ -294,7 +299,8 @@ def test_ensemble_rejects_bad_weights(committed_response, weights, error):
     [1j] + [0.0] * 31,
     np.array([1j] + [0.0] * 31, dtype=object),
     ["1"] * 31 + ["one"],
-], ids=["complex", "zero-imag", "list", "object", "text"])
+    ["1"] * 32,
+], ids=["complex", "zero-imag", "list", "object", "text", "numeric-text"])
 def test_ensemble_refuses_complex_weights_before_any_stream(committed_response, monkeypatch,
                                                             weights):
     # float64 conversion would drop the imaginary parts with only a ComplexWarning

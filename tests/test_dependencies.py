@@ -313,3 +313,23 @@ def test_rebalance_owns_a_runs_batch():
         if isinstance(node, ast.ImportFrom) and node.module == "rebalance" for alias in node.names
     ]
     assert sorted(imported) == ["_MAX_CELL_REPETITIONS", "run_plan"]
+
+
+# core._real is the one rule for real arrays: it refuses complex and text
+# entries, where numpy's float64 conversion drops imaginary parts with only a
+# warning and parses text; a second complex test elsewhere would be a second rule
+COMPLEX_TESTS = {"iscomplexobj", "iscomplex", "ComplexWarning"}
+
+
+def test_only_core_owns_the_real_array_rule():
+    core = ROOT / "src" / "readout_rebalance" / "core.py"
+    defined = [path.name for path in MODULES for name, _ in functions(path) if name == "_real"]
+    assert defined == [core.name]
+    outside = {
+        f"{path.name}: {name}"
+        for path in MODULES if path != core for name in named(path) if name in COMPLEX_TESTS
+    }
+    assert not outside
+    # the modules that take a real array of their own hand it to the rule
+    assert {path.name for path in MODULES if "_real" in set(named(path))} == {
+        core.name, "noise.py", "analytics.py"}

@@ -815,12 +815,39 @@ def test_a_nul_in_a_path_flag_leaves_no_new_directory(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("total", ["-5", "100000000000000000000"])
-def test_appendix_a_names_a_total_it_cannot_split(tmp_path, capsys, total):
-    # refused as the flag the user typed, not as the split count n11 it gave
+@pytest.mark.parametrize("total, counts, least", [
+    ("-5", [], 1), ("100000000000000000000", [], 1), ("0", [], 1),
+    ("-5", ["--counts", "1,2,3,4"], 0), ("100000000000000000000", ["--counts", "1,2,3,4"], 0),
+])
+def test_appendix_a_names_a_total_it_cannot_split(tmp_path, capsys, total, counts, least):
+    # refused as the flag the user typed, not as the model whose split counts it
+    # gave: a total of 0 splits into empty models; unused beside --counts, 0 is fine
     out_dir = tmp_path / "out"
-    assert main(["appendix-a", "--total", total, "--output-dir", str(out_dir)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: total must lie between 0 and 9223372036854775807\n"
+    argv = ["appendix-a", "--total", total, *counts, "--output-dir", str(out_dir)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: total must lie between {least} and 9223372036854775807\n"
+    assert not out_dir.exists()
+
+
+def test_appendix_a_takes_a_total_of_0_beside_its_counts(tmp_path):
+    argv = ["appendix-a", "--total", "0", "--counts", "1,2,3,4", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "appendix_a_comparison.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["eps", "file"])
+def test_inverted_w_names_a_1_qubit_model(tmp_path, capsys, source):
+    # the state builder would name its own n, a parameter no flag sets
+    path = tmp_path / "one.json"
+    save_response(make_response([0.01], [0.1]), path)
+    flags = (["--eps10", "0.1", "--eps01", "0.01"] if source == "eps"
+             else ["--calibration-file", str(path)])
+    out_dir = tmp_path / "out"
+    argv = ["run", "--experiment", "inverted_w", *flags, "--shots", "200", "--repetitions", "5",
+            "--output-dir", str(out_dir)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: inverted_w needs a model of at least 2 qubits, got 1\n"
     assert not out_dir.exists()
 
 

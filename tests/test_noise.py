@@ -310,10 +310,11 @@ def test_committed_default_matches_generating_params(committed_response):
     assert all(0.002 <= e <= 0.01 for e in DEFAULT_EPS01)
 
 
-def test_dense_tensor_response_is_capped():
+@pytest.mark.parametrize("n", [0, 12])
+def test_dense_tensor_response_is_capped(n):
     # 12 qubits would be a 128 MiB dense matrix; refused before any np.kron
-    with pytest.raises(ValidationError, match="dense 12-qubit"):
-        build_tensor_response([QubitNoiseParams(0.01, 0.05)] * 12)
+    with pytest.raises(ValidationError, match="the number of qubits must lie between 1 and 11"):
+        build_tensor_response([QubitNoiseParams(0.01, 0.05)] * n)
 
 
 @pytest.mark.parametrize("entry", [(0.01, 0.05), [0.01, 0.05], None, "ab"])
@@ -340,8 +341,9 @@ def test_load_refuses_a_width_beyond_the_dense_cap(tmp_path, n):
     # from printing a 6000-digit dimension
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n_qubits": n, "entries": [[1]]}))
-    with pytest.raises(CalibrationFileError, match=f"dense {n}-qubit"):
+    with pytest.raises(CalibrationFileError) as info:
         load_response(path)
+    assert str(info.value) == f"{path}: n_qubits must lie between 1 and 11"
 
 
 def test_committed_default_is_strongly_asymmetric(committed_response):
@@ -417,7 +419,8 @@ def test_estimated_matrix_is_saved_as_entries(tmp_path, committed_response):
         ({"n_qubits": 1, "eps01": [True], "eps10": [False]}, "numbers"),
         ({"n_qubits": 1, "eps01": [0.01], "eps10": [1.5]}, r"eps10 = 1.5 outside \[0, 1\]"),
         ({"n_qubits": 1, "eps01": [float("nan")], "eps10": [0.07]}, "eps01 = nan outside"),
-        ({"n_qubits": 12, "eps01": [0.01] * 12, "eps10": [0.07] * 12}, "dense 12-qubit"),
+        ({"n_qubits": 12, "eps01": [0.01] * 12, "eps10": [0.07] * 12},
+         "n_qubits must lie between 1 and 11"),
     ],
 )
 def test_load_rejects_malformed_qubit_pairs(tmp_path, payload, match):
